@@ -43,10 +43,10 @@ def order_preserving_count(n: int) -> int:
     """Number of order-preserving maps ``{1..n} -> {1..n}``.
 
     A weakly increasing map is a multiset of ``n`` values drawn from ``n``
-    symbols, hence ``C(2n-1, n-1)``.
+    symbols, hence ``C(2n-1, n-1)``; the empty map is the one map at ``n = 0``.
 
-    >>> [order_preserving_count(k) for k in range(1, 6)]
-    [1, 3, 10, 35, 126]
+    >>> [order_preserving_count(k) for k in range(0, 6)]
+    [1, 1, 3, 10, 35, 126]
     """
-    assert n >= 1
-    return comb(2 * n - 1, n - 1)
+    assert n >= 0
+    return comb(2 * n - 1, n - 1) if n else 1

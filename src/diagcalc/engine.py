@@ -14,7 +14,7 @@ pass their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .partitions import Diagram, identity, multiply
 
@@ -35,7 +35,8 @@ class FiniteMonoid:
     ``elements`` is in discovery order; ``rep_words[k]`` is the
     shortlex-least word over the generator positions evaluating to
     ``elements[k]``.  ``identity_index`` is ``None`` for carriers without an
-    identity (e.g. singular subsemigroups).
+    identity (e.g. singular subsemigroups).  A ``right`` table of ``None`` is
+    built in full on first use, as the left table always is.
     """
 
     def __init__(
@@ -44,7 +45,7 @@ class FiniteMonoid:
         elements: list[Diagram],
         generators: list[int],
         rep_words: list[tuple[int, ...]],
-        right: list[list[int]],
+        right: list[list[int]] | None,
         identity_index: int | None,
         symbols: Sequence[str] | None = None,
     ):
@@ -53,7 +54,7 @@ class FiniteMonoid:
         self.index = {d: k for k, d in enumerate(elements)}
         self.generators = generators
         self.rep_words = rep_words
-        self.right = right
+        self._right = right
         self.identity_index = identity_index
         self.symbols = tuple(symbols) if symbols is not None else None
         self._left: list[list[int]] | None = None
@@ -67,19 +68,29 @@ class FiniteMonoid:
 
     def product(self, i: int, j: int) -> int:
         """Index of ``elements[i] * elements[j]`` via the right table."""
+        right = self.right
         out = i
         for g in self.rep_words[j]:
-            out = self.right[out][g]
+            out = right[out][g]
         return out
+
+    @property
+    def right(self) -> list[list[int]]:
+        """``right[k][g]`` = index of ``elements[k] * generator_g``."""
+        if self._right is None:
+            self._right = self._cayley(multiply)
+        return self._right
 
     def left_table(self) -> list[list[int]]:
         """``left[k][g]`` = index of ``generator_g * elements[k]`` (lazy)."""
         if self._left is None:
-            gens = [self.elements[k] for k in self.generators]
-            self._left = [
-                [self.index[multiply(g, x)] for g in gens] for x in self.elements
-            ]
+            self._left = self._cayley(lambda x, g: multiply(g, x))
         return self._left
+
+    def _cayley(self, act: Callable[[Diagram, Diagram], Diagram]) -> list[list[int]]:
+        """One row per element ``x``: the indices of ``act(x, g)`` per generator."""
+        gens = [self.elements[k] for k in self.generators]
+        return [[self.index[act(x, g)] for g in gens] for x in self.elements]
 
     def canonical_order(self) -> list[int]:
         """Element indices sorted by canonical encoding (for witness scans)."""
@@ -153,30 +164,15 @@ def closure(
 def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     """Wrap an explicit element set, every element acting as a generator.
 
-    The right table is filled lazily row by row on first use, so wrapping a
-    large set is cheap until products are actually needed.
+    The right table is built on first use, so wrapping a large set is cheap
+    until products are actually needed.
     """
     elems = sorted(set(elements))
-    index = {d: k for k, d in enumerate(elems)}
-    ident = index.get(identity(n))
-
-    class _LazyRows(list):
-        def __getitem__(self, k: int) -> list[int]:
-            row = list.__getitem__(self, k)
-            if row is None:
-                row = [index[multiply(elems[k], g)] for g in elems]
-                list.__setitem__(self, k, row)
-            return row
-
-    right = _LazyRows([None] * len(elems))
-    return FiniteMonoid(
-        n,
-        elems,
-        list(range(len(elems))),
-        [(k,) for k in range(len(elems))],
-        right,  # type: ignore[arg-type]
-        ident,
+    m = FiniteMonoid(
+        n, elems, list(range(len(elems))), [(k,) for k in range(len(elems))], None, None
     )
+    m.identity_index = m.index.get(identity(n))
+    return m
 
 
 # -- Green's relations ----------------------------------------------------
@@ -259,7 +255,7 @@ def _strongly_connected(size: int, edges: list[list[int]]) -> tuple[int, ...]:
 def green(m: FiniteMonoid) -> GreenClasses:
     """Green's R, L, J and H classes via Cayley-graph reachability."""
     size = len(m)
-    right_edges = [sorted(set(row)) for row in (m.right[k] for k in range(size))]
+    right_edges = [sorted(set(row)) for row in m.right]
     left = m.left_table()
     left_edges = [sorted(set(row)) for row in left]
     r_of = _strongly_connected(size, right_edges)
@@ -338,7 +334,7 @@ def units_and_singular(m: FiniteMonoid) -> tuple[list[int], list[int]]:
 def cayley_json(m: FiniteMonoid, side: str = "right") -> dict:
     """Right or left Cayley graph as a plain JSON-ready dict."""
     assert side in ("right", "left")
-    table = [m.right[k] for k in range(len(m))] if side == "right" else m.left_table()
+    table = m.right if side == "right" else m.left_table()
     symbols = list(m.symbols) if m.symbols else [f"g{k}" for k in range(len(m.generators))]
     order = m.canonical_order()
     position = {k: p for p, k in enumerate(order)}

@@ -10,6 +10,10 @@ operation ``rho(a) = cap(coker(a))``.  The checkers below test the axiom
 systems these operations are supposed to satisfy, by brute force over a
 concrete finite carrier, and report the first counterexample in canonical
 element order (so reports are independent of how the carrier was built).
+They all run on one indexed ambient: the carrier's elements come first, and
+a law term that leaves the carrier is still evaluated there, on an interned
+index, so an operation that is not closed hides none of the equational
+axioms.
 
 The left-congruence machinery at the bottom implements the congruences
 ``theta_u = {(s, t) : s u = t u}`` used to present quotients by an action,
@@ -25,11 +29,9 @@ from typing import Callable, Iterable, Sequence
 from .engine import FiniteMonoid, from_elements
 from .partitions import (
     Diagram,
-    cap,
     cap_atom,
     collapse,
     domain_projection,
-    embed,
     family,
     floor_map,
     identity,
@@ -59,35 +61,76 @@ class CheckReport:
 
 
 class _Products:
-    """Memoized ambient multiplication over a fixed element list."""
+    """The indexed ambient that every law checker runs on.
 
-    def __init__(self, elements: Sequence[Diagram]):
-        self.elements = list(elements)
-        self._memo: dict[tuple[int, int], Diagram] = {}
+    Indices ``0 .. size - 1`` are the carrier's elements in canonical order;
+    every diagram a law term reaches outside the carrier (say a crossing
+    ``R(a)`` of a planar ``a``) is interned at the next free index.  Products
+    are memoised in lazily filled int rows and ``D``, ``R`` and ``rho`` in
+    lazily filled index arrays, so equal indices mean equal diagrams and no
+    product or image is computed twice.
+    """
 
-    def mul(self, a: Diagram, b: Diagram) -> Diagram:
-        return multiply(a, b)
+    def __init__(self, m: FiniteMonoid):
+        self.elements = sorted(m.elements)
+        self.size = len(self.elements)
+        self.index = {d: k for k, d in enumerate(self.elements)}
+        self.rows: list[list[int]] = [[] for _ in self.elements]
+        self.D = self._unary(domain_projection)
+        self.R = self._unary(range_projection)
+        self.rho = self._unary(range_cap)
 
-    def mul_idx(self, i: int, j: int) -> Diagram:
-        key = (i, j)
-        out = self._memo.get(key)
-        if out is None:
-            out = multiply(self.elements[i], self.elements[j])
-            self._memo[key] = out
-        return out
+    def intern(self, d: Diagram) -> int:
+        k = self.index.get(d)
+        if k is None:
+            k = self.index[d] = len(self.elements)
+            self.elements.append(d)
+            self.rows.append([])
+        return k
 
+    def mul(self, i: int, j: int) -> int:
+        row = self.rows[i]
+        if j >= len(row):
+            row.extend([-1] * (len(self.elements) - len(row)))
+        k = row[j]
+        if k < 0:
+            k = row[j] = self.intern(multiply(self.elements[i], self.elements[j]))
+        return k
 
-def _scan_elements(m: FiniteMonoid) -> list[Diagram]:
-    return [m.elements[k] for k in m.canonical_order()]
+    def _unary(self, op: Callable[[Diagram], Diagram]) -> Callable[[int], int]:
+        images: list[int] = []
 
+        def image(i: int) -> int:
+            if i >= len(images):
+                images.extend([-1] * (len(self.elements) - len(images)))
+            k = images[i]
+            if k < 0:
+                k = images[i] = self.intern(op(self.elements[i]))
+            return k
 
-def _unary_closure(
-    name: str, m: FiniteMonoid, op: Callable[[Diagram], Diagram]
-) -> CheckReport:
-    for a in _scan_elements(m):
-        if op(a) not in m:
-            return CheckReport(name, False, (a.text(), op(a).text()), {"size": len(m)})
-    return CheckReport(name, True, (), {"size": len(m)})
+        return image
+
+    def scan(
+        self, name: str, law: Callable[..., bool], image: Callable[[int], int] | None = None
+    ) -> CheckReport:
+        """Report the first argument tuple, in canonical order, failing ``law``.
+
+        The law's parameter count fixes the scan: one element or an ordered
+        pair.  With ``image`` the witness also names the image of its
+        element (the closure checks report ``a`` with the escaping ``op(a)``).
+        """
+        counts = {"size": self.size}
+        for args in itertools.product(range(self.size), repeat=law.__code__.co_argcount):
+            if not law(*args):
+                if image is not None:
+                    args += (image(args[0]),)
+                witness = tuple(self.elements[k].text() for k in args)
+                return CheckReport(name, False, witness, counts)
+        return CheckReport(name, True, (), counts)
+
+    def closure(self, name: str, op: Callable[[int], int]) -> CheckReport:
+        """Does ``op`` map the carrier into itself?"""
+        return self.scan(name, lambda a: op(a) < self.size, image=op)
 
 
 def check_ehresmann(m: FiniteMonoid) -> list[CheckReport]:
@@ -98,65 +141,29 @@ def check_ehresmann(m: FiniteMonoid) -> list[CheckReport]:
     carrier into itself; the equational axioms are evaluated in the ambient
     diagram monoid regardless, so a closure failure does not hide them.
     """
-    elems = _scan_elements(m)
-    amb = _Products(elems)
-    D, R = domain_projection, range_projection
-    reports = [
-        _unary_closure("closure-D", m, D),
-        _unary_closure("closure-R", m, R),
+    amb = _Products(m)
+    D, R, mul = amb.D, amb.R, amb.mul
+    axioms = {
+        "E1": lambda a: mul(D(a), a) == a,
+        "E1*": lambda a: mul(a, R(a)) == a,
+        "E5": lambda a: R(D(a)) == D(a),
+        "E5*": lambda a: D(R(a)) == R(a),
+        "E6": lambda a: D(D(a)) == D(a),
+        "E6*": lambda a: R(R(a)) == R(a),
+        "E7": lambda a: mul(D(a), D(a)) == D(a),
+        "E7*": lambda a: mul(R(a), R(a)) == R(a),
+        "E2": lambda a, b: mul(D(a), D(b)) == mul(D(b), D(a)),
+        "E2*": lambda a, b: mul(R(a), R(b)) == mul(R(b), R(a)),
+        "E3": lambda a, b: D(mul(a, b)) == D(mul(a, D(b))),
+        "E3*": lambda a, b: R(mul(a, b)) == R(mul(R(a), b)),
+        "E4": lambda a, b: D(mul(a, b)) == mul(D(a), D(mul(a, b))),
+        "E4*": lambda a, b: R(mul(a, b)) == mul(R(mul(a, b)), R(b)),
+        "E8": lambda a, b: mul(D(a), D(b)) == D(mul(D(a), D(b))),
+        "E8*": lambda a, b: mul(R(a), R(b)) == R(mul(R(a), R(b))),
+    }
+    return [amb.closure("closure-D", D), amb.closure("closure-R", R)] + [
+        amb.scan(name, law) for name, law in axioms.items()
     ]
-
-    unary_axioms: list[tuple[str, Callable[[Diagram], bool]]] = [
-        ("E1", lambda a: amb.mul(D(a), a) == a),
-        ("E1*", lambda a: amb.mul(a, R(a)) == a),
-        ("E5", lambda a: R(D(a)) == D(a)),
-        ("E5*", lambda a: D(R(a)) == R(a)),
-        ("E6", lambda a: D(D(a)) == D(a)),
-        ("E6*", lambda a: R(R(a)) == R(a)),
-        ("E7", lambda a: amb.mul(D(a), D(a)) == D(a)),
-        ("E7*", lambda a: amb.mul(R(a), R(a)) == R(a)),
-    ]
-    for name, law in unary_axioms:
-        witness: tuple[str, ...] = ()
-        for a in elems:
-            if not law(a):
-                witness = (a.text(),)
-                break
-        reports.append(CheckReport(name, not witness, witness, {"size": len(m)}))
-
-    def pairs() -> Iterable[tuple[int, int]]:
-        for i in range(len(elems)):
-            for j in range(len(elems)):
-                yield i, j
-
-    binary_axioms: list[tuple[str, Callable[[int, int], bool]]] = [
-        ("E2", lambda i, j: amb.mul(D(elems[i]), D(elems[j]))
-         == amb.mul(D(elems[j]), D(elems[i]))),
-        ("E2*", lambda i, j: amb.mul(R(elems[i]), R(elems[j]))
-         == amb.mul(R(elems[j]), R(elems[i]))),
-        ("E3", lambda i, j: D(amb.mul_idx(i, j))
-         == D(amb.mul(elems[i], D(elems[j])))),
-        ("E3*", lambda i, j: R(amb.mul_idx(i, j))
-         == R(amb.mul(R(elems[i]), elems[j]))),
-        ("E4", lambda i, j: D(amb.mul_idx(i, j))
-         == amb.mul(D(elems[i]), D(amb.mul_idx(i, j)))),
-        ("E4*", lambda i, j: R(amb.mul_idx(i, j))
-         == amb.mul(R(amb.mul_idx(i, j)), R(elems[j]))),
-        ("E8", lambda i, j: amb.mul(D(elems[i]), D(elems[j]))
-         == D(amb.mul(D(elems[i]), D(elems[j])))),
-        ("E8*", lambda i, j: amb.mul(R(elems[i]), R(elems[j]))
-         == R(amb.mul(R(elems[i]), R(elems[j])))),
-    ]
-    for name, law in binary_axioms:
-        witness = ()
-        for i, j in pairs():
-            if not law(i, j):
-                witness = (elems[i].text(), elems[j].text())
-                break
-        reports.append(
-            CheckReport(name, not witness, witness, {"size": len(m)})
-        )
-    return reports
 
 
 def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
@@ -165,51 +172,19 @@ def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
     ``side="right"`` tests ``R(a) b = b R(ab)``;
     ``side="left"`` tests ``a D(b) = D(ab) a``.
     """
-    assert side in ("left", "right")
-    order = m.canonical_order()
-    size = len(m)
-    if side == "right":
-        image = [range_projection(d) for d in m.elements]
-        name = "right-restriction"
-    else:
-        image = [domain_projection(d) for d in m.elements]
-        name = "left-restriction"
-    proj_idx = [m.index.get(p) for p in image]
-    if all(k is not None for k in proj_idx):
-        # index arithmetic: much faster than diagram products pair by pair
-        for i in order:
-            for j in order:
-                ij = m.product(i, j)
-                if side == "right":
-                    ok = m.product(proj_idx[i], j) == m.product(j, proj_idx[ij])
-                else:
-                    ok = m.product(i, proj_idx[j]) == m.product(proj_idx[ij], i)
-                if not ok:
-                    return CheckReport(
-                        name,
-                        False,
-                        (m.elements[i].text(), m.elements[j].text()),
-                        {"size": size},
-                    )
-        return CheckReport(name, True, (), {"size": size})
-    # projections leave the carrier: fall back to ambient products
-    elems = _scan_elements(m)
-    for a in elems:
-        for b in elems:
-            ab = multiply(a, b)
-            if side == "right":
-                ok = multiply(range_projection(a), b) == multiply(b, range_projection(ab))
-            else:
-                ok = multiply(a, domain_projection(b)) == multiply(domain_projection(ab), a)
-            if not ok:
-                return CheckReport(name, False, (a.text(), b.text()), {"size": size})
-    return CheckReport(name, True, (), {"size": size})
+    amb = _Products(m)
+    D, R, mul = amb.D, amb.R, amb.mul
+    laws = {
+        "right": lambda a, b: mul(R(a), b) == mul(b, R(mul(a, b))),
+        "left": lambda a, b: mul(a, D(b)) == mul(D(mul(a, b)), a),
+    }
+    return amb.scan(f"{side}-restriction", laws[side])
 
 
 def parts(m: FiniteMonoid) -> list[Diagram]:
     """The projections of the carrier: ``p*p = p = D(p) = R(p)``."""
     out = []
-    for p in _scan_elements(m):
+    for p in sorted(m.elements):
         if multiply(p, p) == p and domain_projection(p) == p == range_projection(p):
             out.append(p)
     return out
@@ -226,7 +201,7 @@ def projection_split(m: FiniteMonoid) -> dict[str, list[Diagram]]:
     theorems for Ehresmann carriers, so a failure here is a bug).
     """
     one = identity(m.n)
-    elems = _scan_elements(m)
+    elems = sorted(m.elements)
     trivial_range = [a for a in elems if range_projection(a) == one]
     proper_kernel = [a for a in elems if domain_projection(a) != one]
     kernel_set = set(proper_kernel)
@@ -253,41 +228,21 @@ def check_grrac(m: FiniteMonoid) -> list[CheckReport]:
     Checked over a planar full-domain carrier; ``closure-rho`` reports
     whether the operation maps the carrier into itself.
     """
-    elems = _scan_elements(m)
-    amb = _Products(elems)
-    rho = range_cap
-    reports = [_unary_closure("closure-rho", m, rho)]
-    unary: list[tuple[str, Callable[[Diagram], bool]]] = [
-        ("G1", lambda a: amb.mul(a, rho(a)) == a),
-        ("G2", lambda a: rho(rho(a)) == rho(a)),
-        ("G3", lambda a: amb.mul(rho(a), rho(a)) == rho(a)),
+    amb = _Products(m)
+    rho, mul = amb.rho, amb.mul
+    axioms = {
+        "G1": lambda a: mul(a, rho(a)) == a,
+        "G2": lambda a: rho(rho(a)) == rho(a),
+        "G3": lambda a: mul(rho(a), rho(a)) == rho(a),
+        "G4": lambda a, b: mul(mul(rho(a), rho(b)), rho(a)) == mul(rho(b), rho(a)),
+        "G5": lambda a, b: rho(mul(rho(a), rho(b))) == mul(rho(a), rho(b)),
+        "G6": lambda a, b: mul(rho(mul(a, b)), rho(b)) == rho(mul(a, b)),
+        "G7": lambda a, b: rho(mul(a, b)) == rho(mul(rho(a), b)),
+        "G8": lambda a, b: mul(rho(a), b) == mul(b, rho(mul(a, b))),
+    }
+    return [amb.closure("closure-rho", rho)] + [
+        amb.scan(name, law) for name, law in axioms.items()
     ]
-    for name, law in unary:
-        witness: tuple[str, ...] = ()
-        for a in elems:
-            if not law(a):
-                witness = (a.text(),)
-                break
-        reports.append(CheckReport(name, not witness, witness, {"size": len(m)}))
-    binary: list[tuple[str, Callable[[Diagram, Diagram], bool]]] = [
-        ("G4", lambda a, b: amb.mul(amb.mul(rho(a), rho(b)), rho(a))
-         == amb.mul(rho(b), rho(a))),
-        ("G5", lambda a, b: rho(amb.mul(rho(a), rho(b))) == amb.mul(rho(a), rho(b))),
-        ("G6", lambda a, b: amb.mul(rho(amb.mul(a, b)), rho(b)) == rho(amb.mul(a, b))),
-        ("G7", lambda a, b: rho(amb.mul(a, b)) == rho(amb.mul(rho(a), b))),
-        ("G8", lambda a, b: amb.mul(rho(a), b) == amb.mul(b, rho(amb.mul(a, b)))),
-    ]
-    for name, law in binary:
-        witness = ()
-        for a in elems:
-            for b in elems:
-                if not law(a, b):
-                    witness = (a.text(), b.text())
-                    break
-            if witness:
-                break
-        reports.append(CheckReport(name, not witness, witness, {"size": len(m)}))
-    return reports
 
 
 def check_action_pair(

@@ -72,7 +72,8 @@ class Diagram:
     __slots__ = ("n", "labels")
 
     def __init__(self, n: int, labels: Sequence[object]):
-        assert n >= 0 and len(labels) == 2 * n
+        if len(labels) != 2 * n:
+            raise ValueError(f"a degree-{n} diagram needs {2 * n} labels, got {len(labels)}")
         self.n = n
         self.labels = _normalize(labels)
 
@@ -309,7 +310,8 @@ def multiply(a: Diagram, b: Diagram) -> Diagram:
     >>> multiply(t, s).text()
     '[[1,2,-2],[-1]]'
     """
-    assert a.n == b.n, "degrees must match"
+    if a.n != b.n:
+        raise ValueError(f"degrees must match, got {a.n} and {b.n}")
     n = a.n
     parent = list(range(3 * n))
 
@@ -407,7 +409,8 @@ def cap(eq: Equivalence) -> Diagram:
     >>> cap(Equivalence.from_text("[[1,5,6],[2,3],[4],[7,8]]")).text()
     '[[1,2,3,4,5,6,-1,-5,-6],[7,8,-7,-8],[-2,-3],[-4]]'
     """
-    assert eq.is_planar(), "only planar relations have caps"
+    if not eq.is_planar():
+        raise ValueError(f"only planar relations have caps, got {eq.text()}")
     hull = cap_kernel(eq)
     span_index = {block: idx for idx, block in enumerate(unnested_classes(eq))}
     classes = eq.classes()

@@ -39,14 +39,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .engine import DEFAULT_BUDGET, BudgetExceeded, closure
-from .equivalences import all_equivalences
 from .laws import CheckReport
 from .partitions import (
     Diagram,
-    all_diagrams,
     cap,
     cap_atom,
     collapse,
+    family,
     from_transformation,
     identity,
     merge,
@@ -431,11 +430,15 @@ _BUILDERS: dict[str, Callable] = {
 SCHEMA_NAMES = tuple(_BUILDERS)
 
 
-def _build(name: str, n: int):
+def _check_schema(name: str, n: int) -> None:
     if name not in _BUILDERS:
         raise ValueError(f"unknown schema {name!r}; expected one of {', '.join(SCHEMA_NAMES)}")
     if n < 2:
         raise ValueError(f"schemas are defined for n >= 2, got n={n}")
+
+
+def _build(name: str, n: int):
+    _check_schema(name, n)
     return _BUILDERS[name](n)
 
 
@@ -505,45 +508,29 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
 # Concrete targets, built independently of the schemas.
 
 
+# Schemas named after a standard family present that family; these four
+# present the one given here (sing-xr without its units).
+_TARGET_FAMILIES = {
+    "sing-xr": "pnfd",
+    "full-yq": "pnfd",
+    "planar-zo": "ppnfd",
+    "planar-intermediate": "ppnfd",
+}
+
+
 def target_elements(name: str, n: int) -> list[Diagram]:
     """The concrete model that ``schema(name, n)`` is supposed to present.
 
-    Built by brute-force filtering, never through the generators, so that
-    agreement with the generated closure is an actual check.
+    Taken from :func:`diagcalc.partitions.family`, never built through the
+    generators, so that agreement with the generated closure is an actual
+    check.
     """
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown schema {name!r}; expected one of {', '.join(SCHEMA_NAMES)}")
-    if n < 2:
-        raise ValueError(f"schemas are defined for n >= 2, got n={n}")
-    points = range(1, n + 1)
+    _check_schema(name, n)
+    out = family(_TARGET_FAMILIES.get(name, name), n)
     if name == "sing-xr":
-        out = [d for d in all_diagrams(n) if d.classify().full_domain and not d.classify().permutation]
-    elif name == "full-yq":
-        out = [d for d in all_diagrams(n) if d.classify().full_domain]
-    elif name in ("planar-zo", "planar-intermediate"):
-        out = [d for d in all_diagrams(n) if d.classify().planar_full_domain]
-    elif name == "dn":
-        out = [cap(eq) for eq in all_equivalences(n) if eq.is_planar()]
-    elif name == "en":
-        from .partitions import embed
-
-        out = [embed(eq) for eq in all_equivalences(n)]
-    elif name == "sing-tn":
-        out = [
-            from_transformation(images)
-            for images in itertools.product(points, repeat=n)
-            if len(set(images)) < n
-        ]
-    elif name == "tn":
-        out = [from_transformation(images) for images in itertools.product(points, repeat=n)]
-    elif name == "fn":
-        out = [d for d in all_diagrams(n) if d.classify().uniform_block_bijection]
-    else:  # "on"
-        out = [
-            from_transformation(images)
-            for images in itertools.combinations_with_replacement(points, n)
-        ]
-    return sorted(out)
+        units = set(family("sn", n))
+        out = [d for d in out if d not in units]
+    return out
 
 
 # ---------------------------------------------------------------------------

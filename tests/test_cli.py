@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from diagcalc.cli import main
+from diagcalc.cli import _CLOSED_FORMS, main
 from diagcalc.equivalences import Equivalence
 from diagcalc.partitions import Diagram, cap, from_transformation, identity, multiply
 from diagcalc.presentations import eval_word, standard_assignment
@@ -106,6 +106,16 @@ def test_verify_action_pair_targets(capsys):
     assert report["checks"][0]["name"] == "pen-ptn-A1"
 
 
+def test_verify_grrac_on_crossing_carrier_is_a_usage_error(capsys):
+    # at degree 4 some cokernels cross, and only planar relations have caps
+    usage_error("verify", "--target", "grrac", "--monoid", "pnfd", "--n", "4")
+    # at degree 3 every cokernel is planar: a genuine refutation
+    code, report = run_json(capsys, "verify", "--target", "grrac", "--monoid", "pnfd",
+                            "--n", "3")
+    assert code == 1
+    assert report["status"] == "refuted"
+
+
 def test_verify_budget_exhaustion(capsys):
     code, report = run_json(
         capsys, "verify", "--target", "full-yq", "--n", "4", "--budget", "20"
@@ -186,6 +196,17 @@ def test_enumerate_dot_export(capsys):
     code, out = run(capsys, "enumerate", "--monoid", "sn", "--n", "3", "--format", "dot")
     assert code == 0
     assert out.count(" -> ") > 0
+
+
+def test_enumerate_degree_zero(capsys):
+    # each closed-form family has one degree-0 element, the empty diagram
+    for monoid in _CLOSED_FORMS:
+        code, report = run_json(capsys, "enumerate", "--monoid", monoid, "--n", "0",
+                                "--format", "json")
+        assert code == 0, monoid
+        assert report["size"] == report["closed_form"] == 1, monoid
+    code, out = run(capsys, "enumerate", "--monoid", "on", "--n", "0")
+    assert code == 0 and out == "1\n"
 
 
 def test_enumerate_usage_errors():

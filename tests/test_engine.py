@@ -125,6 +125,15 @@ def test_product_method():
         assert m.elements[m.product(i, j)] == multiply(m.elements[i], m.elements[j])
 
 
+def test_from_elements_right_table_iterates_like_it_indexes():
+    m = from_elements(2, family("pn", 2))
+    rows = [row for row in m.right]
+    assert rows == [m.right[k] for k in range(len(m))]
+    assert m.right[0:2] == rows[0:2]
+    for k, row in enumerate(rows):
+        assert [m.elements[x] for x in row] == [multiply(m.elements[k], g) for g in m.elements]
+
+
 def test_from_elements_wraps():
     m = from_elements(3, family("dn", 3))
     assert len(m) == 5

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diagcalc
 from diagcalc.counting import bell, catalan, order_preserving_count
 from diagcalc.equivalences import (
     Equivalence,
@@ -105,8 +110,29 @@ def test_merge_absorbs_collapse():
 
 
 def test_degree_mismatch():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         multiply(identity(2), identity(3))
+
+
+def test_input_checks_survive_optimized_mode():
+    # ``python -O`` strips asserts; these checks must still raise
+    script = (
+        "from diagcalc.partitions import Diagram, identity, multiply\n"
+        "for bad in (lambda: multiply(identity(3), identity(2)),\n"
+        "            lambda: Diagram(2, [0, 1, 2])):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    src = str(Path(diagcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ValueError"]
 
 
 def test_associativity_exhaustive_n2():
@@ -407,7 +433,7 @@ def test_cap_atom_blocks():
 
 
 def test_cap_rejects_non_planar():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         cap(Equivalence.from_text("[[1,3],[2,4]]"))
 
 
