@@ -10,11 +10,12 @@ Four subcommands:
                  right factor, with a generator word that replays it;
 * ``render``     draw a diagram as deterministic SVG.
 
-Usage errors exit 3.  All reports are deterministic for a fixed input and
-library version: JSON is emitted with sorted keys and no timestamps, so two
-identical runs produce identical bytes.  The node budget for presentation
-enumeration defaults to the ``DIAGCALC_BUDGET`` environment variable when
-set, and ``--budget`` overrides both.
+Usage errors exit 3; any other uncaught exception exits 4 (internal error)
+with a one-line message on stderr.  All reports are deterministic for a
+fixed input and library version: JSON is emitted with sorted keys and no
+timestamps, so two identical runs produce identical bytes.  The node budget
+for presentation enumeration defaults to the ``DIAGCALC_BUDGET`` environment
+variable when set, and ``--budget`` overrides both.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -380,13 +382,18 @@ def _cmd_render(args: argparse.Namespace, parser: _Parser) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args, parser)
-    if args.command == "factorize":
-        return _cmd_factorize(args, parser)
-    return _cmd_render(args, parser)
+    command = {
+        "verify": _cmd_verify,
+        "enumerate": _cmd_enumerate,
+        "factorize": _cmd_factorize,
+        "render": _cmd_render,
+    }[args.command]
+    try:
+        return command(args, parser)
+    except Exception as exc:  # a crash must never read as a verdict
+        message = " ".join(str(exc).split())
+        print(f"{parser.prog}: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
-"""Breadth-first closure of diagram sets and finite-monoid bookkeeping.
+"""Froidure-Pin closure of diagram sets and finite-monoid bookkeeping.
 
 :func:`closure` grows the submonoid (or subsemigroup) generated by a list of
-diagrams, recording for every element a shortlex-minimal word over the
-generators and the full right Cayley table.  Because elements are interned
-by canonical form, arbitrary products can be looked up instead of recomputed,
-which the exhaustive law checkers rely on.
+diagrams with the Froidure-Pin algorithm, recording for every element a
+shortlex-minimal word over the generators and both Cayley tables, right and
+left; a product is multiplied out only where the tables built so far cannot
+supply it.  Because elements are interned by canonical form, arbitrary
+products can be looked up instead of recomputed, which the exhaustive law
+checkers rely on.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -35,8 +37,8 @@ class FiniteMonoid:
     ``elements`` is in discovery order; ``rep_words[k]`` is the
     shortlex-least word over the generator positions evaluating to
     ``elements[k]``.  ``identity_index`` is ``None`` for carriers without an
-    identity (e.g. singular subsemigroups).  A ``right`` table of ``None`` is
-    built in full on first use, as the left table always is.
+    identity (e.g. singular subsemigroups).  A ``right`` or ``left`` table
+    of ``None`` is built in full on first use; :func:`closure` supplies both.
     """
 
     def __init__(
@@ -48,6 +50,7 @@ class FiniteMonoid:
         right: list[list[int]] | None,
         identity_index: int | None,
         symbols: Sequence[str] | None = None,
+        left: list[list[int]] | None = None,
     ):
         self.n = n
         self.elements = elements
@@ -57,7 +60,7 @@ class FiniteMonoid:
         self._right = right
         self.identity_index = identity_index
         self.symbols = tuple(symbols) if symbols is not None else None
-        self._left: list[list[int]] | None = None
+        self._left = left
         self._canonical: list[int] | None = None
 
     def __len__(self) -> int:
@@ -115,23 +118,42 @@ def closure(
     budget: int = DEFAULT_BUDGET,
     symbols: Sequence[str] | None = None,
 ) -> FiniteMonoid:
-    """Breadth-first closure of the generators under multiplication.
+    """Froidure-Pin closure of the generators under multiplication.
 
     With ``monoid=True`` the identity is adjoined as the seed (empty word);
     otherwise only non-empty products are collected and the identity appears
     just if some product equals it.
 
+    Elements are found in shortlex order of their representative words,
+    one word length at a time.  An element ``u`` of length ``L`` is
+    ``b * s`` for its first letter ``b`` and its suffix ``s`` (of length
+    ``L - 1``, already known), and ``u * a`` is multiplied out only when
+    ``rep(s) a`` is itself a representative word.  Otherwise ``s * a = r``
+    has a shorter or lex-smaller word and ``u * a = (b * prefix(r)) *
+    last(r)`` is read from rows that are already filled.  The left row of
+    every element of length ``L`` is filled once all rows of length ``L``
+    are known (Froidure & Pin, 1997).
+
     >>> from .partitions import transposition
     >>> len(closure(3, [transposition(3, 1), transposition(3, 2)]))
     6
     """
-    assert all(g.n == n for g in generators)
+    if any(g.n != n for g in generators):
+        raise ValueError(f"every generator must have degree {n}")
+    k = len(generators)
     elements: list[Diagram] = []
     index: dict[Diagram, int] = {}
     rep_words: list[tuple[int, ...]] = []
     right: list[list[int]] = []
+    left: list[list[int]] = []
+    # per element: first and last letter, prefix and suffix of its word; -1
+    # marks the empty word (a letter's prefix and suffix, all four of the seed)
+    first: list[int] = []
+    last: list[int] = []
+    prefix: list[int] = []
+    suffix: list[int] = []
 
-    def intern(d: Diagram, word: tuple[int, ...]) -> int:
+    def intern(d: Diagram, word: tuple[int, ...], pre: int, suf: int) -> int:
         if d in index:
             return index[d]
         if len(elements) >= budget:
@@ -139,25 +161,44 @@ def closure(
         index[d] = len(elements)
         elements.append(d)
         rep_words.append(word)
+        first.append(word[0] if word else -1)
+        last.append(word[-1] if word else -1)
+        prefix.append(pre)
+        suffix.append(suf)
         return index[d]
 
     if monoid:
-        intern(identity(n), ())
-    for pos, g in enumerate(generators):
-        intern(g, (pos,))
+        intern(identity(n), (), -1, -1)
+    letter = [intern(g, (pos,), -1, -1) for pos, g in enumerate(generators)]
+    lo = 0
+    if monoid:
+        right.append(list(letter))
+        left.append(list(letter))
+        lo = 1
 
-    scan = 0
-    while scan < len(elements):
-        row = []
-        for pos, g in enumerate(generators):
-            prod = multiply(elements[scan], g)
-            row.append(intern(prod, rep_words[scan] + (pos,)))
-        right.append(row)
-        scan += 1
+    while lo < len(elements):
+        hi = len(elements)
+        for u in range(lo, hi):
+            b, s = first[u], suffix[u]
+            row = [0] * k
+            right.append(row)
+            for a in range(k):
+                r = letter[a] if s < 0 else right[s][a]
+                if prefix[r] == s and last[r] == a:
+                    prod = multiply(elements[u], generators[a])
+                    row[a] = intern(prod, rep_words[u] + (a,), u, r)
+                elif last[r] < 0:  # s * a is the identity seed
+                    row[a] = letter[b]
+                else:
+                    p = prefix[r]
+                    row[a] = right[letter[b] if p < 0 else left[p][b]][last[r]]
+        for v in range(lo, hi):
+            p, c = prefix[v], last[v]
+            left.append([right[letter[b] if p < 0 else left[p][b]][c] for b in range(k)])
+        lo = hi
 
-    ident = index.get(identity(n))
     return FiniteMonoid(
-        n, elements, [index[g] for g in generators], rep_words, right, ident, symbols,
+        n, elements, letter, rep_words, right, index.get(identity(n)), symbols, left,
     )
 
 

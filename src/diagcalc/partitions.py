@@ -164,6 +164,16 @@ class Diagram:
         boundary = self.labels[: self.n] + self.labels[: self.n - 1 : -1]
         return noncrossing(boundary)
 
+    def is_full_domain(self) -> bool:
+        """Every upper point lies in a transversal.
+
+        >>> Diagram.from_text("[[1,2,-1],[-2]]").is_full_domain()
+        True
+        >>> Diagram.from_text("[[1],[2,-1,-2]]").is_full_domain()
+        False
+        """
+        return set(self.labels[: self.n]).issubset(self.labels[self.n :])
+
     def structure(self) -> "Structure":
         n = self.n
         count = 1 + max(self.labels, default=-1)
@@ -352,7 +362,8 @@ def from_transformation(images: Sequence[int]) -> Diagram:
     '[[1,2,-1],[3,-3],[-2]]'
     """
     n = len(images)
-    assert all(1 <= y <= n for y in images)
+    if not all(1 <= y <= n for y in images):
+        raise ValueError(f"images must lie in 1..{n}, got {list(images)}")
     labels: list[object] = [("img", y) for y in images]
     hit = set(images)
     labels += [("img", y) if y in hit else ("miss", y) for y in range(1, n + 1)]
@@ -361,7 +372,8 @@ def from_transformation(images: Sequence[int]) -> Diagram:
 
 def transposition(n: int, i: int) -> Diagram:
     """The adjacent swap ``i <-> i+1``."""
-    assert 1 <= i < n
+    if not 1 <= i < n:
+        raise ValueError(f"no adjacent swap {i} <-> {i + 1} in degree {n}")
     images = list(range(1, n + 1))
     images[i - 1], images[i] = images[i], images[i - 1]
     return from_transformation(images)
@@ -372,7 +384,8 @@ def collapse(n: int, i: int, j: int) -> Diagram:
 
     Its diagram has the block ``{i, j, i'}`` and the singleton ``{j'}``.
     """
-    assert 1 <= i <= n and 1 <= j <= n and i != j
+    if not (1 <= i <= n and 1 <= j <= n and i != j):
+        raise ValueError(f"collapse needs distinct points in 1..{n}, got {i} and {j}")
     images = list(range(1, n + 1))
     images[j - 1] = i
     return from_transformation(images)
@@ -441,7 +454,8 @@ def floor_map(eq: Equivalence) -> Diagram:
     >>> floor_map(Equivalence.from_text("[[1,2],[3],[4,5]]")).text()
     '[[1,2,-1],[3,-3],[4,5,-4],[-2],[-5]]'
     """
-    assert eq.is_convex(), "floor maps need a convex relation"
+    if not eq.is_convex():
+        raise ValueError(f"floor maps need a convex relation, got {eq.text()}")
     images = [eq.class_of(x)[0] for x in range(1, eq.n + 1)]
     return from_transformation(images)
 
@@ -494,7 +508,7 @@ def family(name: str, n: int) -> list[Diagram]:
     ``pen``      embedded convex equivalences
     ===========  ====================================================
 
-    Families defined by a membership flag are produced by filtering all
+    Families defined by a membership predicate are produced by filtering all
     diagrams, so they are usable as independent cross-checks against
     anything built from generators.
 
@@ -525,27 +539,17 @@ def family(name: str, n: int) -> list[Diagram]:
         return sorted(cap(eq) for eq in all_equivalences(n) if eq.is_planar())
     if name == "pen":
         return sorted(embed(eq) for eq in all_equivalences(n) if eq.is_convex())
-    flag = {
-        "pn": None,
-        "pnfd": "full_domain",
-        "ppn": "planar",
-        "ppnfd": "planar_full_domain",
-        "ptn": None,
-        "fn": "uniform_block_bijection",
-        "in": "partial_injection",
-        "jn": "block_bijection",
+    member = {
+        "pn": lambda d: True,
+        "pnfd": Diagram.is_full_domain,
+        "ppn": Diagram.is_planar,
+        "ppnfd": lambda d: d.is_full_domain() and d.is_planar(),
+        "ptn": lambda d: (m := d.classify()).transformation and m.planar,
+        "fn": lambda d: d.classify().uniform_block_bijection,
+        "in": lambda d: d.classify().partial_injection,
+        "jn": lambda d: d.classify().block_bijection,
     }
-    if name not in flag:
+    if name not in member:
         raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
-    out = []
-    for d in all_diagrams(n):
-        if name == "pn":
-            out.append(d)
-            continue
-        m = d.classify()
-        if name == "ptn":
-            if m.transformation and m.planar:
-                out.append(d)
-        elif getattr(m, flag[name]):
-            out.append(d)
-    return sorted(out)
+    keep = member[name]
+    return [d for d in all_diagrams(n) if keep(d)]

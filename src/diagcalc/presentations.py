@@ -730,6 +730,7 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
         return PresentationReport(
             name, n, "refuted", True, None, target_size, closure_size, None, 0
         )
+    del generated, target  # free the Cayley tables before the coset enumeration
 
     outcome = enumerate_presented(pres, budget=budget)
     if outcome.status == "exhausted":
@@ -849,13 +850,12 @@ def factor_product(a: Diagram, mode: str) -> tuple[Diagram, Diagram]:
     >>> multiply(f, d) == a
     True
     """
-    flags = a.classify()
     if mode == "tn-en":
-        if not flags.full_domain:
+        if not a.is_full_domain():
             raise ValueError("tn-en factorization needs a full-domain diagram")
         right = range_projection(a)
     elif mode == "on-dn":
-        if not flags.planar_full_domain:
+        if not (a.is_full_domain() and a.is_planar()):
             raise ValueError("on-dn factorization needs a planar full-domain diagram")
         right = cap(a.coker())
     else:

@@ -116,6 +116,25 @@ def test_verify_grrac_on_crossing_carrier_is_a_usage_error(capsys):
     assert report["status"] == "refuted"
 
 
+@pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
+def test_internal_error_exits_4(capsys, monkeypatch, expect_fail):
+    import diagcalc.cli as cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("simulated\ncrash")
+
+    monkeypatch.setattr(cli, "verify_presentation", crash)
+    code = main(["verify", "--target", "dn", "--n", "3", *expect_fail])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "diagcalc: internal error: RuntimeError: simulated crash\n"
+
+    monkeypatch.setattr(cli, "family", crash)
+    assert main(["enumerate", "--monoid", "pn", "--n", "2"]) == 4
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_verify_budget_exhaustion(capsys):
     code, report = run_json(
         capsys, "verify", "--target", "full-yq", "--n", "4", "--budget", "20"

@@ -117,9 +117,15 @@ def test_degree_mismatch():
 def test_input_checks_survive_optimized_mode():
     # ``python -O`` strips asserts; these checks must still raise
     script = (
-        "from diagcalc.partitions import Diagram, identity, multiply\n"
+        "from diagcalc.equivalences import Equivalence\n"
+        "from diagcalc.partitions import (Diagram, collapse, floor_map,\n"
+        "    from_transformation, identity, multiply, transposition)\n"
         "for bad in (lambda: multiply(identity(3), identity(2)),\n"
-        "            lambda: Diagram(2, [0, 1, 2])):\n"
+        "            lambda: Diagram(2, [0, 1, 2]),\n"
+        "            lambda: from_transformation([5, 1]),\n"
+        "            lambda: floor_map(Equivalence.from_text('[[1,3],[2]]')),\n"
+        "            lambda: transposition(3, 3),\n"
+        "            lambda: collapse(3, 2, 2)):\n"
         "    try:\n"
         "        bad()\n"
         "    except ValueError:\n"
@@ -132,7 +138,7 @@ def test_input_checks_survive_optimized_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError", "ValueError"]
+    assert proc.stdout.split() == ["ValueError"] * 6
 
 
 def test_associativity_exhaustive_n2():
@@ -367,6 +373,26 @@ def test_family_sizes(name):
         assert len(family(name, n)) == expected, (name, n)
 
 
+# families filtered from all diagrams, with the classify() flag they select
+FLAG_FAMILIES = {
+    "pnfd": ("full_domain",),
+    "ppn": ("planar",),
+    "ppnfd": ("planar_full_domain",),
+    "ptn": ("transformation", "planar"),
+    "fn": ("uniform_block_bijection",),
+    "in": ("partial_injection",),
+    "jn": ("block_bijection",),
+}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_flag_families_match_classify(n):
+    flags = [(d, d.classify()) for d in all_diagrams(n)]
+    for name, wanted in FLAG_FAMILIES.items():
+        expected = sorted(d for d, m in flags if all(getattr(m, f) for f in wanted))
+        assert family(name, n) == expected, (name, n)
+
+
 def test_family_closed_forms():
     for n in range(1, 5):
         assert len(family("en", n)) == bell(n)
@@ -451,7 +477,7 @@ def test_floor_map_examples():
     e = Equivalence.from_text("[[1,2],[3]]")
     assert floor_map(e).to_transformation() == (1, 1, 3)
     assert floor_map(diagonal(4)) == identity(4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         floor_map(Equivalence.from_text("[[1,3],[2]]"))
 
 
