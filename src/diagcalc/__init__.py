@@ -1,9 +1,11 @@
 """diagcalc: a calculator for partition diagrams.
 
 Canonical forms and arithmetic for partition diagrams, the planar/cap
-machinery, a breadth-first monoid engine, presentation verification by
-congruence enumeration, and exhaustive checkers for the unary-operation laws
-that full-domain diagram monoids satisfy.
+machinery, a Froidure-Pin closure that yields one indexed carrier
+(:class:`FiniteMonoid`: elements, Cayley tables, and memoised products and
+unary operations on indices), presentation verification by congruence
+enumeration, and exhaustive checkers for the unary-operation laws and left
+congruences of full-domain diagram monoids, all run on that carrier.
 """
 
 from __future__ import annotations

@@ -327,9 +327,12 @@ def _cmd_factorize(args: argparse.Namespace, parser: _Parser) -> int:
     assignment = standard_assignment(
         "planar-zo" if args.mode == "on-dn" else "full-yq", n
     )
-    # never print an unverified factorization
-    assert multiply(left, right) == d
-    assert eval_word(assignment, word) == d
+    # never print an unverified factorization (explicit checks: they must
+    # survive ``python -O``, and a failure is an internal error, exit 4)
+    if multiply(left, right) != d:
+        raise RuntimeError(f"factor product {left.text()} * {right.text()} is not the input")
+    if eval_word(assignment, word) != d:
+        raise RuntimeError(f"generator word {' '.join(word)} does not replay the input")
 
     report = {
         "command": "factorize",

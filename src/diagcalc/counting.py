@@ -19,7 +19,8 @@ def bell(n: int) -> int:
     >>> [bell(k) for k in range(8)]
     [1, 1, 2, 5, 15, 52, 203, 877]
     """
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -35,7 +36,8 @@ def catalan(n: int) -> int:
     >>> [catalan(k) for k in range(9)]
     [1, 1, 2, 5, 14, 42, 132, 429, 1430]
     """
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     return comb(2 * n, n) // (n + 1)
 
 
@@ -48,5 +50,6 @@ def order_preserving_count(n: int) -> int:
     >>> [order_preserving_count(k) for k in range(0, 6)]
     [1, 1, 3, 10, 35, 126]
     """
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     return comb(2 * n - 1, n - 1) if n else 1

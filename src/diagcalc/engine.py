@@ -4,9 +4,11 @@
 diagrams with the Froidure-Pin algorithm, recording for every element a
 shortlex-minimal word over the generators and both Cayley tables, right and
 left; a product is multiplied out only where the tables built so far cannot
-supply it.  Because elements are interned by canonical form, arbitrary
-products can be looked up instead of recomputed, which the exhaustive law
-checkers rely on.
+supply it.  :class:`FiniteMonoid` is the one indexed carrier: the elements,
+both Cayley tables, and an ambient past the carrier where diagrams that
+products and unary operations reach outside it are interned, so the
+exhaustive law checkers run on integer indices and multiply every product
+at most once.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -15,9 +17,11 @@ pass their own.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .equivalences import _normalize
 from .partitions import Diagram, identity, multiply
 
 DEFAULT_BUDGET = 2_000_000
@@ -39,6 +43,14 @@ class FiniteMonoid:
     ``elements[k]``.  ``identity_index`` is ``None`` for carriers without an
     identity (e.g. singular subsemigroups).  A ``right`` or ``left`` table
     of ``None`` is built in full on first use; :func:`closure` supplies both.
+
+    Ambient indices: ``0 .. len(m) - 1`` are the carrier's elements, and
+    :meth:`intern` gives any other diagram of the same degree the next free
+    index past them, so a term that leaves the carrier (say a crossing
+    ``R(a)`` of a planar ``a``) still has an index.  :meth:`product` and
+    :meth:`unary` take and return ambient indices and :meth:`diagram` reads
+    one back; equal indices mean equal diagrams.  ``len(m)``, ``d in m``,
+    ``elements``, ``index`` and :meth:`word_for` mean the carrier only.
     """
 
     def __init__(
@@ -62,6 +74,12 @@ class FiniteMonoid:
         self.symbols = tuple(symbols) if symbols is not None else None
         self._left = left
         self._canonical: list[int] | None = None
+        # carrier indices below this bound multiply by walking ``right``
+        self._walk = len(elements) if right is not None else 0
+        self._escapes: list[Diagram] = []
+        self._escape_index: dict[Diagram, int] = {}
+        self._rows: defaultdict[int, list[int]] = defaultdict(list)  # product memo
+        self._images: dict[Callable[[Diagram], Diagram], list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -69,31 +87,67 @@ class FiniteMonoid:
     def __contains__(self, d: Diagram) -> bool:
         return d in self.index
 
+    def diagram(self, k: int) -> Diagram:
+        """The diagram at ambient index ``k``."""
+        size = len(self.elements)
+        return self.elements[k] if k < size else self._escapes[k - size]
+
+    def intern(self, d: Diagram) -> int:
+        """Ambient index of ``d``, appending it past the carrier on first sight."""
+        k = self.index.get(d)
+        if k is None:
+            k = self._escape_index.get(d)
+            if k is None:
+                k = self._escape_index[d] = len(self.elements) + len(self._escapes)
+                self._escapes.append(d)
+        return k
+
     def product(self, i: int, j: int) -> int:
-        """Index of ``elements[i] * elements[j]`` via the right table."""
-        right = self.right
-        out = i
-        for g in self.rep_words[j]:
-            out = right[out][g]
-        return out
+        """Ambient index of ``diagram(i) * diagram(j)``.
+
+        Two carrier indices of a closure-built carrier walk ``rep_words[j]``
+        through ``right`` and multiply nothing; every other product is
+        multiplied once and memoised in lazily filled rows.
+        """
+        if j < self._walk and i < self._walk:
+            right = self._right
+            for g in self.rep_words[j]:
+                i = right[i][g]
+            return i
+        row = self._rows[i]
+        if j >= len(row):
+            row.extend([-1] * (len(self.elements) + len(self._escapes) - len(row)))
+        k = row[j]
+        if k < 0:
+            k = row[j] = self.intern(multiply(self.diagram(i), self.diagram(j)))
+        return k
+
+    def unary(self, op: Callable[[Diagram], Diagram]) -> Callable[[int], int]:
+        """``op`` on ambient indices, each image computed once per monoid."""
+        images = self._images.setdefault(op, [])
+
+        def image(i: int) -> int:
+            if i >= len(images):
+                images.extend([-1] * (len(self.elements) + len(self._escapes) - len(images)))
+            k = images[i]
+            if k < 0:
+                k = images[i] = self.intern(op(self.diagram(i)))
+            return k
+
+        return image
 
     @property
     def right(self) -> list[list[int]]:
         """``right[k][g]`` = index of ``elements[k] * generator_g``."""
         if self._right is None:
-            self._right = self._cayley(multiply)
+            self._right = [[self.product(k, g) for g in self.generators] for k in range(len(self))]
         return self._right
 
     def left_table(self) -> list[list[int]]:
         """``left[k][g]`` = index of ``generator_g * elements[k]`` (lazy)."""
         if self._left is None:
-            self._left = self._cayley(lambda x, g: multiply(g, x))
+            self._left = [[self.product(g, k) for g in self.generators] for k in range(len(self))]
         return self._left
-
-    def _cayley(self, act: Callable[[Diagram, Diagram], Diagram]) -> list[list[int]]:
-        """One row per element ``x``: the indices of ``act(x, g)`` per generator."""
-        gens = [self.elements[k] for k in self.generators]
-        return [[self.index[act(x, g)] for g in gens] for x in self.elements]
 
     def canonical_order(self) -> list[int]:
         """Element indices sorted by canonical encoding (for witness scans)."""
@@ -205,8 +259,10 @@ def closure(
 def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     """Wrap an explicit element set, every element acting as a generator.
 
-    The right table is built on first use, so wrapping a large set is cheap
-    until products are actually needed.
+    Products are multiplied on first use, so wrapping a large set is cheap
+    until they are actually needed.  The Cayley tables (``right``,
+    ``left_table()``) index the carrier only if the set is closed under
+    multiplication.
     """
     elems = sorted(set(elements))
     m = FiniteMonoid(
@@ -283,34 +339,19 @@ def _strongly_connected(size: int, edges: list[list[int]]) -> tuple[int, ...]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
     # relabel components by their least member so the ids are canonical
-    first: dict[int, int] = {}
-    out = []
-    for node in range(size):
-        c = comp[node]
-        if c not in first:
-            first[c] = len(first)
-        out.append(first[c])
-    return tuple(out)
+    return _normalize(comp)
 
 
 def green(m: FiniteMonoid) -> GreenClasses:
     """Green's R, L, J and H classes via Cayley-graph reachability."""
     size = len(m)
     right_edges = [sorted(set(row)) for row in m.right]
-    left = m.left_table()
-    left_edges = [sorted(set(row)) for row in left]
+    left_edges = [sorted(set(row)) for row in m.left_table()]
     r_of = _strongly_connected(size, right_edges)
     l_of = _strongly_connected(size, left_edges)
     both = [sorted(set(a) | set(b)) for a, b in zip(right_edges, left_edges)]
     j_of = _strongly_connected(size, both)
-    pair_ids: dict[tuple[int, int], int] = {}
-    h_of = []
-    for k in range(size):
-        key = (r_of[k], l_of[k])
-        if key not in pair_ids:
-            pair_ids[key] = len(pair_ids)
-        h_of.append(pair_ids[key])
-    return GreenClasses(r_of, l_of, j_of, tuple(h_of))
+    return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
 
 
 @dataclass(frozen=True)
@@ -374,7 +415,8 @@ def units_and_singular(m: FiniteMonoid) -> tuple[list[int], list[int]]:
 
 def cayley_json(m: FiniteMonoid, side: str = "right") -> dict:
     """Right or left Cayley graph as a plain JSON-ready dict."""
-    assert side in ("right", "left")
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     table = m.right if side == "right" else m.left_table()
     symbols = list(m.symbols) if m.symbols else [f"g{k}" for k in range(len(m.generators))]
     order = m.canonical_order()

@@ -23,18 +23,26 @@ an interval.  Planar relations are exactly the ones that admit a cap: see
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
-def _normalize(labels: Sequence[int]) -> tuple[int, ...]:
+def _normalize(labels: Iterable[Hashable]) -> tuple[int, ...]:
     """Relabel an arbitrary label sequence into restricted-growth form."""
-    seen: dict[int, int] = {}
+    seen: dict[Hashable, int] = {}
     out = []
     for value in labels:
         if value not in seen:
             seen[value] = len(seen)
         out.append(seen[value])
     return tuple(out)
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def noncrossing(labels: Sequence[int]) -> bool:
@@ -70,7 +78,8 @@ class Equivalence:
     __slots__ = ("n", "labels")
 
     def __init__(self, n: int, labels: Sequence[int]):
-        assert n >= 0 and len(labels) == n
+        if n < 0 or len(labels) != n:
+            raise ValueError(f"an equivalence on {n} points needs {n} labels, got {len(labels)}")
         self.n = n
         self.labels = _normalize(labels)
 
@@ -120,7 +129,8 @@ class Equivalence:
         return tuple(tuple(block) for block in out)
 
     def class_of(self, x: int) -> tuple[int, ...]:
-        assert 1 <= x <= self.n
+        if not 1 <= x <= self.n:
+            raise ValueError(f"point {x} out of range 1..{self.n}")
         return self.classes()[self.labels[x - 1]]
 
     def text(self) -> str:
@@ -187,7 +197,8 @@ def atom(n: int, i: int, j: int) -> Equivalence:
     >>> atom(4, 2, 4).classes()
     ((1,), (2, 4), (3,))
     """
-    assert 1 <= i <= n and 1 <= j <= n and i != j
+    if not (1 <= i <= n and 1 <= j <= n and i != j):
+        raise ValueError(f"an atom needs two distinct points in 1..{n}, got {i} and {j}")
     labels = list(range(n))
     labels[max(i, j) - 1] = min(i, j) - 1
     return Equivalence(n, labels)
@@ -199,23 +210,17 @@ def join(a: Equivalence, b: Equivalence) -> Equivalence:
     >>> join(atom(3, 1, 2), atom(3, 2, 3)).classes()
     ((1, 2, 3),)
     """
-    assert a.n == b.n
+    if a.n != b.n:
+        raise ValueError(f"joins need a common point set, got {a.n} and {b.n} points")
     parent = list(range(a.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for labels in (a.labels, b.labels):
         seen: dict[int, int] = {}
         for pos, label in enumerate(labels):
             if label in seen:
-                parent[find(pos)] = find(seen[label])
+                parent[_find(parent, pos)] = _find(parent, seen[label])
             else:
                 seen[label] = pos
-    return Equivalence(a.n, [find(x) for x in range(a.n)])
+    return Equivalence(a.n, [_find(parent, x) for x in range(a.n)])
 
 
 def all_equivalences(n: int) -> Iterator[Equivalence]:
@@ -230,7 +235,8 @@ def restricted_growth_sequences(length: int) -> Iterator[tuple[int, ...]]:
     >>> list(restricted_growth_sequences(2))
     [(0, 0), (0, 1)]
     """
-    assert length >= 0
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
     if length == 0:
         yield ()
         return
@@ -293,7 +299,8 @@ def cap_kernel(eq: Equivalence) -> Equivalence:
     >>> cap_kernel(Equivalence.from_text("[[1,5,6],[2,3],[4],[7,8]]")).classes()
     ((1, 2, 3, 4, 5, 6), (7, 8))
     """
-    assert eq.is_planar(), "cap machinery needs a planar relation"
+    if not eq.is_planar():
+        raise ValueError("cap machinery needs a planar relation")
     labels = [0] * eq.n
     edge = 0
     for block_id, block in enumerate(unnested_classes(eq)):
@@ -315,7 +322,8 @@ def cap_word(eq: Equivalence) -> tuple[tuple[int, int], ...]:
     >>> cap_word(Equivalence.from_text("[[1,5,6],[2,3],[4],[7,8]]"))
     ((1, 5), (2, 3), (5, 6), (7, 8))
     """
-    assert eq.is_planar(), "cap machinery needs a planar relation"
+    if not eq.is_planar():
+        raise ValueError("cap machinery needs a planar relation")
     letters = []
     for x in range(1, eq.n + 1):
         k = successor(eq, x)

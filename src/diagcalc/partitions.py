@@ -43,6 +43,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .equivalences import (
     Equivalence,
+    _find,
+    _normalize,
     _parse_nested_ints,
     all_equivalences,
     cap_kernel,
@@ -50,16 +52,6 @@ from .equivalences import (
     restricted_growth_sequences,
     unnested_classes,
 )
-
-
-def _normalize(labels: Sequence[int]) -> tuple[int, ...]:
-    seen: dict[object, int] = {}
-    out = []
-    for value in labels:
-        if value not in seen:
-            seen[value] = len(seen)
-        out.append(seen[value])
-    return tuple(out)
 
 
 class Diagram:
@@ -324,13 +316,6 @@ def multiply(a: Diagram, b: Diagram) -> Diagram:
         raise ValueError(f"degrees must match, got {a.n} and {b.n}")
     n = a.n
     parent = list(range(3 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # a's points occupy nodes 0..2n-1, b's occupy nodes n..3n-1: a's lower
     # row and b's upper row share the middle band n..2n-1.
     for labels, shift in ((a.labels, 0), (b.labels, n)):
@@ -338,12 +323,12 @@ def multiply(a: Diagram, b: Diagram) -> Diagram:
         for pos, label in enumerate(labels):
             node = pos + shift
             if label in seen:
-                root = find(seen[label])
-                parent[find(node)] = root
+                root = _find(parent, seen[label])
+                parent[_find(parent, node)] = root
             else:
                 seen[label] = node
-    result = [find(x) for x in range(n)]
-    result += [find(x) for x in range(2 * n, 3 * n)]
+    result = [_find(parent, x) for x in range(n)]
+    result += [_find(parent, x) for x in range(2 * n, 3 * n)]
     return Diagram(n, result)
 
 

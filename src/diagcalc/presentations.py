@@ -100,7 +100,8 @@ def sym_cap(i: int, j: int) -> str:
     >>> sym_cap(2, 5)
     'h_2_5'
     """
-    assert i < j
+    if not i < j:
+        raise ValueError(f"a cap span needs i < j, got {i} and {j}")
     return f"h_{i}_{j}"
 
 
@@ -566,7 +567,8 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
     result carries status ``"exhausted"`` and no size — never a wrong one.
     """
     if pres.kind == "semigroup":
-        assert all(lhs and rhs for lhs, rhs in pres.relations), "semigroup relations must have nonempty sides"
+        if not all(lhs and rhs for lhs, rhs in pres.relations):
+            raise ValueError("semigroup relations must have nonempty sides")
     index = {symbol: a for a, symbol in enumerate(pres.alphabet)}
     relations = [
         (tuple(index[x] for x in lhs), tuple(index[x] for x in rhs))

@@ -299,6 +299,25 @@ def test_factorize_usage_errors():
     usage_error("factorize", "[[1,-1]]", "--mode", "dn-on")
 
 
+@pytest.mark.parametrize("broken", ["factor_product", "_right_factor_word"])
+def test_unverified_factorization_exits_4(capsys, monkeypatch, broken):
+    # the replay checks are explicit raises, not asserts, so ``python -O``
+    # cannot turn a wrong factor or word into a "verified" report
+    import diagcalc.cli as cli
+
+    real = getattr(cli, broken)
+    if broken == "factor_product":
+        fake = lambda d, mode: (real(d, mode)[0], identity(d.n))  # noqa: E731
+    else:
+        fake = lambda n, right, mode: ()  # noqa: E731
+    monkeypatch.setattr(cli, broken, fake)
+    code = main(["factorize", "[[1,2,3,4,5,-1],[-2,-5],[-3,-4]]", "--mode", "on-dn"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("diagcalc: internal error: RuntimeError:")
+
+
 def test_factorize_random_planar_samples(capsys):
     rng = random.Random(66_2024)
     zo = standard_assignment("planar-zo", 6)

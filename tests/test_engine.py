@@ -17,10 +17,13 @@ from diagcalc.partitions import (
     Diagram,
     cap_atom,
     collapse,
+    domain_projection,
     family,
     identity,
     merge,
     multiply,
+    range_cap,
+    range_projection,
     transposition,
 )
 from diagcalc.presentations import standard_assignment
@@ -140,6 +143,48 @@ def test_from_elements_wraps():
     assert identity(3) in m
     for i, j in itertools.product(range(len(m)), repeat=2):
         assert m.elements[m.product(i, j)] == multiply(m.elements[i], m.elements[j])
+
+
+@pytest.mark.parametrize("build", ["from_elements", "closure"])
+def test_ambient_products_and_images(build):
+    # the carrier is ptn 3 (order-preserving maps) and the escapes are the
+    # diagrams its law terms reach outside it: every product and image on
+    # ambient indices must be the plain diagram product or operation
+    n = 3
+    if build == "closure":
+        m = closure(n, list(standard_assignment("on", n).values()))
+    else:
+        m = from_elements(n, family("ptn", n))
+    carrier = list(m.elements)
+    outside = [merge(3, 1, 3), cap_atom(3, 1, 2), transposition(3, 1)]
+    escapes = [m.intern(d) for d in outside]
+    assert escapes == list(range(len(m), len(m) + 3))
+    assert [m.intern(d) for d in outside] == escapes
+    assert [m.diagram(k) for k in escapes] == outside
+    ambient = list(range(len(m))) + escapes
+    for i, j in itertools.product(ambient, repeat=2):
+        assert m.diagram(m.product(i, j)) == multiply(m.diagram(i), m.diagram(j))
+    for op in (domain_projection, range_projection, range_cap):
+        image = m.unary(op)
+        for k in ambient:
+            assert m.diagram(image(k)) == op(m.diagram(k))
+        assert m.unary(op)(ambient[-1]) == image(ambient[-1])
+    # the carrier view ignores everything interned past it
+    assert len(m) == len(carrier) and m.elements == carrier
+    assert m.intern(m.elements[0]) == 0
+    for d in outside + [m.diagram(k) for k in range(len(m) + 3, len(m) + len(m._escapes))]:
+        assert d not in m
+        with pytest.raises(KeyError):
+            m.word_for(d)
+    assert all(row_k < len(m) for row in m.right for row_k in row)
+    assert all(row_k < len(m) for row in m.left_table() for row_k in row)
+
+
+def test_closure_allocates_no_memo_for_carrier_products():
+    m = closure(3, list(standard_assignment("on", 3).values()))
+    for i, j in itertools.product(range(len(m)), repeat=2):
+        m.product(i, j)
+    assert not m._rows
 
 
 def test_word_for():

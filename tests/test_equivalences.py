@@ -55,7 +55,7 @@ def test_diagonal_and_atom():
     assert diagonal(3).classes() == ((1,), (2,), (3,))
     assert atom(3, 1, 2).classes() == ((1, 2), (3,))
     assert atom(5, 2, 4).classes() == ((1,), (2, 4), (3,), (5,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         atom(3, 2, 2)
 
 

@@ -337,9 +337,10 @@ def test_theta_is_left_compatible():
 
 
 def test_closure_of_no_pairs():
-    carrier = completion(from_elements(2, family("tn", 2)))
-    th = left_congruence_closure(carrier, [])
-    assert th.class_count() == len(carrier)
+    s = from_elements(2, family("tn", 2))
+    th = left_congruence_closure(s, [])
+    assert th.carrier == completion(s)
+    assert th.class_count() == len(th.carrier)
 
 
 def test_merge_congruence_is_principal():
@@ -373,7 +374,7 @@ def test_join_with_equality():
 def test_join_carrier_mismatch():
     a = LeftCongruence([identity(2)], [0])
     b = LeftCongruence([identity(3)], [0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         join_left_congruences(a, b)
 
 
@@ -389,6 +390,40 @@ def test_theta_battery(n):
     ]
     for rep in reports:
         assert rep.holds, rep
+
+
+# -- pinned product counts -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "job,multiplies",
+    [
+        (lambda: theta_battery(3), 1_137),
+        (lambda: theta_battery(4), 74_757),
+        (lambda: check_ehresmann(from_elements(3, family("pn", 3))), 41_209),
+    ],
+    ids=["theta_battery-3", "theta_battery-4", "ehresmann-P3"],
+)
+def test_pinned_multiply_counts(monkeypatch, job, multiplies):
+    # every product goes through the carrier's memo, so the number of
+    # diagram multiplications is deterministic; a change in it is a
+    # regression (or a gain) to account for
+    import sys
+
+    import diagcalc.partitions
+
+    real = diagcalc.partitions.multiply
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diagcalc") and getattr(module, "multiply", None) is real:
+            monkeypatch.setattr(module, "multiply", counted)
+    job()
+    assert calls[0] == multiplies
 
 
 # -- product decompositions ------------------------------------------------------------

@@ -117,19 +117,48 @@ def test_degree_mismatch():
 def test_input_checks_survive_optimized_mode():
     # ``python -O`` strips asserts; these checks must still raise
     script = (
-        "from diagcalc.equivalences import Equivalence\n"
+        "import diagcalc.cli as cli\n"
+        "from diagcalc.counting import bell, catalan, order_preserving_count\n"
+        "from diagcalc.engine import cayley_json, closure\n"
+        "from diagcalc.equivalences import (Equivalence, atom, cap_kernel, cap_word,\n"
+        "    join, restricted_growth_sequences)\n"
+        "from diagcalc.laws import LeftCongruence, join_left_congruences\n"
         "from diagcalc.partitions import (Diagram, collapse, floor_map,\n"
         "    from_transformation, identity, multiply, transposition)\n"
+        "from diagcalc.presentations import (Presentation, enumerate_presented,\n"
+        "    sym_cap)\n"
+        "crossing = Equivalence.from_text('[[1,3],[2,4]]')\n"
         "for bad in (lambda: multiply(identity(3), identity(2)),\n"
         "            lambda: Diagram(2, [0, 1, 2]),\n"
         "            lambda: from_transformation([5, 1]),\n"
         "            lambda: floor_map(Equivalence.from_text('[[1,3],[2]]')),\n"
         "            lambda: transposition(3, 3),\n"
-        "            lambda: collapse(3, 2, 2)):\n"
+        "            lambda: collapse(3, 2, 2),\n"
+        "            lambda: Equivalence(3, [0, 1]),\n"
+        "            lambda: Equivalence(2, [0, 1]).class_of(3),\n"
+        "            lambda: atom(3, 2, 2),\n"
+        "            lambda: join(atom(3, 1, 2), atom(4, 1, 2)),\n"
+        "            lambda: list(restricted_growth_sequences(-1)),\n"
+        "            lambda: cap_kernel(crossing),\n"
+        "            lambda: cap_word(crossing),\n"
+        "            lambda: bell(-1),\n"
+        "            lambda: catalan(-1),\n"
+        "            lambda: order_preserving_count(-1),\n"
+        "            lambda: cayley_json(closure(2, []), 'up'),\n"
+        "            lambda: sym_cap(5, 2),\n"
+        "            lambda: enumerate_presented(Presentation(\n"
+        "                'p', 1, 'semigroup', ('a',), (((), ('a',)),))),\n"
+        "            lambda: LeftCongruence([identity(2)], [0, 1]),\n"
+        "            lambda: join_left_congruences(LeftCongruence([identity(2)], [0]),\n"
+        "                                          LeftCongruence([identity(3)], [0]))):\n"
         "    try:\n"
         "        bad()\n"
         "    except ValueError:\n"
         "        print('ValueError')\n"
+        "# a factorization that does not replay is an internal error, exit 4\n"
+        "real = cli.factor_product\n"
+        "cli.factor_product = lambda d, mode: (real(d, mode)[0], identity(d.n))\n"
+        "print(cli.main(['factorize', '[[1,2,-1,-2],[3,-3]]', '--mode', 'tn-en']))\n"
     )
     src = str(Path(diagcalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -138,7 +167,7 @@ def test_input_checks_survive_optimized_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 6
+    assert proc.stdout.split() == ["ValueError"] * 21 + ["4"]
 
 
 def test_associativity_exhaustive_n2():

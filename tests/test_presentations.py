@@ -48,7 +48,7 @@ def test_symbol_spellings():
     assert sym_t(3, 1) == "t_31"
     assert sym_t(1, 3) == "t_13"
     assert sym_cap(2, 5) == "h_2_5"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sym_cap(5, 2)
 
 
