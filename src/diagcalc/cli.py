@@ -280,7 +280,10 @@ def _cayley(args: argparse.Namespace, parser: _Parser, fmt: str) -> str:
                 f"graph export supports {', '.join(sorted({*_GRAPH_GENERATORS, 'sn'}))}"
             )
     else:
-        assignment = standard_assignment(schema_name, args.n)
+        try:
+            assignment = standard_assignment(schema_name, args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
     monoid = closure(
         args.n,
         list(assignment.values()),
@@ -320,13 +323,13 @@ def _cmd_factorize(args: argparse.Namespace, parser: _Parser) -> int:
     try:
         d = Diagram.from_text(args.text)
         left, right = factor_product(d, args.mode)
+        assignment = standard_assignment(
+            "planar-zo" if args.mode == "on-dn" else "full-yq", d.n
+        )
     except ValueError as exc:
         parser.error(str(exc))
     n = d.n
     word = _transformation_word(n, left, args.mode) + _right_factor_word(n, right, args.mode)
-    assignment = standard_assignment(
-        "planar-zo" if args.mode == "on-dn" else "full-yq", n
-    )
     # never print an unverified factorization (explicit checks: they must
     # survive ``python -O``, and a failure is an internal error, exit 4)
     if multiply(left, right) != d:

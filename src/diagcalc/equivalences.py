@@ -72,10 +72,33 @@ def noncrossing(labels: Sequence[int]) -> bool:
     return True
 
 
-class Equivalence:
-    """An equivalence relation on ``{1, ..., n}`` in canonical form."""
+class _Canonical:
+    """Comparisons shared by :class:`Equivalence` and ``Diagram``: both are
+    a size ``n`` and a canonical (restricted-growth) label sequence."""
 
     __slots__ = ("n", "labels")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, self.__class__)
+            and self.n == other.n
+            and self.labels == other.labels
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.labels))
+
+    def __lt__(self, other: "_Canonical") -> bool:
+        return (self.n, self.labels) < (other.n, other.labels)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_text({self.text()!r})"
+
+
+class Equivalence(_Canonical):
+    """An equivalence relation on ``{1, ..., n}`` in canonical form."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, labels: Sequence[int]):
         if n < 0 or len(labels) != n:
@@ -137,24 +160,6 @@ class Equivalence:
         return "[%s]" % ",".join(
             "[%s]" % ",".join(str(p) for p in block) for block in self.classes()
         )
-
-    # -- comparisons -----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Equivalence)
-            and self.n == other.n
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.labels))
-
-    def __lt__(self, other: "Equivalence") -> bool:
-        return (self.n, self.labels) < (other.n, other.labels)
-
-    def __repr__(self) -> str:
-        return f"Equivalence.from_text({self.text()!r})"
 
     # -- predicates ------------------------------------------------------
 

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .equivalences import (
     Equivalence,
+    _Canonical,
     _find,
     _normalize,
     _parse_nested_ints,
@@ -54,14 +55,14 @@ from .equivalences import (
 )
 
 
-class Diagram:
+class Diagram(_Canonical):
     """A partition diagram of degree ``n`` in canonical form.
 
     ``labels[k]`` is the block index of upper point ``k + 1`` for ``k < n``
     and of lower point ``(k - n + 1)'`` for ``k >= n``.
     """
 
-    __slots__ = ("n", "labels")
+    __slots__ = ()
 
     def __init__(self, n: int, labels: Sequence[object]):
         if len(labels) != 2 * n:
@@ -101,44 +102,28 @@ class Diagram:
 
     # -- canonical views -------------------------------------------------
 
+    def _parts(self) -> list[tuple[list[int], list[int]]]:
+        """Each block's upper points and lower points (unsigned, ascending),
+        blocks in canonical order: the one pass behind the block views."""
+        parts = [([], []) for _ in range(1 + max(self.labels, default=-1))]
+        for x, label in enumerate(self.labels[: self.n], 1):
+            parts[label][0].append(x)
+        for y, label in enumerate(self.labels[self.n :], 1):
+            parts[label][1].append(y)
+        return parts
+
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Signed blocks in canonical order.
 
         >>> identity(2).blocks()
         ((1, -1), (2, -2))
         """
-        count = 1 + max(self.labels, default=-1)
-        upper: list[list[int]] = [[] for _ in range(count)]
-        lower: list[list[int]] = [[] for _ in range(count)]
-        for pos, label in enumerate(self.labels):
-            if pos < self.n:
-                upper[label].append(pos + 1)
-            else:
-                lower[label].append(-(pos - self.n + 1))
-        return tuple(
-            tuple(upper[b]) + tuple(lower[b]) for b in range(count)
-        )
+        return tuple(tuple(up + [-y for y in lo]) for up, lo in self._parts())
 
     def text(self) -> str:
         return "[%s]" % ",".join(
             "[%s]" % ",".join(str(v) for v in block) for block in self.blocks()
         )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Diagram)
-            and self.n == other.n
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.labels))
-
-    def __lt__(self, other: "Diagram") -> bool:
-        return (self.n, self.labels) < (other.n, other.labels)
-
-    def __repr__(self) -> str:
-        return f"Diagram.from_text({self.text()!r})"
 
     def __mul__(self, other: "Diagram") -> "Diagram":
         return multiply(self, other)
@@ -167,36 +152,15 @@ class Diagram:
         return set(self.labels[: self.n]).issubset(self.labels[self.n :])
 
     def structure(self) -> "Structure":
-        n = self.n
-        count = 1 + max(self.labels, default=-1)
-        upper: list[list[int]] = [[] for _ in range(count)]
-        lower: list[list[int]] = [[] for _ in range(count)]
-        for pos, label in enumerate(self.labels):
-            (upper if pos < n else lower)[label].append(
-                pos + 1 if pos < n else pos - n + 1
-            )
-        transversals = []
-        upper_blocks = []
-        lower_blocks = []
-        for b in range(count):
-            if upper[b] and lower[b]:
-                transversals.append((tuple(upper[b]), tuple(lower[b])))
-            elif upper[b]:
-                upper_blocks.append(tuple(upper[b]))
-            else:
-                lower_blocks.append(tuple(lower[b]))
-        transversals.sort()
-        upper_blocks.sort()
-        lower_blocks.sort()
-        dom = tuple(sorted(x for up, _ in transversals for x in up))
-        codom = tuple(sorted(y for _, lo in transversals for y in lo))
+        parts = [(tuple(up), tuple(lo)) for up, lo in self._parts()]
+        transversals = sorted((up, lo) for up, lo in parts if up and lo)
         return Structure(
             transversals=tuple(transversals),
-            upper_blocks=tuple(upper_blocks),
-            lower_blocks=tuple(lower_blocks),
+            upper_blocks=tuple(sorted(up for up, lo in parts if not lo)),
+            lower_blocks=tuple(sorted(lo for up, lo in parts if not up)),
             rank=len(transversals),
-            dom=dom,
-            codom=codom,
+            dom=tuple(sorted(x for up, _ in transversals for x in up)),
+            codom=tuple(sorted(y for _, lo in transversals for y in lo)),
         )
 
     def ker(self) -> Equivalence:
@@ -208,71 +172,43 @@ class Diagram:
         return Equivalence(self.n, self.labels[self.n :])
 
     def rank(self) -> int:
-        return self.structure().rank
+        return sum(1 for up, lo in self._parts() if up and lo)
 
     def classify(self) -> "Membership":
-        n = self.n
-        st = self.structure()
-        full_domain = len(st.dom) == n
-        block_bijection = not st.upper_blocks and not st.lower_blocks
-        projection = self.labels[:n] == self.labels[n:]
+        parts = self._parts()
         planar = self.is_planar()
-        transformation = full_domain and all(
-            len(lo) == 1 for _, lo in st.transversals
-        ) and all(len(block) == 1 for block in st.lower_blocks)
-        order_preserving = False
-        if transformation:
-            images = self.to_transformation()
-            order_preserving = all(
-                images[k] <= images[k + 1] for k in range(n - 1)
-            )
-        cap_member = (
-            planar
-            and full_domain
-            and all(
-                up[0] == lo[0] and up[-1] == lo[-1]
-                for up, lo in st.transversals
-            )
-        )
+        full_domain = all(lo for _, lo in parts)
+        transformation = all(len(lo) == 1 for _, lo in parts)
+        images = self.to_transformation() if transformation else ()
         return Membership(
-            permutation=st.rank == n,
+            permutation=all(len(up) == len(lo) == 1 for up, lo in parts),
             transformation=transformation,
-            order_preserving=order_preserving,
-            partial_injection=all(
-                len(up) == 1 and len(lo) == 1 for up, lo in st.transversals
-            )
-            and all(len(b) == 1 for b in st.upper_blocks)
-            and all(len(b) == 1 for b in st.lower_blocks),
-            block_bijection=block_bijection,
-            uniform_block_bijection=block_bijection
-            and all(len(up) == len(lo) for up, lo in st.transversals),
-            projection=projection,
+            order_preserving=transformation and images == tuple(sorted(images)),
+            partial_injection=all(len(up) <= 1 and len(lo) <= 1 for up, lo in parts),
+            block_bijection=all(up and lo for up, lo in parts),
+            uniform_block_bijection=all(len(up) == len(lo) for up, lo in parts),
+            projection=self.labels[: self.n] == self.labels[self.n :],
             full_domain=full_domain,
             planar=planar,
             planar_full_domain=planar and full_domain,
-            cap=cap_member,
+            cap=planar and full_domain
+            and all(not up or (up[0], up[-1]) == (lo[0], lo[-1]) for up, lo in parts),
         )
 
     def to_transformation(self) -> tuple[int, ...]:
         """The map ``x -> y`` with ``y'`` in the block of ``x``.
 
-        Defined exactly for the diagrams whose ``classify().transformation``
-        flag is set; these compose the same way the diagrams multiply.
+        Defined exactly when every block has one lower point (the images of
+        :func:`from_transformation`); raises ``ValueError`` otherwise.  These
+        maps compose the same way the diagrams multiply.
         """
-        n = self.n
-        image_of_label: dict[int, int] = {}
-        for pos in range(n, 2 * n):
-            image_of_label.setdefault(self.labels[pos], pos - n + 1)
-        images = []
-        for x in range(n):
-            label = self.labels[x]
-            if label not in image_of_label:
+        images = [0] * self.n
+        for up, lo in self._parts():
+            if len(lo) != 1:
                 raise ValueError("diagram is not a transformation")
-            images.append(image_of_label[label])
-        result = tuple(images)
-        if from_transformation(result) != self:
-            raise ValueError("diagram is not a transformation")
-        return result
+            for x in up:
+                images[x - 1] = lo[0]
+        return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -493,9 +429,11 @@ def family(name: str, n: int) -> list[Diagram]:
     ``pen``      embedded convex equivalences
     ===========  ====================================================
 
-    Families defined by a membership predicate are produced by filtering all
-    diagrams, so they are usable as independent cross-checks against
-    anything built from generators.
+    ``ptn`` is generated as ``on``: a transformation's diagram is planar
+    exactly when the map is order-preserving.  The other families defined
+    by a predicate are produced by filtering all diagrams, so they are
+    usable as independent cross-checks against anything built from
+    generators.
 
     >>> [len(family(name, 2)) for name in ("pn", "pnfd", "tn", "dn")]
     [15, 5, 4, 2]
@@ -511,7 +449,7 @@ def family(name: str, n: int) -> list[Diagram]:
             for images in itertools.product(points, repeat=n)
             if len(set(images)) < n
         )
-    if name == "on":
+    if name in ("on", "ptn"):
         return sorted(
             from_transformation(images)
             for images in itertools.combinations_with_replacement(points, n)
@@ -529,7 +467,6 @@ def family(name: str, n: int) -> list[Diagram]:
         "pnfd": Diagram.is_full_domain,
         "ppn": Diagram.is_planar,
         "ppnfd": lambda d: d.is_full_domain() and d.is_planar(),
-        "ptn": lambda d: (m := d.classify()).transformation and m.planar,
         "fn": lambda d: d.classify().uniform_block_bijection,
         "in": lambda d: d.classify().partial_injection,
         "jn": lambda d: d.classify().block_bijection,

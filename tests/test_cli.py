@@ -216,6 +216,11 @@ def test_enumerate_dot_export(capsys):
     assert code == 0
     assert out.count(" -> ") > 0
 
+    # sn's generating set is the transpositions, not a schema's: none at n < 2
+    for n in ("0", "1"):
+        code, out = run(capsys, "enumerate", "--monoid", "sn", "--n", n, "--format", "dot")
+        assert code == 0 and out.startswith("digraph right_cayley {")
+
 
 def test_enumerate_degree_zero(capsys):
     # each closed-form family has one degree-0 element, the empty diagram
@@ -232,6 +237,25 @@ def test_enumerate_usage_errors():
     usage_error("enumerate", "--monoid", "nonsense", "--n", "3")
     usage_error("enumerate", "--monoid", "dn")
     usage_error("enumerate", "--monoid", "pn", "--n", "2", "--format", "dot")
+
+
+@pytest.mark.parametrize("n, argv", [
+    (1, ("enumerate", "--monoid", "tn", "--n", "1", "--format", "dot")),
+    (0, ("enumerate", "--monoid", "dn", "--n", "0", "--format", "dot")),
+    (1, ("enumerate", "--monoid", "dn", "--n", "1", "--format", "dot")),
+    (0, ("enumerate", "--monoid", "pnfd", "--n", "0", "--format", "dot")),
+    (1, ("enumerate", "--monoid", "pnfd", "--n", "1", "--format", "dot")),
+    (1, ("factorize", "[[1,-1]]", "--mode", "tn-en")),
+    (1, ("factorize", "[[1,-1]]", "--mode", "on-dn")),
+    (0, ("factorize", "[]", "--mode", "tn-en")),
+    (0, ("factorize", "[]", "--mode", "on-dn")),
+])
+def test_degree_below_the_schemas_is_a_usage_error(capsys, n, argv):
+    # generating sets and factor words come from the schemas (n >= 2)
+    usage_error(*argv)
+    err = capsys.readouterr().err
+    assert f"error: schemas are defined for n >= 2, got n={n}" in err
+    assert "internal error" not in err
 
 
 # -- factorize --------------------------------------------------------------------

@@ -134,6 +134,7 @@ def test_input_checks_survive_optimized_mode():
         "            lambda: floor_map(Equivalence.from_text('[[1,3],[2]]')),\n"
         "            lambda: transposition(3, 3),\n"
         "            lambda: collapse(3, 2, 2),\n"
+        "            lambda: Diagram(2, [0, 0, 0, 0]).to_transformation(),\n"
         "            lambda: Equivalence(3, [0, 1]),\n"
         "            lambda: Equivalence(2, [0, 1]).class_of(3),\n"
         "            lambda: atom(3, 2, 2),\n"
@@ -167,7 +168,7 @@ def test_input_checks_survive_optimized_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 21 + ["4"]
+    assert proc.stdout.split() == ["ValueError"] * 22 + ["4"]
 
 
 def test_associativity_exhaustive_n2():
@@ -402,7 +403,7 @@ def test_family_sizes(name):
         assert len(family(name, n)) == expected, (name, n)
 
 
-# families filtered from all diagrams, with the classify() flag they select
+# families defined by a predicate, with the classify() flags they select
 FLAG_FAMILIES = {
     "pnfd": ("full_domain",),
     "ppn": ("planar",),
@@ -420,6 +421,12 @@ def test_flag_families_match_classify(n):
     for name, wanted in FLAG_FAMILIES.items():
         expected = sorted(d for d, m in flags if all(getattr(m, f) for f in wanted))
         assert family(name, n) == expected, (name, n)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_planar_transformations_are_the_order_preserving_maps(n):
+    # family("ptn") is generated as the order-preserving maps on this theorem
+    assert family("ptn", n) == [d for d in family("tn", n) if d.is_planar()]
 
 
 def test_family_closed_forms():

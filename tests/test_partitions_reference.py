@@ -1,0 +1,190 @@
+"""Differential test: ``Diagram``'s views against separate bucket passes.
+
+The reference views below are the versions that the single bucket pass
+``Diagram._parts`` replaced: ``blocks`` and ``structure`` each bucket the
+labels on their own, ``classify`` reads ``structure`` and checks order
+preservation on the images, ``to_transformation`` rebuilds the diagram of
+the map it read off and compares, and the predicate families are filtered
+from all diagrams by the reference ``classify``.  Both sides must agree on
+every diagram at small degree and on seeded random diagrams above that.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from diagcalc.partitions import (
+    FAMILY_NAMES,
+    Diagram,
+    Membership,
+    Structure,
+    all_diagrams,
+    family,
+    from_transformation,
+)
+
+
+def ref_blocks(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    count = 1 + max(d.labels, default=-1)
+    upper: list[list[int]] = [[] for _ in range(count)]
+    lower: list[list[int]] = [[] for _ in range(count)]
+    for pos, label in enumerate(d.labels):
+        if pos < d.n:
+            upper[label].append(pos + 1)
+        else:
+            lower[label].append(-(pos - d.n + 1))
+    return tuple(tuple(upper[b]) + tuple(lower[b]) for b in range(count))
+
+
+def ref_structure(d: Diagram) -> Structure:
+    n = d.n
+    count = 1 + max(d.labels, default=-1)
+    upper: list[list[int]] = [[] for _ in range(count)]
+    lower: list[list[int]] = [[] for _ in range(count)]
+    for pos, label in enumerate(d.labels):
+        (upper if pos < n else lower)[label].append(pos + 1 if pos < n else pos - n + 1)
+    transversals = []
+    upper_blocks = []
+    lower_blocks = []
+    for b in range(count):
+        if upper[b] and lower[b]:
+            transversals.append((tuple(upper[b]), tuple(lower[b])))
+        elif upper[b]:
+            upper_blocks.append(tuple(upper[b]))
+        else:
+            lower_blocks.append(tuple(lower[b]))
+    transversals.sort()
+    upper_blocks.sort()
+    lower_blocks.sort()
+    return Structure(
+        transversals=tuple(transversals),
+        upper_blocks=tuple(upper_blocks),
+        lower_blocks=tuple(lower_blocks),
+        rank=len(transversals),
+        dom=tuple(sorted(x for up, _ in transversals for x in up)),
+        codom=tuple(sorted(y for _, lo in transversals for y in lo)),
+    )
+
+
+def ref_to_transformation(d: Diagram) -> tuple[int, ...]:
+    n = d.n
+    image_of_label: dict[int, int] = {}
+    for pos in range(n, 2 * n):
+        image_of_label.setdefault(d.labels[pos], pos - n + 1)
+    images = []
+    for x in range(n):
+        label = d.labels[x]
+        if label not in image_of_label:
+            raise ValueError("diagram is not a transformation")
+        images.append(image_of_label[label])
+    result = tuple(images)
+    if from_transformation(result) != d:
+        raise ValueError("diagram is not a transformation")
+    return result
+
+
+def ref_classify(d: Diagram) -> Membership:
+    n = d.n
+    st = ref_structure(d)
+    full_domain = len(st.dom) == n
+    block_bijection = not st.upper_blocks and not st.lower_blocks
+    planar = d.is_planar()
+    transformation = (
+        full_domain
+        and all(len(lo) == 1 for _, lo in st.transversals)
+        and all(len(block) == 1 for block in st.lower_blocks)
+    )
+    order_preserving = False
+    if transformation:
+        images = ref_to_transformation(d)
+        order_preserving = all(images[k] <= images[k + 1] for k in range(n - 1))
+    return Membership(
+        permutation=st.rank == n,
+        transformation=transformation,
+        order_preserving=order_preserving,
+        partial_injection=all(len(up) == 1 and len(lo) == 1 for up, lo in st.transversals)
+        and all(len(b) == 1 for b in st.upper_blocks)
+        and all(len(b) == 1 for b in st.lower_blocks),
+        block_bijection=block_bijection,
+        uniform_block_bijection=block_bijection
+        and all(len(up) == len(lo) for up, lo in st.transversals),
+        projection=d.labels[:n] == d.labels[n:],
+        full_domain=full_domain,
+        planar=planar,
+        planar_full_domain=planar and full_domain,
+        cap=planar and full_domain
+        and all(up[0] == lo[0] and up[-1] == lo[-1] for up, lo in st.transversals),
+    )
+
+
+# Every family as a filter of all diagrams by the reference flags; ``pen``
+# also needs the kernel to be convex.
+REF_FAMILIES = {
+    "pn": lambda d, m: True,
+    "pnfd": lambda d, m: m.full_domain,
+    "ppn": lambda d, m: m.planar,
+    "ppnfd": lambda d, m: m.planar_full_domain,
+    "tn": lambda d, m: m.transformation,
+    "sing-tn": lambda d, m: m.transformation and not m.permutation,
+    "ptn": lambda d, m: m.transformation and m.planar,
+    "on": lambda d, m: m.order_preserving,
+    "sn": lambda d, m: m.permutation,
+    "en": lambda d, m: m.projection,
+    "fn": lambda d, m: m.uniform_block_bijection,
+    "in": lambda d, m: m.partial_injection,
+    "jn": lambda d, m: m.block_bijection,
+    "dn": lambda d, m: m.cap,
+    "pen": lambda d, m: m.projection and d.ker().is_convex(),
+}
+
+
+def _outcome(view, d: Diagram):
+    try:
+        return view(d)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_views_match(d: Diagram) -> None:
+    assert d.blocks() == ref_blocks(d), d
+    assert d.structure() == ref_structure(d), d
+    assert d.rank() == ref_structure(d).rank, d
+    assert d.classify() == ref_classify(d), d
+    assert _outcome(Diagram.to_transformation, d) == _outcome(ref_to_transformation, d), d
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_views_match_exhaustively(n):
+    for d in all_diagrams(n):
+        assert_views_match(d)
+
+
+def _random_diagrams(rng: random.Random, n: int):
+    # uniform labels give mostly many small blocks; drawing the block count
+    # first, and adding maps, also reaches coarse diagrams, transformations and
+    # permutations
+    for _ in range(150):
+        blocks = rng.randint(1, 2 * n)
+        yield Diagram(n, [rng.randrange(blocks) for _ in range(2 * n)])
+    for _ in range(50):
+        images = [rng.randint(1, n) for _ in range(n)]
+        yield from_transformation(images)
+        yield from_transformation(sorted(images))
+        yield from_transformation(rng.sample(range(1, n + 1), n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_views_match_random(n):
+    for d in _random_diagrams(random.Random(1000 + n), n):
+        assert_views_match(d)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_families_match_reference_filters(n):
+    flags = [(d, ref_classify(d)) for d in all_diagrams(n)]
+    assert set(REF_FAMILIES) == set(FAMILY_NAMES)
+    for name, keep in REF_FAMILIES.items():
+        assert family(name, n) == [d for d, m in flags if keep(d, m)], (name, n)
+
