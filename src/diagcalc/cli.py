@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .counting import bell, catalan, order_preserving_count
-from .engine import DEFAULT_BUDGET, cayley_dot, cayley_json, closure, from_elements
+from .engine import DEFAULT_BUDGET, cayley_dot, closure, from_elements
 from .equivalences import cap_word
 from .laws import (
     CheckReport,
@@ -248,7 +248,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
     expected = closed(args.n) if closed else None
 
     if args.format == "dot":
-        payload = _cayley(args, parser, fmt="dot")
+        payload = _cayley(args, parser)
     elif args.format == "json":
         report = {
             "command": "enumerate",
@@ -269,7 +269,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_VERIFIED if expected is None or expected == size else EXIT_REFUTED
 
 
-def _cayley(args: argparse.Namespace, parser: _Parser, fmt: str) -> str:
+def _cayley(args: argparse.Namespace, parser: _Parser) -> str:
     schema_name = _GRAPH_GENERATORS.get(args.monoid)
     if schema_name is None:
         if args.monoid == "sn":
@@ -290,7 +290,7 @@ def _cayley(args: argparse.Namespace, parser: _Parser, fmt: str) -> str:
         monoid=args.monoid not in ("sing-tn",),
         symbols=list(assignment),
     )
-    return cayley_dot(monoid) if fmt == "dot" else _json(cayley_json(monoid))
+    return cayley_dot(monoid)
 
 
 def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .engine import DEFAULT_BUDGET, BudgetExceeded, closure
+from .equivalences import _find
 from .laws import CheckReport
 from .partitions import (
     Diagram,
@@ -542,10 +543,15 @@ def target_elements(name: str, n: int) -> list[Diagram]:
 class EnumerationResult:
     """Outcome of ``enumerate_presented``.
 
-    ``table`` is the right Cayley table of the quotient over the surviving
-    nodes, row 0 being the empty-word node.  For a semigroup presentation
-    that root node stands outside the semigroup, so ``size`` is one less
-    than the number of rows; for a monoid it is the row count.
+    ``table`` is the right Cayley table of the quotient, numbered by a
+    breadth-first search from the empty-word node in letter order: row 0 is
+    the empty word, and the rows then follow in order of first appearance.
+    That numbering depends only on the presented structure, never on the
+    order in which the enumeration allocated and merged nodes.  For a
+    semigroup presentation the root node stands outside the semigroup, so
+    ``size`` is one less than the number of rows; for a monoid it is the row
+    count.  ``node_budget_used`` counts the nodes allocated, merged ones
+    included, not the nodes live at the end.
     """
 
     status: str  # "completed" or "exhausted"
@@ -554,39 +560,80 @@ class EnumerationResult:
     node_budget_used: int
 
 
+def _prefix_table(
+    relations: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, int]]]:
+    """Share the relations' proper prefixes and name each relation's closing.
+
+    Slot 0 is the empty prefix; every other slot is a distinct proper prefix
+    of some relation side, stored as (parent slot, last letter) after its
+    parent.  A relation becomes ``(su, xu, sv, xv)``: side ``u`` ends with
+    letter ``xu`` after the prefix in slot ``su``, and likewise ``v``.  An
+    empty side is always ``v`` and has ``xv = -1``.  Relations with equal
+    sides and repeated closings are dropped.
+
+    >>> _prefix_table([((0, 1, 1), (0, 1)), ((1,), ())])
+    ([(0, 0), (1, 1)], [(2, 1, 1, 1), (0, 1, 0, -1)])
+    """
+    slot_of: dict[tuple[int, ...], int] = {(): 0}
+    slots: list[tuple[int, int]] = []
+
+    def end(side: tuple[int, ...]) -> tuple[int, int]:
+        for i in range(1, len(side)):
+            if side[:i] not in slot_of:
+                slot_of[side[:i]] = len(slot_of)
+                slots.append((slot_of[side[: i - 1]], side[i - 1]))
+        return slot_of[side[:-1]], side[-1]
+
+    closers: dict[tuple[int, int, int, int], None] = {}
+    for u, v in relations:
+        if u == v:
+            continue
+        if not u:
+            u, v = v, u
+        closer = (*end(u), *end(v)) if v else (*end(u), 0, -1)
+        closers.setdefault(closer, None)
+    return slots, list(closers)
+
+
 def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """Exactly enumerate the monoid or semigroup presented by ``pres``.
 
-    Completes the right Cayley graph of the quotient: starting from the
-    empty-word node, every scanned node first gets all its letter edges
-    (allocating fresh nodes), then both sides of every relation are traced
-    from it and the endpoints merged.  Merging never separates nodes, so
-    every equality established along the way survives to the end; when the
-    scan drains without exceeding ``budget`` allocated nodes, the surviving
-    table is exactly the presented structure.  On budget exhaustion the
-    result carries status ``"exhausted"`` and no size — never a wrong one.
+    Completes the right Cayley graph of the quotient in
+    Hazelgrove–Leech–Trotter order (Coleman, Mitchell, Smith & Tsalakou,
+    *The Todd–Coxeter algorithm for semigroups and monoids*, 2022): live
+    nodes are scanned in index order, starting from the empty-word node.  A
+    scanned node first gets all its letter edges.  Then every distinct
+    proper prefix of a relation side is traced from it once, through the
+    prefix table of :func:`_prefix_table`, allocating a node for each
+    missing edge.  Each relation ``u = v`` is then closed from its two
+    prefix endpoints by their last letters (scan and fill): if one last edge
+    is missing it is set to the other's end, if both are missing they get
+    one new node, and if they end at different nodes the two are queued to
+    merge.  The queued merges are processed before the next node is scanned.
+
+    Merging never separates nodes, so every equality established along the
+    way survives to the end; when the scan drains without exceeding
+    ``budget`` allocated nodes, the surviving table is exactly the presented
+    structure.  On budget exhaustion the result carries status
+    ``"exhausted"`` and no size — never a wrong one.
+
+    >>> enumerate_presented(schema("dn", 3)).size
+    5
     """
     if pres.kind == "semigroup":
         if not all(lhs and rhs for lhs, rhs in pres.relations):
             raise ValueError("semigroup relations must have nonempty sides")
     index = {symbol: a for a, symbol in enumerate(pres.alphabet)}
-    relations = [
+    slots, closers = _prefix_table(
         (tuple(index[x] for x in lhs), tuple(index[x] for x in rhs))
         for lhs, rhs in pres.relations
-    ]
+    )
     k = len(pres.alphabet)
 
     parent = [0]
     rows: list[list[int] | None] = [[-1] * k]
     pending: list[tuple[int, int]] = []
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
     def allocate() -> int:
         if len(parent) >= budget:
@@ -595,70 +642,90 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
         rows.append([-1] * k)
         return len(parent) - 1
 
-    def settle() -> None:
-        # Fold the edge rows of merged nodes together; clashing edges queue
-        # further merges.  The smaller index always survives as the root.
-        while pending:
-            a, b = pending.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-            row_b = rows[b]
-            rows[b] = None
-            row_a = rows[a]
-            for letter in range(k):
-                y = row_b[letter]
-                if y < 0:
-                    continue
-                if row_a[letter] < 0:
-                    row_a[letter] = y
-                else:
-                    pending.append((row_a[letter], y))
-
-    def trace(start: int, word: tuple[int, ...]) -> int:
-        cur = find(start)
-        for letter in word:
-            row = rows[cur]
-            nxt = row[letter]
-            if nxt < 0:
-                nxt = allocate()
-                row[letter] = nxt
-            cur = find(nxt)
-        return cur
-
     try:
         scan = 0
         while scan < len(parent):
-            if find(scan) != scan:
+            if parent[scan] != scan:
                 scan += 1
                 continue
             row = rows[scan]
             for letter in range(k):
                 if row[letter] < 0:
                     row[letter] = allocate()
-            for lhs, rhs in relations:
-                a = trace(scan, lhs)
-                b = trace(scan, rhs)
-                if a != b:
-                    pending.append((a, b))
-                    settle()
-                if find(scan) != scan:
-                    # this node just merged into an earlier one, which has
-                    # already traced every relation; move on
-                    break
+
+            # Trace every shared prefix once.  Merges wait until every
+            # relation is closed, so the rows in ``ends`` stay live.
+            ends = [row]
+            for slot, letter in slots:
+                row = ends[slot]
+                y = row[letter]
+                if y < 0:
+                    y = row[letter] = allocate()
+                elif parent[y] != y:
+                    y = row[letter] = _find(parent, y)
+                ends.append(rows[y])
+
+            for su, xu, sv, xv in closers:
+                row_u = ends[su]
+                y = row_u[xu]
+                if y >= 0 and parent[y] != y:
+                    y = row_u[xu] = _find(parent, y)
+                if xv < 0:
+                    z = scan  # u = 1 leads back to the scanned node
+                else:
+                    row_v = ends[sv]
+                    z = row_v[xv]
+                    if z >= 0 and parent[z] != z:
+                        z = row_v[xv] = _find(parent, z)
+                if y < 0:
+                    if z < 0:
+                        z = row_v[xv] = allocate()
+                    row_u[xu] = z
+                elif z < 0:
+                    row_v[xv] = y
+                elif y != z:
+                    pending.append((y, z))
+
+            # Fold the edge rows of merged nodes together; clashing edges
+            # queue further merges.  The smaller index survives as the root.
+            while pending:
+                a, b = pending.pop()
+                if parent[a] != a:
+                    a = _find(parent, a)
+                if parent[b] != b:
+                    b = _find(parent, b)
+                if a == b:
+                    continue
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+                row_a, row_b = rows[a], rows[b]
+                rows[b] = None
+                for letter, y in enumerate(row_b):
+                    if y >= 0:
+                        z = row_a[letter]
+                        if z < 0:
+                            row_a[letter] = y
+                        elif z != y:
+                            pending.append((z, y))
             scan += 1
     except BudgetExceeded:
         return EnumerationResult("exhausted", None, None, len(parent))
 
-    live = [x for x in range(len(parent)) if find(x) == x]
-    number = {x: i for i, x in enumerate(live)}
-    table = tuple(
-        tuple(number[find(rows[x][letter])] for letter in range(k)) for x in live
-    )
-    size = len(live) if pres.kind == "monoid" else len(live) - 1
+    # Number the live nodes in breadth-first order from the root.
+    number = [-1] * len(parent)
+    number[0] = 0
+    order = [0]
+    for x in order:
+        row = rows[x]
+        for letter, y in enumerate(row):
+            if parent[y] != y:
+                y = row[letter] = _find(parent, y)
+            if number[y] < 0:
+                number[y] = len(order)
+                order.append(y)
+    table = tuple(tuple(number[y] for y in rows[x]) for x in order)
+    size = len(order) if pres.kind == "monoid" else len(order) - 1
     return EnumerationResult("completed", size, table, len(parent))
 
 

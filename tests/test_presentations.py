@@ -258,11 +258,9 @@ def test_enumerate_respects_budget():
     assert out.node_budget_used >= 5
 
 
-@pytest.mark.parametrize("name,n", [("dn", 3), ("on", 3), ("sing-tn", 2), ("full-yq", 3)])
-def test_completed_table_satisfies_all_relations(name, n):
-    pres = schema(name, n)
-    out = enumerate_presented(pres)
+def assert_table_satisfies_relations(pres, out):
     assert out.status == "completed"
+    assert len(out.table) == out.size + (pres.kind == "semigroup")
     index = {symbol: k for k, symbol in enumerate(pres.alphabet)}
 
     def trace(node, word):
@@ -283,6 +281,39 @@ def test_completed_table_satisfies_all_relations(name, n):
                 seen.add(succ)
                 frontier.append(succ)
     assert seen == set(range(len(out.table)))
+
+
+@pytest.mark.parametrize("name,n", [("dn", 3), ("on", 3), ("sing-tn", 2), ("full-yq", 3)])
+def test_completed_table_satisfies_all_relations(name, n):
+    pres = schema(name, n)
+    assert_table_satisfies_relations(pres, enumerate_presented(pres))
+
+
+def _adhoc(kind, alphabet, *relations):
+    return Presentation("adhoc", 2, kind, tuple(alphabet), tuple(
+        (tuple(lhs), tuple(rhs)) for lhs, rhs in relations
+    ))
+
+
+@pytest.mark.parametrize("pres,size", [
+    # w = 1 with |w| >= 2: the cyclic group of order 3, and the Klein group
+    (_adhoc("monoid", "a", ("aaa", "")), 3),
+    (_adhoc("monoid", "ab", ("aa", ""), ("", "bb"), ("abab", "")), 4),
+    # identical sides, before and after a real relation
+    (_adhoc("monoid", "a", ("aa", "aa"), ("aaa", "a"), ("", "")), 3),
+    # a duplicated relation, once with its sides swapped
+    (_adhoc("monoid", "a", ("aaa", "a"), ("aaa", "a"), ("a", "aaa")), 3),
+    # two sides sharing the prefix aaaa: they force ab = a in {1, a, b, ab}
+    (_adhoc("monoid", "ab", ("aa", "a"), ("bb", "b"), ("ab", "ba"), ("aaaab", "aaaaa")), 3),
+    # semigroups: the root row is not an element
+    (_adhoc("semigroup", "a", ("aaa", "a")), 2),
+    (_adhoc("semigroup", "ab", ("aa", "a"), ("bb", "b"), ("ab", "b"), ("ba", "a")), 2),
+], ids=["cyclic", "klein", "identical-sides", "duplicated", "shared-prefix",
+        "semigroup-monogenic", "semigroup-right-zero"])
+def test_enumerate_closing_edge_cases(pres, size):
+    out = enumerate_presented(pres)
+    assert out.size == size
+    assert_table_satisfies_relations(pres, out)
 
 
 # -- end-to-end verification -----------------------------------------------------------
