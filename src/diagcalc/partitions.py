@@ -64,7 +64,16 @@ class Diagram(_Canonical):
 
     __slots__ = ()
 
-    def __init__(self, n: int, labels: Sequence[object]):
+    def __init__(self, n: int, labels: Sequence[object], _canonical: bool = False):
+        # ``_canonical=True`` is the trusted path for the library's own
+        # producers of ``2n`` labels that are already a restricted-growth
+        # tuple: it skips the length check and ``_normalize``.  It is a flag
+        # here rather than a separate constructor so that a profiler wrapping
+        # ``__init__`` still sees every construction.
+        if _canonical:
+            self.n = n
+            self.labels = labels
+            return
         if len(labels) != 2 * n:
             raise ValueError(f"a degree-{n} diagram needs {2 * n} labels, got {len(labels)}")
         self.n = n
@@ -243,6 +252,14 @@ class Membership:
 def multiply(a: Diagram, b: Diagram) -> Diagram:
     """Stack ``a`` on top of ``b`` and contract the middle row.
 
+    The union-find runs over blocks, not points: node ``l`` is ``a``'s block
+    ``l`` and node ``2n + l`` is ``b``'s block ``l`` (either factor has at
+    most ``2n`` blocks).  Middle point ``i`` glues ``a``'s block of ``i'`` to
+    ``b``'s block of ``i``, so there are exactly ``n`` unions.  One pass over
+    ``a``'s upper row and then ``b``'s lower row numbers the roots by first
+    occurrence, so the output is canonical by construction and is never
+    normalised again.
+
     >>> t = collapse(2, 1, 2)   # 2 -> 1
     >>> s = transposition(2, 1)
     >>> multiply(t, s).text()
@@ -251,26 +268,48 @@ def multiply(a: Diagram, b: Diagram) -> Diagram:
     if a.n != b.n:
         raise ValueError(f"degrees must match, got {a.n} and {b.n}")
     n = a.n
-    parent = list(range(3 * n))
-    # a's points occupy nodes 0..2n-1, b's occupy nodes n..3n-1: a's lower
-    # row and b's upper row share the middle band n..2n-1.
-    for labels, shift in ((a.labels, 0), (b.labels, n)):
-        seen: dict[int, int] = {}
-        for pos, label in enumerate(labels):
-            node = pos + shift
-            if label in seen:
-                root = _find(parent, seen[label])
-                parent[_find(parent, node)] = root
-            else:
-                seen[label] = node
-    result = [_find(parent, x) for x in range(n)]
-    result += [_find(parent, x) for x in range(2 * n, 3 * n)]
-    return Diagram(n, result)
+    al, bl = a.labels, b.labels
+    shift = 2 * n
+    parent = list(range(4 * n))
+    # each lookup steps to the parent inline and calls ``_find`` only when
+    # that parent is not yet a root
+    for x, y in zip(al[n:], bl[:n]):
+        x = parent[x]
+        if parent[x] != x:
+            x = _find(parent, x)
+        y = parent[y + shift]
+        if parent[y] != y:
+            y = _find(parent, y)
+        parent[y] = x
+    code = [-1] * (4 * n)
+    out: list[int] = []
+    push = out.append
+    fresh = 0
+    for x in al[:n]:
+        x = parent[x]
+        if parent[x] != x:
+            x = _find(parent, x)
+        c = code[x]
+        if c < 0:
+            c = code[x] = fresh
+            fresh += 1
+        push(c)
+    for x in bl[n:]:
+        x = parent[x + shift]
+        if parent[x] != x:
+            x = _find(parent, x)
+        c = code[x]
+        if c < 0:
+            c = code[x] = fresh
+            fresh += 1
+        push(c)
+    # ``_canonical`` passed by position: the keyword costs a few percent here
+    return Diagram(n, tuple(out), True)
 
 
 def identity(n: int) -> Diagram:
     """Blocks ``{x, x'}`` for every point."""
-    return Diagram(n, tuple(range(n)) * 2)
+    return Diagram(n, tuple(range(n)) * 2, _canonical=True)
 
 
 def from_transformation(images: Sequence[int]) -> Diagram:
@@ -322,7 +361,7 @@ def embed(eq: Equivalence) -> Diagram:
     >>> embed(atom(3, 1, 2)).text()
     '[[1,2,-1,-2],[3,-3]]'
     """
-    return Diagram(eq.n, eq.labels + eq.labels)
+    return Diagram(eq.n, eq.labels + eq.labels, _canonical=True)
 
 
 def merge(n: int, i: int, j: int) -> Diagram:
@@ -399,7 +438,7 @@ def range_cap(d: Diagram) -> Diagram:
 def all_diagrams(n: int) -> Iterator[Diagram]:
     """All diagrams of degree ``n`` in lexicographic order of the encoding."""
     for labels in restricted_growth_sequences(2 * n):
-        yield Diagram(n, labels)
+        yield Diagram(n, labels, _canonical=True)
 
 
 FAMILY_NAMES = (

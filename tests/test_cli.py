@@ -144,6 +144,40 @@ def test_verify_budget_exhaustion(capsys):
     assert report["budget"] == 20
 
 
+def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
+    import diagcalc.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an axiom scan started over the budget")
+
+    for name in ("check_ehresmann", "check_restriction", "check_grrac", "from_elements"):
+        monkeypatch.setattr(cli, name, never)
+    # P4 has 4,140 elements: 17,139,600 pairs against the default 2,000,000
+    for extra in ([], ["--expect-fail"]):
+        code, report = run_json(capsys, "verify", "--target", "ehresmann", "--monoid", "pn",
+                                "--n", "4", *extra)
+        assert code == 2
+        assert report["status"] == "exhausted" and report["budget"] == 2_000_000
+        assert report["carrier_size"] == 4140 and "checks" not in report
+    code, out = run(capsys, "verify", "--target", "restriction", "--n", "3",
+                    "--budget", "100", "--format", "text")
+    assert code == 2
+    assert out == "target=restriction n=3 status=exhausted carrier_size=52 pairs=2704\n"
+    monkeypatch.setenv("DIAGCALC_BUDGET", "399")
+    code, report = run_json(capsys, "verify", "--target", "grrac", "--n", "3")
+    assert code == 2 and report["carrier_size"] == 20
+
+
+def test_law_scan_budget_bound_is_inclusive(capsys):
+    # PP3fd has 20 elements: 400 pairs fit a budget of 400, not of 100
+    code, report = run_json(capsys, "verify", "--target", "grrac", "--n", "3",
+                            "--budget", "100")
+    assert code == 2 and report["status"] == "exhausted"
+    code, report = run_json(capsys, "verify", "--target", "grrac", "--n", "3",
+                            "--budget", "400")
+    assert code == 0 and report["status"] == "verified"
+
+
 def test_budget_env_and_override(capsys, monkeypatch):
     monkeypatch.setenv("DIAGCALC_BUDGET", "20")
     code, report = run_json(capsys, "verify", "--target", "full-yq", "--n", "3")

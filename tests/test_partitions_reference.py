@@ -1,16 +1,21 @@
-"""Differential test: ``Diagram``'s views against separate bucket passes.
+"""Differential tests: ``Diagram``'s views against separate bucket passes,
+and the block-level ``multiply`` against the point-level one.
 
 The reference views below are the versions that the single bucket pass
 ``Diagram._parts`` replaced: ``blocks`` and ``structure`` each bucket the
 labels on their own, ``classify`` reads ``structure`` and checks order
 preservation on the images, ``to_transformation`` rebuilds the diagram of
 the map it read off and compares, and the predicate families are filtered
-from all diagrams by the reference ``classify``.  Both sides must agree on
-every diagram at small degree and on seeded random diagrams above that.
+from all diagrams by the reference ``classify``.  ``ref_multiply`` is the
+product that ``multiply``'s block-level union-find replaced: a union-find over
+all ``3n`` points whose output goes through ``Diagram``'s normalising
+constructor.  Both sides must agree on every diagram (or pair) at small
+degree and on seeded random ones above that.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,9 +26,13 @@ from diagcalc.partitions import (
     Membership,
     Structure,
     all_diagrams,
+    embed,
     family,
     from_transformation,
+    identity,
+    multiply,
 )
+from diagcalc.equivalences import _find, all_equivalences, restricted_growth_sequences
 
 
 def ref_blocks(d: Diagram) -> tuple[tuple[int, ...], ...]:
@@ -188,3 +197,63 @@ def test_families_match_reference_filters(n):
     for name, keep in REF_FAMILIES.items():
         assert family(name, n) == [d for d, m in flags if keep(d, m)], (name, n)
 
+
+
+def ref_multiply(a: Diagram, b: Diagram) -> Diagram:
+    if a.n != b.n:
+        raise ValueError(f"degrees must match, got {a.n} and {b.n}")
+    n = a.n
+    parent = list(range(3 * n))
+    # a's points occupy nodes 0..2n-1, b's occupy nodes n..3n-1: a's lower
+    # row and b's upper row share the middle band n..2n-1.
+    for labels, shift in ((a.labels, 0), (b.labels, n)):
+        seen: dict[int, int] = {}
+        for pos, label in enumerate(labels):
+            node = pos + shift
+            if label in seen:
+                root = _find(parent, seen[label])
+                parent[_find(parent, node)] = root
+            else:
+                seen[label] = node
+    result = [_find(parent, x) for x in range(n)]
+    result += [_find(parent, x) for x in range(2 * n, 3 * n)]
+    return Diagram(n, result)
+
+
+def assert_products_match(pairs) -> None:
+    for a, b in pairs:
+        got = multiply(a, b)
+        assert got == ref_multiply(a, b), (a, b)
+        # the kernel's output is stored as built: it must already be canonical
+        assert type(got.labels) is tuple, (a, b)
+        assert got.labels == Diagram(got.n, got.labels).labels, (a, b)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_multiply_matches_reference_exhaustively(n):
+    # degrees 0 and 1 included; n = 3 is all 203**2 pairs
+    assert_products_match(itertools.product(all_diagrams(n), repeat=2))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_multiply_matches_reference_random(n):
+    rng = random.Random(2000 + n)
+    pool = list(_random_diagrams(rng, n))
+    assert_products_match((rng.choice(pool), rng.choice(pool)) for _ in range(3000))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_trusted_constructor_matches_normalising_one(n):
+    built = [(Diagram(n, labels, _canonical=True), Diagram(n, labels))
+             for labels in restricted_growth_sequences(2 * n)]
+    for trusted, checked in built:
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.labels == checked.labels and type(trusted) is Diagram
+        assert not hasattr(trusted, "__dict__")
+    for (t1, c1), (t2, c2) in itertools.product(built, repeat=2):
+        assert (t1 < t2) == (c1 < c2) == (t1 < c2)
+    # the producers that now skip normalisation
+    assert identity(n) == Diagram(n, list(range(n)) * 2)
+    assert list(all_diagrams(n)) == [checked for _, checked in built]
+    for eq in all_equivalences(n):
+        assert embed(eq) == Diagram(n, eq.labels + eq.labels)
