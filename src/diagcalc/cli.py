@@ -32,7 +32,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .counting import bell, catalan, order_preserving_count
+from .counting import (
+    bell,
+    catalan,
+    full_domain_count,
+    order_preserving_count,
+    planar_full_domain_count,
+)
 from .engine import DEFAULT_BUDGET, cayley_dot, closure, from_elements
 from .equivalences import cap_word
 from .laws import (
@@ -215,7 +221,12 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | in
     scan's ``size**2`` pairs exceed the budget."""
     n = args.n
     if args.target in _PAIR_SCANS:
-        carrier = family(args.monoid or _PAIR_SCANS[args.target], n)
+        name = args.monoid or _PAIR_SCANS[args.target]
+        # a negative degree gets ``family``'s error message
+        counted = _CARRIER_COUNTS.get(name) if n >= 0 else None
+        if counted and (size := counted(n)) ** 2 > budget:
+            return size
+        carrier = family(name, n)
         if len(carrier) ** 2 > budget:
             return len(carrier)
         monoid = from_elements(n, carrier)
@@ -242,6 +253,10 @@ _CLOSED_FORMS = {
     "sn": math.factorial,
     "pen": lambda n: max(2 ** (n - 1), 1),
 }
+
+# carrier sizes counted without building the carrier, so that an over-budget
+# pair scan stops before ``family`` runs
+_CARRIER_COUNTS = {**_CLOSED_FORMS, "pnfd": full_domain_count, "ppnfd": planar_full_domain_count}
 
 # families whose right Cayley graph we can export, with the schema whose
 # standard assignment provides the generating set

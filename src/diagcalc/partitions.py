@@ -173,11 +173,15 @@ class Diagram(_Canonical):
         )
 
     def ker(self) -> Equivalence:
-        """Restriction to the upper row."""
-        return Equivalence(self.n, self.labels[: self.n])
+        """Restriction to the upper row.
+
+        A canonical diagram's upper labels are already restricted-growth.
+        """
+        return Equivalence(self.n, self.labels[: self.n], _canonical=True)
 
     def coker(self) -> Equivalence:
-        """Restriction to the lower row."""
+        """Restriction to the lower row (renumbered: its labels need not
+        start at 0)."""
         return Equivalence(self.n, self.labels[self.n :])
 
     def rank(self) -> int:
@@ -247,6 +251,39 @@ class Membership:
     planar: bool
     planar_full_domain: bool
     cap: bool
+
+
+# Membership tests on a diagram's two label rows, ``up = labels[:n]`` and
+# ``lo = labels[n:]``.  They read nothing but the labels, for callers that
+# test many diagrams against one family without listing it.
+Row = tuple[int, ...]
+
+
+def _rows_full_domain(up: Row, lo: Row) -> bool:
+    return set(up).issubset(lo)
+
+
+def _rows_transformation(up: Row, lo: Row) -> bool:
+    return len(set(lo)) == len(lo) and _rows_full_domain(up, lo)
+
+
+def _rows_order_preserving(up: Row, lo: Row) -> bool:
+    if not _rows_transformation(up, lo):
+        return False
+    images = [lo.index(label) for label in up]
+    return images == sorted(images)
+
+
+def _rows_planar_full_domain(up: Row, lo: Row) -> bool:
+    return _rows_full_domain(up, lo) and noncrossing(up + lo[::-1])
+
+
+def _rows_cap(up: Row, lo: Row) -> bool:
+    """Planar full domain, and each transversal's upper and lower ends coincide."""
+    pu, pl = up[::-1], lo[::-1]
+    return _rows_planar_full_domain(up, lo) and all(
+        up.index(b) == lo.index(b) and pu.index(b) == pl.index(b) for b in set(up)
+    )
 
 
 def multiply(a: Diagram, b: Diagram) -> Diagram:

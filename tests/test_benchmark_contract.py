@@ -2,11 +2,12 @@
 
 ``perfbench/tracing.py`` looks methods up in their class's own ``__dict__``
 and functions in the ``diagcalc`` modules, so moving one of its targets (to
-a base class, say) would crash every traced benchmark run.  This test only
-reads ``perfbench/``.
+a base class, say) would crash every traced benchmark run.  The harness's
+own self-tests must pass too.  These tests only read and run ``perfbench/``.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +24,13 @@ def test_every_tracing_target_resolves(monkeypatch):
         for name in attribute.split("."):
             owner = getattr(owner, name)
         assert owner in originals, f"{module}.{attribute}"
+
+
+def test_harness_self_tests_pass():
+    # ``testpaths`` holds only ``tests``, so the harness's own unittest
+    # suite would otherwise never run with the rest
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "test_harness.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

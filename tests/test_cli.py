@@ -168,6 +168,34 @@ def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
     assert code == 2 and report["carrier_size"] == 20
 
 
+def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
+    import diagcalc.cli as cli
+    from diagcalc.partitions import family
+
+    for monoid, count in cli._CARRIER_COUNTS.items():
+        assert [count(n) for n in range(5)] == [len(family(monoid, n)) for n in range(5)]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the carrier was built over the budget")
+
+    monkeypatch.setattr(cli, "family", never)
+    # P6 alone is Bell(12) = 4,213,597 diagrams
+    for target, monoid, n, size in [
+        ("ehresmann", "pn", 6, 4213597),
+        ("restriction", "ppn", 5, 16796),
+        ("ehresmann", "pnfd", 5, 19921),
+        ("grrac", "ppnfd", 7, 23256),
+    ]:
+        code, report = run_json(capsys, "verify", "--target", target, "--monoid", monoid,
+                                "--n", str(n))
+        assert code == 2 and report["status"] == "exhausted"
+        assert report["carrier_size"] == size and "checks" not in report
+    code, out = run(capsys, "verify", "--target", "grrac", "--n", "4", "--budget", "12099",
+                    "--format", "text")
+    assert code == 2
+    assert out == "target=grrac n=4 status=exhausted carrier_size=110 pairs=12100\n"
+
+
 def test_law_scan_budget_bound_is_inclusive(capsys):
     # PP3fd has 20 elements: 400 pairs fit a budget of 400, not of 100
     code, report = run_json(capsys, "verify", "--target", "grrac", "--n", "3",

@@ -32,7 +32,12 @@ from diagcalc.partitions import (
     identity,
     multiply,
 )
-from diagcalc.equivalences import _find, all_equivalences, restricted_growth_sequences
+from diagcalc.equivalences import (
+    Equivalence,
+    _find,
+    all_equivalences,
+    restricted_growth_sequences,
+)
 
 
 def ref_blocks(d: Diagram) -> tuple[tuple[int, ...], ...]:
@@ -257,3 +262,24 @@ def test_trusted_constructor_matches_normalising_one(n):
     assert list(all_diagrams(n)) == [checked for _, checked in built]
     for eq in all_equivalences(n):
         assert embed(eq) == Diagram(n, eq.labels + eq.labels)
+
+
+def assert_kernels_match(diagrams) -> None:
+    for d in diagrams:
+        ker, checked = d.ker(), Equivalence(d.n, d.labels[: d.n])
+        assert ker == checked and hash(ker) == hash(checked), d
+        assert ker.labels == checked.labels and type(ker.labels) is tuple, d
+        assert d.coker().labels == Equivalence(d.n, d.labels[d.n :]).labels, d
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_trusted_kernel_matches_normalising_one(n):
+    assert_kernels_match(all_diagrams(n))
+    assert list(all_equivalences(n)) == [
+        Equivalence(n, labels) for labels in restricted_growth_sequences(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_trusted_kernel_matches_normalising_one_random(n):
+    assert_kernels_match(_random_diagrams(random.Random(3000 + n), n))

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from diagcalc.counting import catalan
 from diagcalc.equivalences import all_equivalences, cap_word
 from diagcalc.partitions import (
     Diagram,
+    all_diagrams,
     cap,
     cap_atom,
     collapse,
@@ -205,23 +207,147 @@ def test_soundness_prints_empty_side_as_one():
     assert rep.witness[:2] == ("a", "1")
 
 
+def ref_check_soundness(pres, assignment):
+    """The soundness loop that prefix sharing replaced: every side of every
+    relation multiplied out from the identity on its own."""
+    checked = 0
+    for lhs, rhs in pres.relations:
+        checked += 1
+        left = eval_word(assignment, lhs)
+        right = eval_word(assignment, rhs)
+        if left != right:
+            witness = (" ".join(lhs) or "1", " ".join(rhs) or "1", left.text(), right.text())
+            return False, witness, checked
+    return True, None, checked
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_soundness_matches_reference(n):
+    rng = random.Random(n)
+    for name in SCHEMA_NAMES:
+        pres, assignment = schema(name, n), standard_assignment(name, n)
+        # the standard images, and the same images dealt to the wrong symbols
+        dealt = list(assignment.values())
+        rng.shuffle(dealt)
+        for images in (assignment, dict(zip(assignment, dealt))):
+            rep = check_soundness(pres, images)
+            holds, witness, checked = ref_check_soundness(pres, images)
+            assert (rep.holds, rep.witness, rep.counts["checked"]) == (holds, witness, checked)
+            assert rep.counts["relations"] == len(pres.relations)
+
+
 # -- concrete targets ---------------------------------------------------------------
 
 
+# The list-building ``target_elements`` that the counted target replaced,
+# kept as the oracle: each schema's model filtered out of ``family()``.
+REF_TARGET_FAMILIES = {
+    "sing-xr": "pnfd",
+    "full-yq": "pnfd",
+    "planar-zo": "ppnfd",
+    "planar-intermediate": "ppnfd",
+}
+
+
+def ref_target_elements(name: str, n: int) -> list[Diagram]:
+    out = family(REF_TARGET_FAMILIES.get(name, name), n)
+    if name == "sing-xr":
+        units = set(family("sn", n))
+        out = [d for d in out if d not in units]
+    return out
+
+
+# Each schema's model read off ``classify()``, for degrees where listing
+# ``family()`` would scan too many diagrams.
+REF_MEMBERSHIP = {
+    "sing-xr": lambda m: m.full_domain and not m.permutation,
+    "full-yq": lambda m: m.full_domain,
+    "planar-zo": lambda m: m.planar_full_domain,
+    "dn": lambda m: m.cap,
+    "en": lambda m: m.projection,
+    "sing-tn": lambda m: m.transformation and not m.permutation,
+    "tn": lambda m: m.transformation,
+    "fn": lambda m: m.uniform_block_bijection,
+    "on": lambda m: m.order_preserving,
+    "planar-intermediate": lambda m: m.planar_full_domain,
+}
+
+
 def test_target_elements_match_families():
-    for name, fam, n in [
-        ("dn", "dn", 4),
-        ("en", "en", 3),
-        ("tn", "tn", 3),
-        ("sing-tn", "sing-tn", 3),
-        ("fn", "fn", 3),
-        ("on", "on", 4),
-        ("full-yq", "pnfd", 3),
-        ("planar-zo", "ppnfd", 4),
-        ("planar-intermediate", "ppnfd", 3),
-    ]:
-        assert target_elements(name, n) == sorted(family(fam, n))
+    assert set(REF_MEMBERSHIP) == set(SCHEMA_NAMES)
+    for name, n in itertools.product(SCHEMA_NAMES, range(2, 6)):
+        target = target_elements(name, n)
+        model = ref_target_elements(name, n)
+        assert len(target) == len(model), (name, n)
+        assert all(d in target for d in model), (name, n)
     assert len(target_elements("sing-xr", 3)) == 46
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_target_membership_exhaustive(n):
+    everything = list(all_diagrams(n))
+    for name in SCHEMA_NAMES:
+        target, model = target_elements(name, n), set(ref_target_elements(name, n))
+        assert [d for d in everything if d in target] == sorted(model), (name, n)
+
+
+def _random_candidates(rng: random.Random, name: str, n: int):
+    # random labels reach few members, so add random generator words (all
+    # members) and random maps, order-preserving ones and permutations
+    images = list(standard_assignment(name, n).values())
+    for _ in range(100):
+        blocks = rng.randint(1, 2 * n)
+        yield Diagram(n, [rng.randrange(blocks) for _ in range(2 * n)])
+        d = rng.choice(images)
+        for _ in range(rng.randrange(12)):
+            d = multiply(d, rng.choice(images))
+        yield d
+        maps = [rng.randint(1, n) for _ in range(n)]
+        yield from_transformation(maps)
+        yield from_transformation(sorted(maps))
+        yield from_transformation(rng.sample(range(1, n + 1), n))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_target_membership_random(n):
+    for name in SCHEMA_NAMES:
+        target, keep = target_elements(name, n), REF_MEMBERSHIP[name]
+        hits = 0
+        for d in _random_candidates(random.Random(f"{name}-{n}"), name, n):
+            assert (d in target) == keep(d.classify()), (name, d)
+            hits += d in target
+        assert hits >= 100, name
+
+
+def test_target_is_counted_without_listing_diagrams(monkeypatch):
+    import diagcalc.partitions as partitions
+    import diagcalc.presentations as presentations
+
+    def never(*args, **kwargs):
+        raise AssertionError("the target listed diagrams")
+
+    for module in (partitions, presentations):
+        for name in ("all_diagrams", "family"):
+            monkeypatch.setattr(module, name, never, raising=False)
+    # full-yq 6 presents Pnfd(6): Bell(12) = 4,213,597 candidate diagrams
+    rep = verify_presentation("full-yq", 6, budget=100)
+    assert rep.status == "exhausted" and rep.target_size == 614866
+    assert len(target_elements("planar-zo", 6)) == 3808
+    assert identity(5) not in target_elements("tn", 6)
+
+
+def test_generation_checks_membership_not_only_size(monkeypatch):
+    import diagcalc.presentations as presentations
+
+    # dn's count with a membership test that only the identity passes: the
+    # closure has the right size but is not the model
+    def only_identity(up, lo):
+        return up == lo == tuple(range(len(up)))
+
+    monkeypatch.setitem(presentations._TARGETS, "dn", (catalan, only_identity))
+    rep = verify_presentation("dn", 3)
+    assert rep.status == "refuted" and rep.sound
+    assert rep.target_size == rep.closure_size == 5 and rep.enumerated_size is None
 
 
 # -- exact enumeration ---------------------------------------------------------------
