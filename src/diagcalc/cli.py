@@ -10,16 +10,19 @@ Four subcommands:
                  right factor, with a generator word that replays it;
 * ``render``     draw a diagram as deterministic SVG.
 
-Usage errors exit 3; any other uncaught exception exits 4 (internal error)
-with a one-line message on stderr.  All reports are deterministic for a
-fixed input and library version: JSON is emitted with sorted keys and no
-timestamps, so two identical runs produce identical bytes.  The budget
-defaults to the ``DIAGCALC_BUDGET`` environment variable when set, and
-``--budget`` overrides both.  It bounds the coset nodes of presentation
-enumeration and the pairs of the ``ehresmann``, ``restriction`` and
-``grrac`` law scans: a carrier of ``k`` elements whose ``k**2`` pairs exceed
-it is reported as exhausted before any axiom is scanned.  ``action-pair``
-and ``theta-laws`` are not bounded by it.
+Usage errors exit 3.  A generator closure in ``enumerate --format dot`` or
+``factorize`` that outgrows the default budget exits 2 (inconclusive), and
+any other uncaught exception exits 4 (internal error); both print a one-line
+message on stderr.  All reports are deterministic for a fixed input and
+library version: JSON is emitted with sorted keys and no timestamps, so two
+identical runs produce identical bytes.
+
+The ``verify`` budget defaults to the ``DIAGCALC_BUDGET`` environment
+variable when set, and ``--budget`` overrides both.  It bounds the coset
+nodes of presentation enumeration and the pairs of the ``ehresmann``,
+``restriction`` and ``grrac`` law scans: a carrier of ``k`` elements whose
+``k**2`` pairs exceed it is reported as exhausted before any axiom is
+scanned.  ``action-pair`` and ``theta-laws`` are not bounded by it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .counting import (
     order_preserving_count,
     planar_full_domain_count,
 )
-from .engine import DEFAULT_BUDGET, cayley_dot, closure, from_elements
+from .engine import DEFAULT_BUDGET, BudgetExceeded, cayley_dot, closure, from_elements
 from .equivalences import cap_word
 from .laws import (
     CheckReport,
@@ -57,6 +60,7 @@ from .presentations import (
     derived_word,
     eval_word,
     factor_product,
+    schema,
     standard_assignment,
     sym_cap,
     sym_s,
@@ -306,36 +310,28 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
 def _cayley(args: argparse.Namespace, parser: _Parser) -> str:
     schema_name = _GRAPH_GENERATORS.get(args.monoid)
     if schema_name is None:
-        if args.monoid == "sn":
-            assignment = {sym_s(i): transposition(args.n, i) for i in range(1, args.n)}
-        else:
+        if args.monoid != "sn":
             parser.error(
                 f"no standard generating set for {args.monoid!r}; "
                 f"graph export supports {', '.join(sorted({*_GRAPH_GENERATORS, 'sn'}))}"
             )
+        symbols = [sym_s(i) for i in range(1, args.n)]
+        images = [transposition(args.n, i) for i in range(1, args.n)]
+        monoid = True
     else:
         try:
-            assignment = standard_assignment(schema_name, args.n)
+            pres = schema(schema_name, args.n)
         except ValueError as exc:
             parser.error(str(exc))
-    monoid = closure(
-        args.n,
-        list(assignment.values()),
-        monoid=args.monoid not in ("sing-tn",),
-        symbols=list(assignment),
-    )
-    return cayley_dot(monoid)
+        symbols, images, monoid = pres.alphabet, pres.images, pres.kind == "monoid"
+    return cayley_dot(closure(args.n, images, monoid=monoid, symbols=symbols))
 
 
 def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:
     """A generator word for the left factor, over the matching alphabet."""
-    if mode == "on-dn":
-        assignment = standard_assignment("on", n)
-    else:
-        assignment = standard_assignment("tn", n)
-    monoid = closure(n, list(assignment.values()), symbols=list(assignment))
-    index_word = monoid.word_for(left)
-    return tuple(monoid.symbols[k] for k in index_word)
+    pres = schema("on" if mode == "on-dn" else "tn", n)
+    monoid = closure(n, pres.images)
+    return tuple(pres.alphabet[k] for k in monoid.word_for(left))
 
 
 def _right_factor_word(n: int, right: Diagram, mode: str) -> tuple[str, ...]:
@@ -430,6 +426,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }[args.command]
     try:
         return command(args, parser)
+    except BudgetExceeded as exc:  # inconclusive, whatever --expect-fail says
+        print(f"{parser.prog}: inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except Exception as exc:  # a crash must never read as a verdict
         message = " ".join(str(exc).split())
         print(f"{parser.prog}: internal error: {type(exc).__name__}: {message}", file=sys.stderr)

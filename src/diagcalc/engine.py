@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .equivalences import _normalize
+from .equivalences import Equivalence, _normalize, join
 from .partitions import Diagram, identity, multiply
 
 DEFAULT_BUDGET = 2_000_000
@@ -343,14 +343,15 @@ def _strongly_connected(size: int, edges: list[list[int]]) -> tuple[int, ...]:
 
 
 def green(m: FiniteMonoid) -> GreenClasses:
-    """Green's R, L, J and H classes via Cayley-graph reachability."""
+    """Green's R, L, J and H classes of a carrier closed under multiplication.
+
+    R and L are the strongly connected components of the right and left
+    Cayley graphs; in a finite semigroup J = D = R ∨ L, and H = R ∧ L.
+    """
     size = len(m)
-    right_edges = [sorted(set(row)) for row in m.right]
-    left_edges = [sorted(set(row)) for row in m.left_table()]
-    r_of = _strongly_connected(size, right_edges)
-    l_of = _strongly_connected(size, left_edges)
-    both = [sorted(set(a) | set(b)) for a, b in zip(right_edges, left_edges)]
-    j_of = _strongly_connected(size, both)
+    r_of = _strongly_connected(size, [sorted(set(row)) for row in m.right])
+    l_of = _strongly_connected(size, [sorted(set(row)) for row in m.left_table()])
+    j_of = join(Equivalence(size, r_of), Equivalence(size, l_of)).labels
     return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
 
 
@@ -396,18 +397,17 @@ def band_type(m: FiniteMonoid) -> BandReport:
 
 
 def units_and_singular(m: FiniteMonoid) -> tuple[list[int], list[int]]:
-    """Indices of the invertible elements and of everything else."""
-    ident = m.identity_index
-    units: list[int] = []
-    if ident is not None:
-        for x in range(len(m)):
-            for y in range(len(m)):
-                if m.product(x, y) == ident and m.product(y, x) == ident:
-                    units.append(x)
-                    break
-    unit_set = set(units)
-    singular = [x for x in range(len(m)) if x not in unit_set]
-    return units, singular
+    """Indices of the invertible elements and of everything else.
+
+    The units of a finite monoid are the H-class of its identity (Howie,
+    *Fundamentals of Semigroup Theory*, 1995, ch. 2), read off :func:`green`.
+    """
+    if m.identity_index is None:
+        return [], list(range(len(m)))
+    h_of = green(m).h_class_of
+    unit_class = h_of[m.identity_index]
+    units = [x for x in range(len(m)) if h_of[x] == unit_class]
+    return units, [x for x in range(len(m)) if h_of[x] != unit_class]
 
 
 # -- Cayley graph export ---------------------------------------------------

@@ -100,14 +100,7 @@ class Equivalence(_Canonical):
 
     __slots__ = ()
 
-    def __init__(self, n: int, labels: Sequence[int], _canonical: bool = False):
-        # ``_canonical=True`` is the trusted path for the library's own
-        # producers of ``n`` labels that are already a restricted-growth
-        # tuple, as ``Diagram`` has it: no length check, no ``_normalize``.
-        if _canonical:
-            self.n = n
-            self.labels = labels
-            return
+    def __init__(self, n: int, labels: Sequence[int]):
         if n < 0 or len(labels) != n:
             raise ValueError(f"an equivalence on {n} points needs {n} labels, got {len(labels)}")
         self.n = n
@@ -238,7 +231,7 @@ def join(a: Equivalence, b: Equivalence) -> Equivalence:
 def all_equivalences(n: int) -> Iterator[Equivalence]:
     """All equivalences on ``{1..n}`` in lexicographic order of the encoding."""
     for labels in restricted_growth_sequences(n):
-        yield Equivalence(n, labels, _canonical=True)
+        yield Equivalence(n, labels)
 
 
 def restricted_growth_sequences(length: int) -> Iterator[tuple[int, ...]]:

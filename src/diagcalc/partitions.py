@@ -173,11 +173,8 @@ class Diagram(_Canonical):
         )
 
     def ker(self) -> Equivalence:
-        """Restriction to the upper row.
-
-        A canonical diagram's upper labels are already restricted-growth.
-        """
-        return Equivalence(self.n, self.labels[: self.n], _canonical=True)
+        """Restriction to the upper row."""
+        return Equivalence(self.n, self.labels[: self.n])
 
     def coker(self) -> Equivalence:
         """Restriction to the lower row (renumbered: its labels need not

@@ -35,7 +35,7 @@ soundness and generation checks into a single verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable
 
@@ -120,6 +120,16 @@ def sym_cap(i: int, j: int) -> str:
     return f"h_{i}_{j}"
 
 
+# One-letter words: relations are written as concatenations of these.
+_s = lambda i: (sym_s(i),)
+_f = lambda i: (sym_f(i),)
+_g = lambda i: (sym_g(i),)
+_h = lambda i: (sym_h(i),)
+_e = lambda i, j: (sym_e(i, j),)
+_t = lambda i, j: (sym_t(i, j),)
+_cap = lambda i, j: (sym_cap(i, j),)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A symbol alphabet with fully expanded defining relations."""
@@ -129,6 +139,8 @@ class Presentation:
     kind: str  # "monoid" or "semigroup"
     alphabet: tuple[str, ...]
     relations: tuple[Relation, ...]
+    # the standard assignment, one image per symbol; not part of the value
+    images: tuple[Diagram, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -180,81 +192,75 @@ def _pair_alphabet(n: int) -> tuple[list[tuple[str, Diagram]], list[tuple[str, D
 
 def _join_relations(n: int, rels: _Relations) -> None:
     """Idempotency, commutation, and absorption among the joins e_ij."""
-    e = lambda i, j: (sym_e(i, j),)
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        rels.add(e(i, j) + e(i, j), e(i, j))
+        rels.add(_e(i, j) + _e(i, j), _e(i, j))
         for k, l in itertools.combinations(range(1, n + 1), 2):
-            rels.add(e(i, j) + e(k, l), e(k, l) + e(i, j))
+            rels.add(_e(i, j) + _e(k, l), _e(k, l) + _e(i, j))
     for i, j, k in itertools.permutations(range(1, n + 1), 3):
-        rels.add(e(i, j) + e(j, k), e(j, k) + e(k, i))
+        rels.add(_e(i, j) + _e(j, k), _e(j, k) + _e(k, i))
 
 
 def _collapse_relations(n: int, rels: _Relations) -> None:
     """Relations among the point collapses t_ij alone."""
-    t = lambda i, j: (sym_t(i, j),)
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        rels.chain(t(i, j) + t(i, j), t(i, j), t(j, i) + t(i, j))
+        rels.chain(_t(i, j) + _t(i, j), _t(i, j), _t(j, i) + _t(i, j))
     for i, j, k in itertools.permutations(range(1, n + 1), 3):
-        rels.add(t(i, k) + t(j, k), t(i, k))
-        rels.chain(t(i, j) + t(i, k), t(i, k) + t(i, j), t(j, k) + t(i, j))
-        rels.add(t(k, i) + t(i, j) + t(j, k), t(i, k) + t(k, j) + t(j, i) + t(i, k))
+        rels.add(_t(i, k) + _t(j, k), _t(i, k))
+        rels.chain(_t(i, j) + _t(i, k), _t(i, k) + _t(i, j), _t(j, k) + _t(i, j))
+        rels.add(_t(k, i) + _t(i, j) + _t(j, k), _t(i, k) + _t(k, j) + _t(j, i) + _t(i, k))
     for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
-        rels.add(t(i, j) + t(k, l), t(k, l) + t(i, j))
+        rels.add(_t(i, j) + _t(k, l), _t(k, l) + _t(i, j))
         rels.add(
-            t(k, i) + t(i, j) + t(j, k) + t(k, l),
-            t(i, k) + t(k, l) + t(l, i) + t(i, j) + t(j, l),
+            _t(k, i) + _t(i, j) + _t(j, k) + _t(k, l),
+            _t(i, k) + _t(k, l) + _t(l, i) + _t(i, j) + _t(j, l),
         )
 
 
 def _build_sing_xr(n: int):
     joins, collapses = _pair_alphabet(n)
-    e = lambda i, j: (sym_e(i, j),)
-    t = lambda i, j: (sym_t(i, j),)
     rels = _Relations()
     _collapse_relations(n, rels)
     _join_relations(n, rels)
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        rels.add(e(i, j) + t(i, j), t(i, j))
-        rels.add(t(i, j) + e(i, j), e(i, j))
+        rels.add(_e(i, j) + _t(i, j), _t(i, j))
+        rels.add(_t(i, j) + _e(i, j), _e(i, j))
     for i, j, k in itertools.permutations(range(1, n + 1), 3):
-        rels.add(e(j, k) + t(i, j), t(i, j) + e(i, k))
+        rels.add(_e(j, k) + _t(i, j), _t(i, j) + _e(i, k))
     for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
-        rels.add(e(k, l) + t(i, j), t(i, j) + e(k, l))
+        rels.add(_e(k, l) + _t(i, j), _t(i, j) + _e(k, l))
     return "semigroup", joins + collapses, rels.done()
 
 
 def _swap_relations(n: int, rels: _Relations) -> None:
     """Coxeter relations for the adjacent swaps s_1 .. s_{n-1}."""
-    s = lambda i: (sym_s(i),)
     for i in range(1, n):
-        rels.add(s(i) + s(i), ())
+        rels.add(_s(i) + _s(i), ())
     for i, j in itertools.permutations(range(1, n), 2):
         if abs(i - j) > 1:
-            rels.add(s(i) + s(j), s(j) + s(i))
+            rels.add(_s(i) + _s(j), _s(j) + _s(i))
         else:
-            rels.add(s(i) + s(j) + s(i), s(j) + s(i) + s(j))
+            rels.add(_s(i) + _s(j) + _s(i), _s(j) + _s(i) + _s(j))
 
 
 def _build_full_yq(n: int):
     pairs = [(sym_s(i), transposition(n, i)) for i in range(1, n)]
     pairs.append(("e", merge(n, 1, 2)))
     pairs.append(("t", collapse(n, 1, 2)))
-    s = lambda i: (sym_s(i),)
     e, t = ("e",), ("t",)
     rels = _Relations()
     _swap_relations(n, rels)
-    rels.chain(t + t, t, e + t, s(1) + t)
-    rels.chain(e + e, e, t + e, s(1) + e, e + s(1))
+    rels.chain(t + t, t, e + t, _s(1) + t)
+    rels.chain(e + e, e, t + e, _s(1) + e, e + _s(1))
     for i in range(3, n):
-        rels.add(s(i) + t, t + s(i))
-        rels.add(s(i) + e, e + s(i))
+        rels.add(_s(i) + t, t + _s(i))
+        rels.add(_s(i) + e, e + _s(i))
     if n >= 3:
-        rels.add(t + s(1) + s(2) + t, t + s(1) + s(2) + s(1))
-        rels.add(t + s(2) + t + s(2), s(2) + t + s(2) + t)
-        rels.add(e + s(2) + e + s(2), s(2) + e + s(2) + e)
-        rels.add(t + s(2) + e + s(2), s(2) + e + s(2) + t)
+        rels.add(t + _s(1) + _s(2) + t, t + _s(1) + _s(2) + _s(1))
+        rels.add(t + _s(2) + t + _s(2), _s(2) + t + _s(2) + t)
+        rels.add(e + _s(2) + e + _s(2), _s(2) + e + _s(2) + e)
+        rels.add(t + _s(2) + e + _s(2), _s(2) + e + _s(2) + t)
     if n >= 4:
-        w = s(2) + s(3) + s(1) + s(2)
+        w = _s(2) + _s(3) + _s(1) + _s(2)
         rels.add(t + w + t + w, w + t + w + t)
         rels.add(e + w + e + w, w + e + w + e)
         rels.add(t + w + e + w, w + e + w + t)
@@ -263,65 +269,59 @@ def _build_full_yq(n: int):
 
 def _adjacent_collapse_relations(n: int, rels: _Relations) -> None:
     """Relations among the adjacent collapses f_i (forward) and g_i (backward)."""
-    f = lambda i: (sym_f(i),)
-    g = lambda i: (sym_g(i),)
-    for x in (f, g):
-        for y in (f, g):
+    for x in (_f, _g):
+        for y in (_f, _g):
             for i in range(1, n):
                 rels.add(x(i) + y(i), y(i))
-    for fam in (f, g):
+    for fam in (_f, _g):
         for i, j in itertools.permutations(range(1, n), 2):
             if abs(i - j) > 1:
                 rels.add(fam(i) + fam(j), fam(j) + fam(i))
     for i in range(1, n - 1):
-        rels.chain(f(i) + f(i + 1) + f(i), f(i + 1) + f(i) + f(i + 1), f(i + 1) + f(i))
-        rels.chain(g(i) + g(i + 1) + g(i), g(i + 1) + g(i) + g(i + 1), g(i) + g(i + 1))
+        rels.chain(_f(i) + _f(i + 1) + _f(i), _f(i + 1) + _f(i) + _f(i + 1), _f(i + 1) + _f(i))
+        rels.chain(_g(i) + _g(i + 1) + _g(i), _g(i + 1) + _g(i) + _g(i + 1), _g(i) + _g(i + 1))
     for i in range(1, n):
         for j in range(1, n):
             if j not in (i, i + 1):
-                rels.add(f(i) + g(j), g(j) + f(i))
+                rels.add(_f(i) + _g(j), _g(j) + _f(i))
     for i in range(1, n - 1):
-        rels.add(f(i) + g(i + 1), f(i))
-        rels.add(g(i + 1) + f(i), g(i + 1))
+        rels.add(_f(i) + _g(i + 1), _f(i))
+        rels.add(_g(i + 1) + _f(i), _g(i + 1))
 
 
 def _build_planar_zo(n: int):
     pairs = [(sym_f(i), collapse(n, i, i + 1)) for i in range(1, n)]
     pairs += [(sym_g(i), collapse(n, i + 1, i)) for i in range(1, n)]
     pairs += [(sym_h(i), merge(n, i, i + 1)) for i in range(1, n)]
-    f = lambda i: (sym_f(i),)
-    g = lambda i: (sym_g(i),)
-    h = lambda i: (sym_h(i),)
     rels = _Relations()
     _adjacent_collapse_relations(n, rels)
-    for x in (f, g, h):
-        for y in (f, g, h):
+    for x in (_f, _g, _h):
+        for y in (_f, _g, _h):
             for i in range(1, n):
                 rels.add(x(i) + y(i), y(i))
     for i, j in itertools.permutations(range(1, n), 2):
-        rels.add(h(i) + h(j), h(j) + h(i))
+        rels.add(_h(i) + _h(j), _h(j) + _h(i))
     for i in range(1, n):
         for j in range(1, n):
             if j not in (i, i - 1):
-                rels.add(h(i) + f(j), f(j) + h(i))
+                rels.add(_h(i) + _f(j), _f(j) + _h(i))
             if j not in (i, i + 1):
-                rels.add(h(i) + g(j), g(j) + h(i))
+                rels.add(_h(i) + _g(j), _g(j) + _h(i))
     for i in range(1, n - 1):
-        rels.add(h(i) + g(i + 1), h(i + 1) + f(i))
+        rels.add(_h(i) + _g(i + 1), _h(i + 1) + _f(i))
     return "monoid", pairs, rels.done()
 
 
 def _cap_relations(n: int, rels: _Relations) -> None:
     """Absorption, commutation, and overlap relations among interval caps."""
-    h = lambda i, j: (sym_cap(i, j),)
     spans = list(itertools.combinations(range(1, n + 1), 2))
     for (i, j), (k, l) in itertools.product(spans, spans):
         if k <= i and j <= l:
-            rels.add(h(i, j) + h(k, l), h(k, l))
+            rels.add(_cap(i, j) + _cap(k, l), _cap(k, l))
         elif j <= k:
-            rels.add(h(i, j) + h(k, l), h(k, l) + h(i, j))
+            rels.add(_cap(i, j) + _cap(k, l), _cap(k, l) + _cap(i, j))
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        rels.chain(h(i, j) + h(j, k), h(i, k) + h(i, j), h(i, k) + h(j, k))
+        rels.chain(_cap(i, j) + _cap(j, k), _cap(i, k) + _cap(i, j), _cap(i, k) + _cap(j, k))
 
 
 def _build_dn(n: int):
@@ -348,20 +348,19 @@ def _build_sing_tn(n: int):
 def _build_tn(n: int):
     pairs = [(sym_s(i), transposition(n, i)) for i in range(1, n)]
     pairs.append(("t", collapse(n, 1, 2)))
-    s = lambda i: (sym_s(i),)
     t = ("t",)
     rels = _Relations()
     _swap_relations(n, rels)
     rels.add(t + t, t)
-    rels.add(s(1) + t, t)
+    rels.add(_s(1) + t, t)
     for i in range(3, n):
-        rels.add(s(i) + t, t + s(i))
+        rels.add(_s(i) + t, t + _s(i))
     if n >= 3:
-        rels.add(t + s(1) + s(2) + t, t + s(1) + s(2) + s(1))
-        rels.add(t + s(2) + t + s(2), s(2) + t + s(2) + t)
-        rels.add(t + s(2) + t + s(2), t + s(2) + t)
+        rels.add(t + _s(1) + _s(2) + t, t + _s(1) + _s(2) + _s(1))
+        rels.add(t + _s(2) + t + _s(2), _s(2) + t + _s(2) + t)
+        rels.add(t + _s(2) + t + _s(2), t + _s(2) + t)
     if n >= 4:
-        w = s(2) + s(3) + s(1) + s(2)
+        w = _s(2) + _s(3) + _s(1) + _s(2)
         rels.add(t + w + t + w, w + t + w + t)
     return "monoid", pairs, rels.done()
 
@@ -369,19 +368,18 @@ def _build_tn(n: int):
 def _build_fn(n: int):
     pairs = [(sym_s(i), transposition(n, i)) for i in range(1, n)]
     pairs.append(("e", merge(n, 1, 2)))
-    s = lambda i: (sym_s(i),)
     e = ("e",)
     rels = _Relations()
     _swap_relations(n, rels)
     rels.add(e + e, e)
-    rels.add(s(1) + e, e)
-    rels.add(e + s(1), e)
+    rels.add(_s(1) + e, e)
+    rels.add(e + _s(1), e)
     for i in range(3, n):
-        rels.add(s(i) + e, e + s(i))
+        rels.add(_s(i) + e, e + _s(i))
     if n >= 3:
-        rels.add(e + s(2) + e + s(2), s(2) + e + s(2) + e)
+        rels.add(e + _s(2) + e + _s(2), _s(2) + e + _s(2) + e)
     if n >= 4:
-        w = s(2) + s(3) + s(1) + s(2)
+        w = _s(2) + _s(3) + _s(1) + _s(2)
         rels.add(e + w + e + w, w + e + w + e)
     return "monoid", pairs, rels.done()
 
@@ -398,13 +396,10 @@ def _build_planar_intermediate(n: int):
     pairs = [(sym_f(i), collapse(n, i, i + 1)) for i in range(1, n)]
     pairs += [(sym_g(i), collapse(n, i + 1, i)) for i in range(1, n)]
     pairs += [(sym_cap(i, j), cap_atom(n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    f = lambda i: (sym_f(i),)
-    g = lambda i: (sym_g(i),)
-    h = lambda i, j: (sym_cap(i, j),)
 
     def hull(i: int, j: int) -> Word:
         # degenerate spans vanish: the cap over [i, i] is the identity
-        return () if i == j else (sym_cap(i, j),)
+        return () if i == j else _cap(i, j)
 
     rels = _Relations()
     _adjacent_collapse_relations(n, rels)
@@ -412,21 +407,21 @@ def _build_planar_intermediate(n: int):
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for k in range(1, n):
             if k == i - 1:
-                rhs = f(k) + hull(i - 1, j)
+                rhs = _f(k) + hull(i - 1, j)
             elif k == j - 1:
-                rhs = f(k) + hull(i, j - 1)
+                rhs = _f(k) + hull(i, j - 1)
             else:
-                rhs = f(k) + h(i, j)
-            rels.add(h(i, j) + f(k), rhs)
+                rhs = _f(k) + _cap(i, j)
+            rels.add(_cap(i, j) + _f(k), rhs)
             if k == i:
-                rhs = g(k) + hull(i + 1, j)
+                rhs = _g(k) + hull(i + 1, j)
             elif k == j:
-                rhs = g(k) + hull(i, j + 1)
+                rhs = _g(k) + hull(i, j + 1)
             else:
-                rhs = g(k) + h(i, j)
-            rels.add(h(i, j) + g(k), rhs)
+                rhs = _g(k) + _cap(i, j)
+            rels.add(_cap(i, j) + _g(k), rhs)
     for i in range(1, n):
-        rels.add(f(i) + h(i, i + 1), h(i, i + 1))
+        rels.add(_f(i) + _cap(i, i + 1), _cap(i, i + 1))
     return "monoid", pairs, rels.done()
 
 
@@ -453,11 +448,6 @@ def _check_schema(name: str, n: int) -> None:
         raise ValueError(f"schemas are defined for n >= 2, got n={n}")
 
 
-def _build(name: str, n: int):
-    _check_schema(name, n)
-    return _BUILDERS[name](n)
-
-
 def schema(name: str, n: int) -> Presentation:
     """The presentation named ``name`` instantiated at degree ``n``.
 
@@ -467,8 +457,10 @@ def schema(name: str, n: int) -> Presentation:
     >>> schema("full-yq", 5).alphabet
     ('s_1', 's_2', 's_3', 's_4', 'e', 't')
     """
-    kind, pairs, relations = _build(name, n)
-    return Presentation(name, n, kind, tuple(sym for sym, _ in pairs), relations)
+    _check_schema(name, n)
+    kind, pairs, relations = _BUILDERS[name](n)
+    alphabet, images = zip(*pairs)
+    return Presentation(name, n, kind, alphabet, relations, images)
 
 
 def standard_assignment(name: str, n: int) -> dict[str, Diagram]:
@@ -479,8 +471,8 @@ def standard_assignment(name: str, n: int) -> dict[str, Diagram]:
     >>> standard_assignment("sing-xr", 3)["e_12"].text()
     '[[1,2,-1,-2],[3,-3]]'
     """
-    _, pairs, _ = _build(name, n)
-    return dict(pairs)
+    p = schema(name, n)
+    return dict(zip(p.alphabet, p.images))
 
 
 def eval_word(assignment: dict[str, Diagram], word: Iterable[str]) -> Diagram:
@@ -840,7 +832,7 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
     independently counted size.
     """
     pres = schema(name, n)
-    assignment = standard_assignment(name, n)
+    assignment = dict(zip(pres.alphabet, pres.images))
     target = target_elements(name, n)
     target_size = len(target)
 
@@ -850,9 +842,8 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
             name, n, "refuted", False, soundness.witness, target_size, None, None, 0
         )
 
-    images = [assignment[symbol] for symbol in pres.alphabet]
     try:
-        generated = closure(n, images, monoid=pres.kind == "monoid", budget=budget)
+        generated = closure(n, pres.images, monoid=pres.kind == "monoid", budget=budget)
     except BudgetExceeded:
         return PresentationReport(
             name, n, "exhausted", True, None, target_size, None, None, budget

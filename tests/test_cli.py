@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import subprocess
@@ -133,6 +134,34 @@ def test_internal_error_exits_4(capsys, monkeypatch, expect_fail):
     monkeypatch.setattr(cli, "family", crash)
     assert main(["enumerate", "--monoid", "pn", "--n", "2"]) == 4
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_closure_budget_exhaustion_exits_2(capsys, monkeypatch):
+    import diagcalc.cli as cli
+    from diagcalc.engine import closure
+
+    monkeypatch.setattr(cli, "closure", functools.partial(closure, budget=50))
+    for argv in (
+        ["enumerate", "--monoid", "pnfd", "--n", "3", "--format", "dot"],  # 52 elements
+        ["factorize", "[[1,2,-1],[3,-2],[4,-3],[-4]]", "--mode", "tn-en"],  # |T4| = 256
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "diagcalc: inconclusive: budget of 50 elements exceeded\n"
+
+
+@pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
+def test_budget_exhaustion_is_never_swapped(capsys, monkeypatch, expect_fail):
+    import diagcalc.cli as cli
+    from diagcalc.engine import BudgetExceeded
+
+    def exhaust(*args, **kwargs):
+        raise BudgetExceeded(7)
+
+    monkeypatch.setattr(cli, "verify_presentation", exhaust)
+    assert main(["verify", "--target", "dn", "--n", "3", *expect_fail]) == 2
+    assert capsys.readouterr().err == "diagcalc: inconclusive: budget of 7 elements exceeded\n"
 
 
 def test_verify_budget_exhaustion(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -21,6 +22,7 @@ from diagcalc.partitions import (
     range_projection,
     transposition,
 )
+from diagcalc import presentations
 from diagcalc.presentations import (
     SCHEMA_NAMES,
     Presentation,
@@ -117,6 +119,83 @@ def test_presentation_to_dict_is_json_ready():
     assert all(len(rel) == 2 for rel in back["relations"])
 
 
+# sha256 of ``[schema(name, n).to_dict(), image texts]`` for n = 2..6, first
+# 16 hex digits: the alphabets, relations in order, kinds and images
+SCHEMA_DIGESTS = {
+    "sing-xr": (
+        "1731af73b35ace76", "a04cf2996597ef8d", "db85b86f881f9ac7",
+        "4069ac71db46f356", "f06bfc4f68b62c8a",
+    ),
+    "full-yq": (
+        "6073fa5778f27090", "c0e024239d852cc1", "fa75409f39ab01fc",
+        "b522ef90472280f1", "7bcadf9dce0a261a",
+    ),
+    "planar-zo": (
+        "1678e6aef2612156", "6f8ddd79a063c351", "1f4ed15fa1649573",
+        "3d8c5c8eaac9f2a9", "b7e23e762032e507",
+    ),
+    "dn": (
+        "5b9dcecb5e19a3f7", "f238b3ca493a50f4", "1fb5819c523192fc",
+        "18bc86ae45e3cda4", "673d87df8bd690db",
+    ),
+    "en": (
+        "c332c5eaec53e1c2", "822a898ede8e087d", "461ffc27a4befe7c",
+        "68858aecd8db47bc", "a1ea30d3e75e21df",
+    ),
+    "sing-tn": (
+        "9e057c01741f5dec", "0dc1fe36e8be229f", "6398a93f545f2157",
+        "2dd244611a75fb85", "d3991501ca1b47e0",
+    ),
+    "tn": (
+        "ab1848f68b453da8", "82679f3664340e43", "f410051ee2a3ef32",
+        "efeb1cd7e67321d9", "20c87e2f07cf7836",
+    ),
+    "fn": (
+        "6f11858b359435d6", "f42d732ebc6a04c2", "c7031451c712edcb",
+        "9060dbb459340288", "0e82800d10e09c47",
+    ),
+    "on": (
+        "053ffdb346e74d79", "6349fc4c7ed87252", "29d4a84deef17148",
+        "3a83f9b00db15cea", "6f81462ceb478102",
+    ),
+    "planar-intermediate": (
+        "438fc660bd808289", "d44045127d3a3038", "aa48f501a714182b",
+        "1a90f3dc8fc2e448", "37ff89d50892b0f2",
+    ),
+}
+
+
+def schema_digest(pres: Presentation) -> str:
+    payload = json.dumps([pres.to_dict(), [d.text() for d in pres.images]], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_schemas_are_pinned(name):
+    assert tuple(schema_digest(schema(name, n)) for n in range(2, 7)) == SCHEMA_DIGESTS[name]
+
+
+def test_images_stay_out_of_the_presentation_value():
+    pres = schema("dn", 3)
+    assert len(pres.images) == len(pres.alphabet)
+    assert "images" not in pres.to_dict() and "images" not in repr(pres)
+    bare = Presentation(pres.name, pres.n, pres.kind, pres.alphabet, pres.relations)
+    assert bare == pres and bare.images == ()
+
+
+def test_verify_builds_its_schema_once(monkeypatch):
+    calls = []
+    build = presentations._BUILDERS["dn"]
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setitem(presentations._BUILDERS, "dn", counted)
+    assert verify_presentation("dn", 4).verified
+    assert calls == [4]
+
+
 # -- standard assignments ---------------------------------------------------------
 
 
@@ -126,6 +205,7 @@ def test_assignment_matches_alphabet():
             pres = schema(name, n)
             asg = standard_assignment(name, n)
             assert tuple(asg) == pres.alphabet
+            assert tuple(asg.values()) == pres.images
             assert all(d.n == n for d in asg.values())
 
 
