@@ -42,31 +42,19 @@ from .counting import (
     order_preserving_count,
     planar_full_domain_count,
 )
-from .engine import DEFAULT_BUDGET, BudgetExceeded, cayley_dot, closure, from_elements
-from .equivalences import cap_word
-from .laws import (
+from .engine import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     CheckReport,
-    action_pair_elements,
-    check_action_pair,
-    check_ehresmann,
-    check_grrac,
-    check_restriction,
-    theta_battery,
+    cayley_dot,
+    closure,
+    from_elements,
 )
-from .partitions import FAMILY_NAMES, Diagram, family, multiply, transposition
-from .presentations import (
-    SCHEMA_NAMES,
-    cap_lift,
-    derived_word,
-    eval_word,
-    factor_product,
-    schema,
-    standard_assignment,
-    sym_cap,
-    sym_s,
-    verify_presentation,
-)
-from .render import render_svg
+from .equivalences import cap_word
+from .partitions import FAMILY_NAMES, SCHEMA_NAMES, Diagram, family, multiply, transposition
+
+# ``laws``, ``presentations`` and ``render`` are imported by the commands
+# that use them, so each run loads only the modules its verdict needs
 
 LAW_TARGETS = ("ehresmann", "restriction", "action-pair", "grrac", "theta-laws")
 # law targets that scan pairs of one carrier, with their default carrier
@@ -182,6 +170,8 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
     try:
         if args.target in SCHEMA_NAMES:
+            from .presentations import verify_presentation
+
             outcome = verify_presentation(args.target, args.n, budget=budget)
             status = outcome.status
             report["presentation"] = outcome.to_dict()
@@ -223,6 +213,8 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | int:
     """The target's check reports, or just the carrier size when a pair
     scan's ``size**2`` pairs exceed the budget."""
+    from . import laws
+
     n = args.n
     if args.target in _PAIR_SCANS:
         name = args.monoid or _PAIR_SCANS[args.target]
@@ -235,15 +227,15 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | in
             return len(carrier)
         monoid = from_elements(n, carrier)
         if args.target == "ehresmann":
-            return check_ehresmann(monoid)
+            return laws.check_ehresmann(monoid)
         if args.target == "restriction":
-            return [check_restriction(monoid, args.side)]
-        return check_grrac(monoid)
+            return [laws.check_restriction(monoid, args.side)]
+        return laws.check_grrac(monoid)
     if args.target == "action-pair":
         pair = args.monoid or "en-tn"
-        u_elements, s_elements = action_pair_elements(pair, n)
-        return [check_action_pair(u_elements, s_elements, pair)]
-    return theta_battery(n)
+        u_elements, s_elements = laws.action_pair_elements(pair, n)
+        return [laws.check_action_pair(u_elements, s_elements, pair)]
+    return laws.theta_battery(n)
 
 
 _CLOSED_FORMS = {
@@ -260,7 +252,12 @@ _CLOSED_FORMS = {
 
 # carrier sizes counted without building the carrier, so that an over-budget
 # pair scan stops before ``family`` runs
-_CARRIER_COUNTS = {**_CLOSED_FORMS, "pnfd": full_domain_count, "ppnfd": planar_full_domain_count}
+_CARRIER_COUNTS = {
+    **_CLOSED_FORMS,
+    "pnfd": full_domain_count,
+    "ppnfd": planar_full_domain_count,
+    "sing-tn": lambda n: n**n - math.factorial(n),
+}
 
 # families whose right Cayley graph we can export, with the schema whose
 # standard assignment provides the generating set
@@ -308,6 +305,8 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cayley(args: argparse.Namespace, parser: _Parser) -> str:
+    from .presentations import schema, sym_s
+
     schema_name = _GRAPH_GENERATORS.get(args.monoid)
     if schema_name is None:
         if args.monoid != "sn":
@@ -329,6 +328,8 @@ def _cayley(args: argparse.Namespace, parser: _Parser) -> str:
 
 def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:
     """A generator word for the left factor, over the matching alphabet."""
+    from .presentations import schema
+
     pres = schema("on" if mode == "on-dn" else "tn", n)
     monoid = closure(n, pres.images)
     return tuple(pres.alphabet[k] for k in monoid.word_for(left))
@@ -336,6 +337,8 @@ def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:
 
 def _right_factor_word(n: int, right: Diagram, mode: str) -> tuple[str, ...]:
     """A generator word for the canonical right factor."""
+    from .presentations import cap_lift, derived_word, sym_cap
+
     if mode == "on-dn":
         lift = cap_lift(n)
         word: list[str] = []
@@ -350,6 +353,8 @@ def _right_factor_word(n: int, right: Diagram, mode: str) -> tuple[str, ...]:
 
 
 def _cmd_factorize(args: argparse.Namespace, parser: _Parser) -> int:
+    from .presentations import eval_word, factor_product, standard_assignment
+
     try:
         d = Diagram.from_text(args.text)
         left, right = factor_product(d, args.mode)
@@ -406,6 +411,8 @@ def _cmd_factorize(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_render(args: argparse.Namespace, parser: _Parser) -> int:
+    from .render import render_svg
+
     try:
         d = Diagram.from_text(args.text)
     except ValueError as exc:

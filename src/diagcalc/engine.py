@@ -18,7 +18,7 @@ pass their own.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .equivalences import Equivalence, _normalize, join
@@ -33,6 +33,26 @@ class BudgetExceeded(Exception):
     def __init__(self, budget: int, message: str = ""):
         super().__init__(message or f"budget of {budget} elements exceeded")
         self.budget = budget
+
+
+# kept here, not in ``laws``, so that a presentation verdict, whose soundness
+# check returns one, does not load the law checkers
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one exhaustive law check."""
+
+    name: str
+    holds: bool
+    witness: tuple[str, ...] | None = None
+    counts: dict[str, int] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "holds": self.holds,
+            "witness": list(self.witness) if self.witness else None,
+            "counts": dict(sorted(self.counts.items())),
+        }
 
 
 class FiniteMonoid:

@@ -29,41 +29,19 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .engine import FiniteMonoid, from_elements
+# kernel functions that ``perfbench/tracing.py`` wraps are called through
+# their module, so the wrappers are used whenever this module was imported
+from . import engine, partitions
+from .engine import CheckReport, FiniteMonoid
 from .equivalences import Equivalence, _find, _normalize, join
-from .partitions import (
-    Diagram,
-    cap_atom,
-    collapse,
-    domain_projection,
-    family,
-    floor_map,
-    identity,
-    merge,
-    range_cap,
-    range_projection,
-)
+from .partitions import Diagram, cap_atom, collapse, floor_map, identity, merge, range_cap
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one exhaustive law check."""
-
-    name: str
-    holds: bool
-    witness: tuple[str, ...] | None = None
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "witness": list(self.witness) if self.witness else None,
-            "counts": dict(sorted(self.counts.items())),
-        }
+def _projections(m: FiniteMonoid) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """``D`` and ``R`` on the ambient indices of ``m``."""
+    return m.unary(partitions.domain_projection), m.unary(partitions.range_projection)
 
 
 def _scan(
@@ -104,7 +82,7 @@ def check_ehresmann(m: FiniteMonoid) -> list[CheckReport]:
     carrier into itself; the equational axioms are evaluated in the ambient
     diagram monoid regardless, so a closure failure does not hide them.
     """
-    D, R, mul = m.unary(domain_projection), m.unary(range_projection), m.product
+    (D, R), mul = _projections(m), m.product
     axioms = {
         "E1": lambda a: mul(D(a), a) == a,
         "E1*": lambda a: mul(a, R(a)) == a,
@@ -134,7 +112,7 @@ def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
     ``side="right"`` tests ``R(a) b = b R(ab)``;
     ``side="left"`` tests ``a D(b) = D(ab) a``.
     """
-    D, R, mul = m.unary(domain_projection), m.unary(range_projection), m.product
+    (D, R), mul = _projections(m), m.product
     laws = {
         "right": lambda a, b: mul(R(a), b) == mul(b, R(mul(a, b))),
         "left": lambda a, b: mul(a, D(b)) == mul(D(mul(a, b)), a),
@@ -144,7 +122,7 @@ def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
 
 def parts(m: FiniteMonoid) -> list[Diagram]:
     """The projections of the carrier: ``p*p = p = D(p) = R(p)``."""
-    D, R = m.unary(domain_projection), m.unary(range_projection)
+    D, R = _projections(m)
     return [
         m.elements[p]
         for p in m.canonical_order()
@@ -163,7 +141,7 @@ def projection_split(m: FiniteMonoid) -> dict[str, list[Diagram]]:
     theorems for Ehresmann carriers, so a failure here is a bug).
     """
     one = m.intern(identity(m.n))
-    D, R, mul = m.unary(domain_projection), m.unary(range_projection), m.product
+    (D, R), mul = _projections(m), m.product
     order = m.canonical_order()
     trivial_range = [a for a in order if R(a) == one]
     proper_kernel = [a for a in order if D(a) != one]
@@ -219,7 +197,7 @@ def check_action_pair(
     action is also validated against ``u^s = R(us)``.  Both run on the
     carrier of S, with U interned into its ambient.
     """
-    m = from_elements(s_elements[0].n if s_elements else 0, s_elements)
+    m = engine.from_elements(s_elements[0].n if s_elements else 0, s_elements)
     U = [m.intern(u) for u in sorted(set(u_elements))]
     S = m.canonical_order()
     mul = m.product
@@ -237,7 +215,7 @@ def check_action_pair(
     # A1: us must equal sv for some v in U, and that v is the action u^s;
     # for projections it must also be R(us).
     products_by_s = {s: {mul(s, u) for u in U} for s in S}
-    D, R = m.unary(domain_projection), m.unary(range_projection)
+    D, R = _projections(m)
     projections = all(mul(u, u) == u and D(u) == u == R(u) for u in U)
     holds = True
     witness: tuple[str, ...] = ()
@@ -375,7 +353,7 @@ def action_pair_elements(pair: str, n: int) -> tuple[list[Diagram], list[Diagram
     if pair not in selectors:
         raise ValueError(f"unknown action pair {pair!r}; expected one of {', '.join(selectors)}")
     u_name, s_name = selectors[pair]
-    return family(u_name, n), family(s_name, n)
+    return partitions.family(u_name, n), partitions.family(s_name, n)
 
 
 def theta_battery(n: int) -> list[CheckReport]:
@@ -393,10 +371,10 @@ def theta_battery(n: int) -> list[CheckReport]:
     """
     reports: list[CheckReport] = []
 
-    en_elements = family("en", n)
-    tn = from_elements(n, family("tn", n))
+    en_elements = partitions.family("en", n)
+    tn = engine.from_elements(n, partitions.family("tn", n))
     for label in ("tn", "sing-tn"):
-        s = tn if label == "tn" else from_elements(n, family(label, n))
+        s = tn if label == "tn" else engine.from_elements(n, partitions.family(label, n))
         en = [s.intern(u) for u in en_elements]
         thetas = [theta(u, s) for u in en_elements]
         holds, witness = True, None
@@ -425,8 +403,8 @@ def theta_battery(n: int) -> list[CheckReport]:
         CheckReport("theta-merge-principal", holds, witness, {"carrier": len(tn)})
     )
 
-    on = from_elements(n, family("on", n))
-    caps = family("dn", n)
+    on = engine.from_elements(n, partitions.family("on", n))
+    caps = partitions.family("dn", n)
     atoms = {on.intern(a): theta(a, on) for a in (cap_atom(n, i, i + 1) for i in range(1, n))}
     holds, witness = True, None
     join_holds, join_witness = True, None

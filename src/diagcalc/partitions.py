@@ -480,6 +480,13 @@ FAMILY_NAMES = (
     "en", "fn", "in", "jn", "dn", "pen",
 )
 
+# the presentation schemas of ``presentations``, named here so that the CLI
+# parser can offer them without importing that module
+SCHEMA_NAMES = (
+    "sing-xr", "full-yq", "planar-zo", "dn", "en", "sing-tn", "tn", "fn", "on",
+    "planar-intermediate",
+)
+
 
 def family(name: str, n: int) -> list[Diagram]:
     """The named standard family of degree-``n`` diagrams, sorted.

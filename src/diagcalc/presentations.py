@@ -39,6 +39,9 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable
 
+# kernel functions that ``perfbench/tracing.py`` wraps are called through
+# their module, so the wrappers are used whenever this module was imported
+from . import engine, partitions
 from .counting import (
     bell,
     catalan,
@@ -47,10 +50,10 @@ from .counting import (
     planar_full_domain_count,
     uniform_block_bijection_count,
 )
-from .engine import DEFAULT_BUDGET, BudgetExceeded, closure
+from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
 from .equivalences import _find
-from .laws import CheckReport
 from .partitions import (
+    SCHEMA_NAMES,
     Diagram,
     Row,
     _rows_cap,
@@ -58,14 +61,11 @@ from .partitions import (
     _rows_order_preserving,
     _rows_planar_full_domain,
     _rows_transformation,
-    cap,
     cap_atom,
     collapse,
     from_transformation,
     identity,
     merge,
-    multiply,
-    range_projection,
     transposition,
 )
 
@@ -438,8 +438,6 @@ _BUILDERS: dict[str, Callable] = {
     "planar-intermediate": _build_planar_intermediate,
 }
 
-SCHEMA_NAMES = tuple(_BUILDERS)
-
 
 def _check_schema(name: str, n: int) -> None:
     if name not in _BUILDERS:
@@ -485,7 +483,7 @@ def eval_word(assignment: dict[str, Diagram], word: Iterable[str]) -> Diagram:
     degree = next(iter(assignment.values())).n
     out = identity(degree)
     for symbol in word:
-        out = multiply(out, assignment[symbol])
+        out = partitions.multiply(out, assignment[symbol])
     return out
 
 
@@ -500,7 +498,7 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
     def evaluate(word: Word) -> Diagram:
         d = value.get(word)
         if d is None:
-            d = value[word] = multiply(evaluate(word[:-1]), assignment[word[-1]])
+            d = value[word] = partitions.multiply(evaluate(word[:-1]), assignment[word[-1]])
         return d
 
     checked, witness = 0, None
@@ -843,7 +841,7 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
         )
 
     try:
-        generated = closure(n, pres.images, monoid=pres.kind == "monoid", budget=budget)
+        generated = engine.closure(n, pres.images, monoid=pres.kind == "monoid", budget=budget)
     except BudgetExceeded:
         return PresentationReport(
             name, n, "exhausted", True, None, target_size, None, None, budget
@@ -970,17 +968,17 @@ def factor_product(a: Diagram, mode: str) -> tuple[Diagram, Diagram]:
     '[[1,2,3,4,5,-1],[-2],[-3],[-4],[-5]]'
     >>> d.text()
     '[[1,-1],[2,3,4,5,-2,-5],[-3,-4]]'
-    >>> multiply(f, d) == a
+    >>> partitions.multiply(f, d) == a
     True
     """
     if mode == "tn-en":
         if not a.is_full_domain():
             raise ValueError("tn-en factorization needs a full-domain diagram")
-        right = range_projection(a)
+        right = partitions.range_projection(a)
     elif mode == "on-dn":
         if not (a.is_full_domain() and a.is_planar()):
             raise ValueError("on-dn factorization needs a planar full-domain diagram")
-        right = cap(a.coker())
+        right = partitions.cap(a.coker())
     else:
         raise ValueError(f"unknown factorization mode {mode!r}")
     images = [0] * a.n

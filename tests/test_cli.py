@@ -120,11 +120,12 @@ def test_verify_grrac_on_crossing_carrier_is_a_usage_error(capsys):
 @pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
 def test_internal_error_exits_4(capsys, monkeypatch, expect_fail):
     import diagcalc.cli as cli
+    import diagcalc.presentations as presentations
 
     def crash(*args, **kwargs):
         raise RuntimeError("simulated\ncrash")
 
-    monkeypatch.setattr(cli, "verify_presentation", crash)
+    monkeypatch.setattr(presentations, "verify_presentation", crash)
     code = main(["verify", "--target", "dn", "--n", "3", *expect_fail])
     captured = capsys.readouterr()
     assert code == 4
@@ -153,13 +154,13 @@ def test_closure_budget_exhaustion_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
 def test_budget_exhaustion_is_never_swapped(capsys, monkeypatch, expect_fail):
-    import diagcalc.cli as cli
+    import diagcalc.presentations as presentations
     from diagcalc.engine import BudgetExceeded
 
     def exhaust(*args, **kwargs):
         raise BudgetExceeded(7)
 
-    monkeypatch.setattr(cli, "verify_presentation", exhaust)
+    monkeypatch.setattr(presentations, "verify_presentation", exhaust)
     assert main(["verify", "--target", "dn", "--n", "3", *expect_fail]) == 2
     assert capsys.readouterr().err == "diagcalc: inconclusive: budget of 7 elements exceeded\n"
 
@@ -175,12 +176,14 @@ def test_verify_budget_exhaustion(capsys):
 
 def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
     import diagcalc.cli as cli
+    import diagcalc.laws as laws
 
     def never(*args, **kwargs):
         raise AssertionError("an axiom scan started over the budget")
 
-    for name in ("check_ehresmann", "check_restriction", "check_grrac", "from_elements"):
-        monkeypatch.setattr(cli, name, never)
+    for name in ("check_ehresmann", "check_restriction", "check_grrac"):
+        monkeypatch.setattr(laws, name, never)
+    monkeypatch.setattr(cli, "from_elements", never)
     # P4 has 4,140 elements: 17,139,600 pairs against the default 2,000,000
     for extra in ([], ["--expect-fail"]):
         code, report = run_json(capsys, "verify", "--target", "ehresmann", "--monoid", "pn",
@@ -214,6 +217,7 @@ def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
         ("restriction", "ppn", 5, 16796),
         ("ehresmann", "pnfd", 5, 19921),
         ("grrac", "ppnfd", 7, 23256),
+        ("ehresmann", "sing-tn", 7, 818503),
     ]:
         code, report = run_json(capsys, "verify", "--target", target, "--monoid", monoid,
                                 "--n", str(n))
@@ -419,13 +423,15 @@ def test_unverified_factorization_exits_4(capsys, monkeypatch, broken):
     # the replay checks are explicit raises, not asserts, so ``python -O``
     # cannot turn a wrong factor or word into a "verified" report
     import diagcalc.cli as cli
+    import diagcalc.presentations as presentations
 
-    real = getattr(cli, broken)
+    owner = presentations if broken == "factor_product" else cli
+    real = getattr(owner, broken)
     if broken == "factor_product":
         fake = lambda d, mode: (real(d, mode)[0], identity(d.n))  # noqa: E731
     else:
         fake = lambda n, right, mode: ()  # noqa: E731
-    monkeypatch.setattr(cli, broken, fake)
+    monkeypatch.setattr(owner, broken, fake)
     code = main(["factorize", "[[1,2,3,4,5,-1],[-2,-5],[-3,-4]]", "--mode", "on-dn"])
     captured = capsys.readouterr()
     assert code == 4

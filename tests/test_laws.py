@@ -419,8 +419,10 @@ def test_pinned_multiply_counts(monkeypatch, job, multiplies):
         calls[0] += 1
         return real(a, b)
 
+    # submodules only: the package resolves ``multiply`` on each lookup, and
+    # patching it would leave a copy in its globals after the undo
     for name, module in list(sys.modules.items()):
-        if name.startswith("diagcalc") and getattr(module, "multiply", None) is real:
+        if name.startswith("diagcalc.") and getattr(module, "multiply", None) is real:
             monkeypatch.setattr(module, "multiply", counted)
     job()
     assert calls[0] == multiplies

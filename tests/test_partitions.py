@@ -118,6 +118,7 @@ def test_input_checks_survive_optimized_mode():
     # ``python -O`` strips asserts; these checks must still raise
     script = (
         "import diagcalc.cli as cli\n"
+        "import diagcalc.presentations as presentations\n"
         "from diagcalc.counting import bell, catalan, order_preserving_count\n"
         "from diagcalc.engine import cayley_json, closure\n"
         "from diagcalc.equivalences import (Equivalence, atom, cap_kernel, cap_word,\n"
@@ -157,8 +158,8 @@ def test_input_checks_survive_optimized_mode():
         "    except ValueError:\n"
         "        print('ValueError')\n"
         "# a factorization that does not replay is an internal error, exit 4\n"
-        "real = cli.factor_product\n"
-        "cli.factor_product = lambda d, mode: (real(d, mode)[0], identity(d.n))\n"
+        "real = presentations.factor_product\n"
+        "presentations.factor_product = lambda d, mode: (real(d, mode)[0], identity(d.n))\n"
         "print(cli.main(['factorize', '[[1,2,-1,-2],[3,-3]]', '--mode', 'tn-en']))\n"
     )
     src = str(Path(diagcalc.__file__).resolve().parents[1])

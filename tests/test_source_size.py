@@ -1,7 +1,9 @@
 """Each module stays below the size where compiling it costs more memory.
 
-Without cached bytecode every ``python -m diagcalc`` child compiles the
-package from source.  Compiling a module of more than about 8,190 tokens
+Without cached bytecode every ``python -m diagcalc`` child compiles from
+source the modules its command loads (``diagcalc`` imports its submodules
+lazily, and the CLI imports ``laws``, ``presentations`` and ``render`` only
+in the commands that use them).  Compiling a module of more than about 8,190 tokens
 takes about 0.5 MB more peak memory (``tracemalloc`` around ``compile()``,
 CPython 3.11), and in a short CLI run that becomes the peak RSS.  The
 tokens are counted as ``tokenize`` yields them, without comments and
