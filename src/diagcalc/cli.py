@@ -22,7 +22,8 @@ variable when set, and ``--budget`` overrides both.  It bounds the coset
 nodes of presentation enumeration and the pairs of the ``ehresmann``,
 ``restriction`` and ``grrac`` law scans: a carrier of ``k`` elements whose
 ``k**2`` pairs exceed it is reported as exhausted before any axiom is
-scanned.  ``action-pair`` and ``theta-laws`` are not bounded by it.
+scanned.  ``action-pair`` is bounded the same way by its ``|U| * |S|``
+pairs; ``theta-laws`` is not bounded by it.
 """
 
 from __future__ import annotations
@@ -183,12 +184,13 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
             )
         else:
             checks = _law_checks(args, budget)
-            if isinstance(checks, int):
+            if isinstance(checks, dict):
                 status = "exhausted"
-                report["carrier_size"] = checks
+                pairs = checks.pop("pairs")
+                report.update(checks)
+                sizes = "".join(f"{key}={value} " for key, value in checks.items())
                 text_body = (
-                    f"target={args.target} n={args.n} status={status} "
-                    f"carrier_size={checks} pairs={checks**2}\n"
+                    f"target={args.target} n={args.n} status={status} {sizes}pairs={pairs}\n"
                 )
             else:
                 status = "verified" if all(rep.holds for rep in checks) else "refuted"
@@ -210,9 +212,9 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_VERIFIED if verified else EXIT_REFUTED
 
 
-def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | int:
-    """The target's check reports, or just the carrier size when a pair
-    scan's ``size**2`` pairs exceed the budget."""
+def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | dict[str, int]:
+    """The target's check reports, or the sizes and the ``pairs`` of a scan
+    whose pairs exceed the budget."""
     from . import laws
 
     n = args.n
@@ -221,10 +223,10 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | in
         # a negative degree gets ``family``'s error message
         counted = _CARRIER_COUNTS.get(name) if n >= 0 else None
         if counted and (size := counted(n)) ** 2 > budget:
-            return size
+            return {"carrier_size": size, "pairs": size**2}
         carrier = family(name, n)
         if len(carrier) ** 2 > budget:
-            return len(carrier)
+            return {"carrier_size": len(carrier), "pairs": len(carrier) ** 2}
         monoid = from_elements(n, carrier)
         if args.target == "ehresmann":
             return laws.check_ehresmann(monoid)
@@ -233,6 +235,11 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | in
         return laws.check_grrac(monoid)
     if args.target == "action-pair":
         pair = args.monoid or "en-tn"
+        if pair in laws.ACTION_PAIRS and n >= 0:
+            u_name, s_name = laws.ACTION_PAIRS[pair]
+            u_size, s_size = _CARRIER_COUNTS[u_name](n), _CARRIER_COUNTS[s_name](n)
+            if u_size * s_size > budget:
+                return {"carrier_size": s_size, "u_size": u_size, "pairs": u_size * s_size}
         u_elements, s_elements = laws.action_pair_elements(pair, n)
         return [laws.check_action_pair(u_elements, s_elements, pair)]
     return laws.theta_battery(n)

@@ -10,6 +10,17 @@ products and unary operations reach outside it are interned, so the
 exhaustive law checkers run on integer indices and multiply every product
 at most once.
 
+A carrier wrapped by :func:`from_elements` starts by multiplying each new
+product and memoising it.  Once it has multiplied more than ``2 * len(m)``
+products of two carrier elements, it looks for a generating set inside the
+carrier: greedily, by descending rank and then canonical order, it adds every
+element that the set so far does not generate, and takes the :func:`closure`
+of that set.  If the closure is exactly the carrier, each product row of
+two carrier indices is filled once, on first use, by one table lookup per
+entry (Froidure & Pin, 1997).  If the closure leaves the carrier, the
+carrier keeps multiplying.  Products with an interned diagram past the
+carrier are always multiplied and memoised.
+
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
 pass their own.
@@ -25,6 +36,10 @@ from .equivalences import Equivalence, _normalize, join
 from .partitions import Diagram, identity, multiply
 
 DEFAULT_BUDGET = 2_000_000
+
+
+class _Escape(Exception):
+    """A product of two carrier elements left the carrier."""
 
 
 class BudgetExceeded(Exception):
@@ -100,6 +115,10 @@ class FiniteMonoid:
         self._escape_index: dict[Diagram, int] = {}
         self._rows: defaultdict[int, list[int]] = defaultdict(list)  # product memo
         self._images: dict[Callable[[Diagram], Diagram], list[int]] = {}
+        # carrier-by-carrier products multiplied so far, or None once the
+        # carrier has tried to switch to lookups (or never will)
+        self._multiplied: int | None = None if right is not None else 0
+        self._fill: Callable[[int], None] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -126,8 +145,10 @@ class FiniteMonoid:
         """Ambient index of ``diagram(i) * diagram(j)``.
 
         Two carrier indices of a closure-built carrier walk ``rep_words[j]``
-        through ``right`` and multiply nothing; every other product is
-        multiplied once and memoised in lazily filled rows.
+        through ``right`` and multiply nothing.  Every other product is read
+        from lazily filled rows: a carrier that has switched to lookups fills
+        a row of carrier products at once, and anything else is multiplied
+        once and memoised.
         """
         if j < self._walk and i < self._walk:
             right = self._right
@@ -139,8 +160,67 @@ class FiniteMonoid:
             row.extend([-1] * (len(self.elements) + len(self._escapes) - len(row)))
         k = row[j]
         if k < 0:
+            size = len(self.elements)
+            if i < size and j < size:
+                if self._multiplied is not None:
+                    self._multiplied += 1
+                    if self._multiplied > 2 * size:
+                        self._multiplied = None
+                        self._fill = self._lookups()
+                        if row[j] >= 0:  # multiplied while looking
+                            return row[j]
+                if self._fill is not None:
+                    self._fill(i)
+                    return row[j]
             k = row[j] = self.intern(multiply(self.diagram(i), self.diagram(j)))
         return k
+
+    def _lookups(self) -> Callable[[int], None] | None:
+        """A filler of product rows from a generating set inside the carrier
+        (see the module docstring), or ``None`` when a product leaves it.
+        The greedy's closures multiply through this carrier's memo, so no
+        product is multiplied twice across its restarts."""
+        size, elements, index = len(self.elements), self.elements, self.index
+        seed = self.identity_index
+
+        def inside(a: Diagram, b: Diagram) -> Diagram:
+            k = self.product(index[a], index[b])
+            if k >= size:
+                raise _Escape
+            return elements[k]
+
+        gens: list[Diagram] = []
+        generated = set() if seed is None else {seed}
+        order = sorted(self.canonical_order(), key=lambda k: -elements[k].rank())
+        try:
+            for k in order:
+                if k not in generated:
+                    gens.append(elements[k])
+                    sub = closure(self.n, gens, monoid=seed is not None, product=inside)
+                    if len(sub) == size:
+                        break
+                    generated = {index[d] for d in sub.elements}
+        except _Escape:
+            return None
+
+        # the closure re-indexed by the carrier: ``right[x][a]`` is
+        # ``x * gens[a]``, and each longer word is its prefix times a letter
+        at = [index[d] for d in sub.elements]
+        right = [[at[x] for x in sub.right[c]] for c in sorted(range(size), key=at.__getitem__)]
+        word_at = {w: at[c] for c, w in enumerate(sub.rep_words)}
+        letters = [(at[c], w[0]) for c, w in enumerate(sub.rep_words) if len(w) == 1]
+        steps = [(at[c], word_at[w[:-1]], w[-1]) for c, w in enumerate(sub.rep_words) if len(w) > 1]
+
+        def fill(i: int) -> None:
+            row, right_i = self._rows[i], right[i]
+            if seed is not None:
+                row[seed] = i
+            for j, a in letters:
+                row[j] = right_i[a]
+            for j, p, a in steps:
+                row[j] = right[row[p]][a]
+
+        return fill
 
     def unary(self, op: Callable[[Diagram], Diagram]) -> Callable[[int], int]:
         """``op`` on ambient indices, each image computed once per monoid."""
@@ -191,12 +271,14 @@ def closure(
     monoid: bool = True,
     budget: int = DEFAULT_BUDGET,
     symbols: Sequence[str] | None = None,
+    product: Callable[[Diagram, Diagram], Diagram] | None = None,
 ) -> FiniteMonoid:
     """Froidure-Pin closure of the generators under multiplication.
 
     With ``monoid=True`` the identity is adjoined as the seed (empty word);
     otherwise only non-empty products are collected and the identity appears
-    just if some product equals it.
+    just if some product equals it.  ``product`` replaces :func:`multiply`,
+    say by a memoised one.
 
     Elements are found in shortlex order of their representative words,
     one word length at a time.  An element ``u`` of length ``L`` is
@@ -215,6 +297,7 @@ def closure(
     if any(g.n != n for g in generators):
         raise ValueError(f"every generator must have degree {n}")
     k = len(generators)
+    mul = multiply if product is None else product
     elements: list[Diagram] = []
     index: dict[Diagram, int] = {}
     rep_words: list[tuple[int, ...]] = []
@@ -259,7 +342,7 @@ def closure(
             for a in range(k):
                 r = letter[a] if s < 0 else right[s][a]
                 if prefix[r] == s and last[r] == a:
-                    prod = multiply(elements[u], generators[a])
+                    prod = mul(elements[u], generators[a])
                     row[a] = intern(prod, rep_words[u] + (a,), u, r)
                 elif last[r] < 0:  # s * a is the identity seed
                     row[a] = letter[b]
@@ -280,9 +363,14 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     """Wrap an explicit element set, every element acting as a generator.
 
     Products are multiplied on first use, so wrapping a large set is cheap
-    until they are actually needed.  The Cayley tables (``right``,
-    ``left_table()``) index the carrier only if the set is closed under
-    multiplication.
+    until they are actually needed.  After more than ``2 * len(m)`` products
+    of two carrier elements have been multiplied, the carrier tries to
+    switch to lookups: it picks a generating set inside itself and, if its
+    closure is exactly the carrier, fills each row of carrier products by
+    one lookup per entry.  A set that is not closed under multiplication
+    keeps multiplying and memoising, as do products with diagrams interned
+    past the carrier.  The Cayley tables (``right``, ``left_table()``)
+    index the carrier only if the set is closed under multiplication.
     """
     elems = sorted(set(elements))
     m = FiniteMonoid(

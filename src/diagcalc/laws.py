@@ -138,7 +138,8 @@ def projection_split(m: FiniteMonoid) -> dict[str, list[Diagram]]:
     * ``overlap``: their intersection -- a subsemigroup.
 
     The three closure claims are re-verified before returning (they are
-    theorems for Ehresmann carriers, so a failure here is a bug).
+    theorems for Ehresmann carriers, so a failure here is a bug, raised as
+    a :class:`RuntimeError` that names the claim).
     """
     one = m.intern(identity(m.n))
     (D, R), mul = _projections(m), m.product
@@ -148,12 +149,15 @@ def projection_split(m: FiniteMonoid) -> dict[str, list[Diagram]]:
     kernel_set = set(proper_kernel)
     overlap = [a for a in trivial_range if a in kernel_set]
 
-    range_set = set(trivial_range)
-    assert one in range_set
-    assert all(mul(a, b) in range_set for a in trivial_range for b in trivial_range)
-    assert all(mul(a, b) in kernel_set for a in proper_kernel for b in order)
-    overlap_set = set(overlap)
-    assert all(mul(a, b) in overlap_set for a in overlap for b in overlap)
+    range_set, overlap_set = set(trivial_range), set(overlap)
+    if one not in range_set:
+        raise RuntimeError("trivial_range holds the identity")
+    if not all(mul(a, b) in range_set for a in trivial_range for b in trivial_range):
+        raise RuntimeError("trivial_range is closed under products")
+    if not all(mul(a, b) in kernel_set for a in proper_kernel for b in order):
+        raise RuntimeError("proper_kernel is a right ideal")
+    if not all(mul(a, b) in overlap_set for a in overlap for b in overlap):
+        raise RuntimeError("overlap is closed under products")
     return {
         "trivial_range": [m.elements[a] for a in trivial_range],
         "proper_kernel": [m.elements[a] for a in proper_kernel],
@@ -334,6 +338,14 @@ def principal_pair_congruence(
 # ---------------------------------------------------------------------------
 # Batteries over the standard families, for the CLI and the acceptance suite.
 
+# the (U, S) family names of each action pair
+ACTION_PAIRS = {
+    "en-tn": ("en", "tn"),
+    "en-sing-tn": ("en", "sing-tn"),
+    "dn-on": ("dn", "on"),
+    "pen-ptn": ("pen", "ptn"),
+}
+
 
 def action_pair_elements(pair: str, n: int) -> tuple[list[Diagram], list[Diagram]]:
     """Resolve a named pair to its (U, S) element families.
@@ -344,15 +356,9 @@ def action_pair_elements(pair: str, n: int) -> tuple[list[Diagram], list[Diagram
     ``pen-ptn``     convex projections and planar transformations (a pair
                     that genuinely fails A1, kept for refutation runs).
     """
-    selectors = {
-        "en-tn": ("en", "tn"),
-        "en-sing-tn": ("en", "sing-tn"),
-        "dn-on": ("dn", "on"),
-        "pen-ptn": ("pen", "ptn"),
-    }
-    if pair not in selectors:
-        raise ValueError(f"unknown action pair {pair!r}; expected one of {', '.join(selectors)}")
-    u_name, s_name = selectors[pair]
+    if pair not in ACTION_PAIRS:
+        raise ValueError(f"unknown action pair {pair!r}; expected one of {', '.join(ACTION_PAIRS)}")
+    u_name, s_name = ACTION_PAIRS[pair]
     return partitions.family(u_name, n), partitions.family(s_name, n)
 
 

@@ -229,6 +229,37 @@ def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
     assert out == "target=grrac n=4 status=exhausted carrier_size=110 pairs=12100\n"
 
 
+def test_action_pair_exhausts_before_its_sets_are_built(capsys, monkeypatch):
+    import diagcalc.cli as cli
+    import diagcalc.laws as laws
+    import diagcalc.partitions as partitions
+
+    for u_name, s_name in laws.ACTION_PAIRS.values():
+        assert u_name in cli._CARRIER_COUNTS and s_name in cli._CARRIER_COUNTS
+
+    def never(*args, **kwargs):
+        raise AssertionError("an action-pair set was built over the budget")
+
+    monkeypatch.setattr(partitions, "family", never)
+    # en-tn 6 is Bell(6) = 203 projections times 6**6 = 46,656 transformations
+    for extra in ([], ["--expect-fail"]):
+        code, report = run_json(capsys, "verify", "--target", "action-pair", "--n", "6", *extra)
+        assert code == 2 and report["status"] == "exhausted"
+        assert report["u_size"] == 203 and report["carrier_size"] == 46656
+        assert "checks" not in report
+    # dn-on 4 is 14 caps times 35 order-preserving maps: 490 pairs
+    code, out = run(capsys, "verify", "--target", "action-pair", "--monoid", "dn-on", "--n",
+                    "4", "--budget", "489", "--format", "text")
+    assert code == 2
+    assert out == (
+        "target=action-pair n=4 status=exhausted carrier_size=35 u_size=14 pairs=490\n"
+    )
+    monkeypatch.undo()
+    code, report = run_json(capsys, "verify", "--target", "action-pair", "--monoid", "dn-on",
+                            "--n", "4", "--budget", "490")
+    assert code == 0 and report["status"] == "verified"
+
+
 def test_law_scan_budget_bound_is_inclusive(capsys):
     # PP3fd has 20 elements: 400 pairs fit a budget of 400, not of 100
     code, report = run_json(capsys, "verify", "--target", "grrac", "--n", "3",

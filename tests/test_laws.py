@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diagcalc
 from diagcalc.engine import closure, from_elements
 from diagcalc.equivalences import all_equivalences
 from diagcalc.laws import (
@@ -113,6 +118,31 @@ def test_projection_split():
     assert split["trivial_range"] == [identity(2)]
     assert split["proper_kernel"] == []
     assert split["overlap"] == []
+
+
+def test_projection_split_claims_survive_optimized_mode():
+    # ``python -O`` strips asserts; a failed closure claim must still raise.
+    # With every R(a) a non-identity projection no element has a trivial
+    # range, so the first claim fails.
+    script = (
+        "import diagcalc.partitions as partitions\n"
+        "from diagcalc.engine import from_elements\n"
+        "from diagcalc.laws import projection_split\n"
+        "m = from_elements(3, partitions.family('pnfd', 3))\n"
+        "partitions.range_projection = lambda d: partitions.merge(d.n, 1, 2)\n"
+        "try:\n"
+        "    projection_split(m)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(diagcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "trivial_range holds the identity\n"
 
 
 # -- Ehresmann axioms ---------------------------------------------------------------
@@ -398,11 +428,23 @@ def test_theta_battery(n):
 @pytest.mark.parametrize(
     "job,multiplies",
     [
-        (lambda: theta_battery(3), 1_137),
-        (lambda: theta_battery(4), 74_757),
-        (lambda: check_ehresmann(from_elements(3, family("pn", 3))), 41_209),
+        (lambda: theta_battery(3), 445),
+        (lambda: theta_battery(4), 8_999),
+        (lambda: check_ehresmann(from_elements(3, family("pn", 3))), 694),
+        (lambda: check_restriction(from_elements(4, family("ppnfd", 4)), "right"), 1_274),
+        (lambda: check_grrac(from_elements(4, family("ppnfd", 4))), 539),
+        # the witness comes before the carrier has multiplied 2 * 855
+        # products, so it never switches to lookups
+        (lambda: check_restriction(from_elements(4, family("pnfd", 4)), "left"), 856),
     ],
-    ids=["theta_battery-3", "theta_battery-4", "ehresmann-P3"],
+    ids=[
+        "theta_battery-3",
+        "theta_battery-4",
+        "ehresmann-P3",
+        "restriction-right-PP4fd",
+        "grrac-PP4fd",
+        "restriction-left-P4fd",
+    ],
 )
 def test_pinned_multiply_counts(monkeypatch, job, multiplies):
     # every product goes through the carrier's memo, so the number of
