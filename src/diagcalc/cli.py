@@ -23,7 +23,9 @@ nodes of presentation enumeration and the pairs of the ``ehresmann``,
 ``restriction`` and ``grrac`` law scans: a carrier of ``k`` elements whose
 ``k**2`` pairs exceed it is reported as exhausted before any axiom is
 scanned.  ``action-pair`` is bounded the same way by its ``|U| * |S|``
-pairs; ``theta-laws`` is not bounded by it.
+pairs, and ``theta-laws`` by its ``Bell(n)**2 * n**n`` theta-join pairs
+(each pair of the ``Bell(n)`` projections compares congruences on the
+``n**n`` transformations).
 """
 
 from __future__ import annotations
@@ -242,6 +244,8 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
                 return {"carrier_size": s_size, "u_size": u_size, "pairs": u_size * s_size}
         u_elements, s_elements = laws.action_pair_elements(pair, n)
         return [laws.check_action_pair(u_elements, s_elements, pair)]
+    if n >= 0 and (pairs := bell(n) ** 2 * n**n) > budget:
+        return {"carrier_size": n**n, "u_size": bell(n), "pairs": pairs}
     return laws.theta_battery(n)
 
 

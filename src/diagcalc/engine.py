@@ -29,10 +29,9 @@ pass their own.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .equivalences import Equivalence, _normalize, join
+from .equivalences import Equivalence, _normalize, _Record, join
 from .partitions import Diagram, identity, multiply
 
 DEFAULT_BUDGET = 2_000_000
@@ -52,14 +51,15 @@ class BudgetExceeded(Exception):
 
 # kept here, not in ``laws``, so that a presentation verdict, whose soundness
 # check returns one, does not load the law checkers
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one exhaustive law check."""
 
-    name: str
-    holds: bool
-    witness: tuple[str, ...] | None = None
-    counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("name", "holds", "witness", "counts")
+
+    def __init__(self, name: str, holds: bool, witness: tuple[str, ...] | None = None,
+                 counts: dict[str, int] | None = None):
+        # each report gets its own dict
+        self._set(name, holds, witness, {} if counts is None else counts)
 
     def to_dict(self) -> dict:
         return {
@@ -383,14 +383,14 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
 # -- Green's relations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreenClasses:
+class GreenClasses(_Record):
     """Partitions of the element indices under Green's relations."""
 
-    r_class_of: tuple[int, ...]
-    l_class_of: tuple[int, ...]
-    j_class_of: tuple[int, ...]
-    h_class_of: tuple[int, ...]
+    __slots__ = ("r_class_of", "l_class_of", "j_class_of", "h_class_of")
+
+    def __init__(self, r_class_of: tuple[int, ...], l_class_of: tuple[int, ...],
+                 j_class_of: tuple[int, ...], h_class_of: tuple[int, ...]):
+        self._set(r_class_of, l_class_of, j_class_of, h_class_of)
 
     def counts(self) -> dict[str, int]:
         return {
@@ -463,16 +463,17 @@ def green(m: FiniteMonoid) -> GreenClasses:
     return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
 
 
-@dataclass(frozen=True)
-class BandReport:
-    """Idempotency/commutation flags for a finite monoid."""
+class BandReport(_Record):
+    """Idempotency/commutation flags for a finite monoid.
 
-    band: bool
-    left_regular: bool  # xyx = xy
-    right_regular: bool  # xyx = yx
-    semilattice: bool
-    l_trivial: bool
-    r_trivial: bool
+    ``left_regular`` is xyx = xy and ``right_regular`` is xyx = yx.
+    """
+
+    __slots__ = ("band", "left_regular", "right_regular", "semilattice", "l_trivial", "r_trivial")
+
+    def __init__(self, band: bool, left_regular: bool, right_regular: bool, semilattice: bool,
+                 l_trivial: bool, r_trivial: bool):
+        self._set(band, left_regular, right_regular, semilattice, l_trivial, r_trivial)
 
 
 def band_type(m: FiniteMonoid) -> BandReport:

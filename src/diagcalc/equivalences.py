@@ -95,6 +95,50 @@ class _Canonical:
         return f"{type(self).__name__}.from_text({self.text()!r})"
 
 
+class _Record:
+    """A frozen record over ``__slots__``: the report types' stand-in for a
+    frozen dataclass, which would load :mod:`dataclasses` (and with it
+    ``inspect`` and ``ast``) into every CLI run.
+
+    The fields are the record class's own slots in order, except the last
+    ``_hidden`` ones, which are stored but left out of ``==``, ``hash`` and
+    ``repr``.  A subclass of a record must declare the same slots again.
+    Equality needs the same class and then equal field tuples, the hash is
+    the field tuple's, and assignment raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _hidden = 0
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple[str, ...]:
+        return self.__slots__[: len(self.__slots__) - self._hidden]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Equivalence(_Canonical):
     """An equivalence relation on ``{1, ..., n}`` in canonical form."""
 
@@ -309,11 +353,13 @@ def cap_kernel(eq: Equivalence) -> Equivalence:
     labels = [0] * eq.n
     edge = 0
     for block_id, block in enumerate(unnested_classes(eq)):
-        assert block[0] == edge + 1, "unnested spans must tile the points"
+        if block[0] != edge + 1:
+            raise RuntimeError("unnested spans of a planar relation abut")
         edge = block[-1]
         for point in range(block[0], edge + 1):
             labels[point - 1] = block_id
-    assert edge == eq.n
+    if edge != eq.n:
+        raise RuntimeError("unnested spans of a planar relation cover the points")
     return Equivalence(eq.n, labels)
 
 

@@ -38,12 +38,12 @@ to the block sequence being non-crossing in the boundary order
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .equivalences import (
     Equivalence,
     _Canonical,
+    _Record,
     _find,
     _normalize,
     _parse_nested_ints,
@@ -221,33 +221,32 @@ class Diagram(_Canonical):
         return tuple(images)
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(_Record):
     """Blocks of a diagram sorted into transversal and one-row parts."""
 
-    transversals: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    upper_blocks: tuple[tuple[int, ...], ...]
-    lower_blocks: tuple[tuple[int, ...], ...]
-    rank: int
-    dom: tuple[int, ...]
-    codom: tuple[int, ...]
+    __slots__ = ("transversals", "upper_blocks", "lower_blocks", "rank", "dom", "codom")
+
+    def __init__(self, transversals: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+                 upper_blocks: tuple[tuple[int, ...], ...],
+                 lower_blocks: tuple[tuple[int, ...], ...], rank: int, dom: tuple[int, ...],
+                 codom: tuple[int, ...]):
+        self._set(transversals, upper_blocks, lower_blocks, rank, dom, codom)
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(_Record):
     """Submonoid membership flags for a single diagram."""
 
-    permutation: bool
-    transformation: bool
-    order_preserving: bool
-    partial_injection: bool
-    block_bijection: bool
-    uniform_block_bijection: bool
-    projection: bool
-    full_domain: bool
-    planar: bool
-    planar_full_domain: bool
-    cap: bool
+    __slots__ = ("permutation", "transformation", "order_preserving", "partial_injection",
+                 "block_bijection", "uniform_block_bijection", "projection", "full_domain",
+                 "planar", "planar_full_domain", "cap")
+
+    def __init__(self, permutation: bool, transformation: bool, order_preserving: bool,
+                 partial_injection: bool, block_bijection: bool, uniform_block_bijection: bool,
+                 projection: bool, full_domain: bool, planar: bool, planar_full_domain: bool,
+                 cap: bool):
+        self._set(permutation, transformation, order_preserving, partial_injection,
+                  block_bijection, uniform_block_bijection, projection, full_domain, planar,
+                  planar_full_domain, cap)
 
 
 # Membership tests on a diagram's two label rows, ``up = labels[:n]`` and

@@ -35,7 +35,6 @@ soundness and generation checks into a single verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable
 
@@ -51,7 +50,7 @@ from .counting import (
     uniform_block_bijection_count,
 )
 from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
-from .equivalences import _find
+from .equivalences import _find, _Record
 from .partitions import (
     SCHEMA_NAMES,
     Diagram,
@@ -130,17 +129,19 @@ _t = lambda i, j: (sym_t(i, j),)
 _cap = lambda i, j: (sym_cap(i, j),)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A symbol alphabet with fully expanded defining relations."""
+class Presentation(_Record):
+    """A symbol alphabet with fully expanded defining relations.
 
-    name: str
-    n: int
-    kind: str  # "monoid" or "semigroup"
-    alphabet: tuple[str, ...]
-    relations: tuple[Relation, ...]
-    # the standard assignment, one image per symbol; not part of the value
-    images: tuple[Diagram, ...] = field(default=(), compare=False, repr=False)
+    ``kind`` is ``"monoid"`` or ``"semigroup"``.  ``images``, the standard
+    assignment with one image per symbol, is not part of the value.
+    """
+
+    __slots__ = ("name", "n", "kind", "alphabet", "relations", "images")
+    _hidden = 1
+
+    def __init__(self, name: str, n: int, kind: str, alphabet: tuple[str, ...],
+                 relations: tuple[Relation, ...], images: tuple[Diagram, ...] = ()):
+        self._set(name, n, kind, alphabet, relations, images)
 
     def to_dict(self) -> dict:
         return {
@@ -590,8 +591,7 @@ def target_elements(name: str, n: int) -> Target:
 # Exact enumeration of a presented monoid or semigroup.
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Record):
     """Outcome of ``enumerate_presented``.
 
     ``table`` is the right Cayley table of the quotient, numbered by a
@@ -602,13 +602,15 @@ class EnumerationResult:
     semigroup presentation the root node stands outside the semigroup, so
     ``size`` is one less than the number of rows; for a monoid it is the row
     count.  ``node_budget_used`` counts the nodes allocated, merged ones
-    included, not the nodes live at the end.
+    included, not the nodes live at the end.  ``status`` is ``"completed"``
+    or ``"exhausted"``.
     """
 
-    status: str  # "completed" or "exhausted"
-    size: int | None
-    table: tuple[tuple[int, ...], ...] | None
-    node_budget_used: int
+    __slots__ = ("status", "size", "table", "node_budget_used")
+
+    def __init__(self, status: str, size: int | None,
+                 table: tuple[tuple[int, ...], ...] | None, node_budget_used: int):
+        self._set(status, size, table, node_budget_used)
 
 
 def _prefix_table(
@@ -780,8 +782,7 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
     return EnumerationResult("completed", size, table, len(parent))
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(_Record):
     """Verdict of ``verify_presentation``.
 
     ``status`` is ``"verified"`` when soundness, generation, and the size
@@ -790,15 +791,14 @@ class PresentationReport:
     inconclusive rather than a failure.
     """
 
-    name: str
-    n: int
-    status: str
-    sound: bool
-    witness: tuple[str, ...] | None
-    target_size: int
-    closure_size: int | None
-    enumerated_size: int | None
-    node_budget_used: int
+    __slots__ = ("name", "n", "status", "sound", "witness", "target_size", "closure_size",
+                 "enumerated_size", "node_budget_used")
+
+    def __init__(self, name: str, n: int, status: str, sound: bool,
+                 witness: tuple[str, ...] | None, target_size: int, closure_size: int | None,
+                 enumerated_size: int | None, node_budget_used: int):
+        self._set(name, n, status, sound, witness, target_size, closure_size, enumerated_size,
+                  node_budget_used)
 
     @property
     def verified(self) -> bool:

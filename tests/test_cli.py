@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from diagcalc.cli import _CLOSED_FORMS, main
+from diagcalc.engine import CheckReport
 from diagcalc.equivalences import Equivalence
 from diagcalc.partitions import Diagram, cap, from_transformation, identity, multiply
 from diagcalc.presentations import eval_word, standard_assignment
@@ -258,6 +259,29 @@ def test_action_pair_exhausts_before_its_sets_are_built(capsys, monkeypatch):
     code, report = run_json(capsys, "verify", "--target", "action-pair", "--monoid", "dn-on",
                             "--n", "4", "--budget", "490")
     assert code == 0 and report["status"] == "verified"
+
+
+def test_theta_laws_exhausts_before_the_battery_runs(capsys, monkeypatch):
+    import diagcalc.laws as laws
+
+    def never(n):
+        raise AssertionError("theta_battery ran over the budget")
+
+    monkeypatch.setattr(laws, "theta_battery", never)
+    # n = 5: Bell(5)**2 = 2,704 pairs of projections, each on 5**5 = 3,125 maps
+    code, report = run_json(capsys, "verify", "--target", "theta-laws", "--n", "5")
+    assert code == 2 and report["status"] == "exhausted"
+    assert report["u_size"] == 52 and report["carrier_size"] == 3125
+    assert "checks" not in report
+    code, out = run(capsys, "verify", "--target", "theta-laws", "--n", "3", "--budget",
+                    "674", "--format", "text")
+    assert code == 2
+    assert out == "target=theta-laws n=3 status=exhausted carrier_size=27 u_size=5 pairs=675\n"
+    # the bound is inclusive, and a battery inside it runs
+    monkeypatch.setattr(laws, "theta_battery", lambda n: [CheckReport(f"theta:{n}", True)])
+    code, report = run_json(capsys, "verify", "--target", "theta-laws", "--n", "5",
+                            "--budget", "8450000")
+    assert code == 0 and report["checks"][0]["name"] == "theta:5"
 
 
 def test_law_scan_budget_bound_is_inclusive(capsys):

@@ -13,7 +13,6 @@ the side that ran out must then agree once it is given a larger budget.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -141,7 +140,8 @@ def oracle(pres: Presentation, budget: int) -> EnumerationResult:
     result = reference_enumerate(pres, budget=budget)
     if result.table is None:
         return result
-    return dataclasses.replace(result, table=standardise(result.table))
+    return EnumerationResult(result.status, result.size, standardise(result.table),
+                             result.node_budget_used)
 
 
 def assert_same(pres: Presentation, *, budget: int = DEFAULT_BUDGET, retry: int = 200_000):

@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diagcalc
 from diagcalc.counting import bell, catalan
 from diagcalc.equivalences import (
     Equivalence,
@@ -156,6 +161,31 @@ def test_cap_kernel():
     for e in all_equivalences(6):
         if e.is_planar():
             assert cap_kernel(e).is_convex()
+
+
+def test_cap_kernel_claims_survive_optimized_mode():
+    # ``python -O`` strips asserts; spans that fail to tile must still raise.
+    # A gap after {1} fails the first claim, spans ending short the second.
+    script = (
+        "import diagcalc.equivalences as eq\n"
+        "for spans in (((1,), (3,)), ((1,), (2,))):\n"
+        "    eq.unnested_classes = lambda e: spans\n"
+        "    try:\n"
+        "        eq.cap_kernel(eq.diagonal(3))\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(diagcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "unnested spans of a planar relation abut",
+        "unnested spans of a planar relation cover the points",
+    ]
 
 
 def test_cap_word_and_bricks():

@@ -2,7 +2,8 @@
 
 ``import diagcalc`` imports no submodule: the package namespace resolves
 each public name on first use (PEP 562).  The CLI imports ``laws``,
-``presentations`` and ``render`` inside the commands that need them.  An
+``presentations`` and ``render`` inside the commands that need them, and
+no command loads :mod:`dataclasses` or the stdlib modules it pulls in.  An
 import regression then shows up here as a changed module set, not only as
 a slower child.
 """
@@ -35,13 +36,18 @@ COMMANDS = [
     (["enumerate", "--monoid", "pnfd", "--n", "2"], BASE),
 ]
 
+# stdlib modules that ``dataclasses`` would load; no command may need them
+HEAVY = ("dataclasses", "inspect", "dis", "ast", "tokenize")
+
 LOADED = (
     "print(json.dumps(sorted(m.removeprefix('diagcalc.') for m in sys.modules\n"
-    "                        if m.startswith('diagcalc.'))))"
+    f"                        if m.startswith('diagcalc.') or m in {HEAVY!r})))"
 )
 
 
 def loaded_after(script: str, *args: str) -> set[str]:
+    """The ``diagcalc`` submodules, and any of ``HEAVY``, loaded after the
+    script ran; the probe itself imports only ``json`` and ``sys``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -267,7 +266,8 @@ def test_relations_hold_under_assignment(name):
 def test_soundness_catches_a_broken_relation():
     pres = schema("on", 3)
     bad = (("f_1", "g_2"), ("g_2",))
-    mutated = dataclasses.replace(pres, relations=pres.relations + (bad,))
+    mutated = Presentation(pres.name, pres.n, pres.kind, pres.alphabet,
+                           pres.relations + (bad,), pres.images)
     rep = check_soundness(mutated, standard_assignment("on", 3))
     assert not rep.holds
     assert rep.name == "soundness:on:n=3"
