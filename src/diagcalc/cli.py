@@ -40,10 +40,13 @@ from typing import Sequence
 
 from .counting import (
     bell,
+    block_bijection_count,
     catalan,
     full_domain_count,
     order_preserving_count,
+    partial_injection_count,
     planar_full_domain_count,
+    uniform_block_bijection_count,
 )
 from .engine import (
     DEFAULT_BUDGET,
@@ -222,14 +225,11 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
     n = args.n
     if args.target in _PAIR_SCANS:
         name = args.monoid or _PAIR_SCANS[args.target]
-        # a negative degree gets ``family``'s error message
+        # an unknown name or a negative degree gets ``family``'s error message
         counted = _CARRIER_COUNTS.get(name) if n >= 0 else None
         if counted and (size := counted(n)) ** 2 > budget:
             return {"carrier_size": size, "pairs": size**2}
-        carrier = family(name, n)
-        if len(carrier) ** 2 > budget:
-            return {"carrier_size": len(carrier), "pairs": len(carrier) ** 2}
-        monoid = from_elements(n, carrier)
+        monoid = from_elements(n, family(name, n))
         if args.target == "ehresmann":
             return laws.check_ehresmann(monoid)
         if args.target == "restriction":
@@ -261,13 +261,16 @@ _CLOSED_FORMS = {
     "pen": lambda n: max(2 ** (n - 1), 1),
 }
 
-# carrier sizes counted without building the carrier, so that an over-budget
+# every family's size, counted without building it, so that an over-budget
 # pair scan stops before ``family`` runs
 _CARRIER_COUNTS = {
     **_CLOSED_FORMS,
     "pnfd": full_domain_count,
     "ppnfd": planar_full_domain_count,
     "sing-tn": lambda n: n**n - math.factorial(n),
+    "fn": uniform_block_bijection_count,
+    "in": partial_injection_count,
+    "jn": block_bijection_count,
 }
 
 # families whose right Cayley graph we can export, with the schema whose

@@ -9,7 +9,7 @@ enumerators and closure algorithms.
 
 from __future__ import annotations
 
-from math import comb, perm
+from math import comb, factorial, perm
 
 
 def bell(n: int) -> int:
@@ -56,6 +56,16 @@ def order_preserving_count(n: int) -> int:
     return comb(2 * n - 1, n - 1) if n else 1
 
 
+def _stirling_row(n: int) -> list[int]:
+    """``S(n, j)`` for ``j = 0 .. n``: Stirling numbers of the second kind."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    row = [1]  # row[j] = S(m, j), from m = 0 up to n
+    for _ in range(n):
+        row = [j * s + t for j, (s, t) in enumerate(zip(row + [0], [0] + row))]
+    return row
+
+
 def full_domain_count(n: int) -> int:
     """Number of full-domain diagrams of degree ``n``: ``|Pnfd|``.
 
@@ -66,11 +76,7 @@ def full_domain_count(n: int) -> int:
     >>> [full_domain_count(k) for k in range(7)]
     [1, 1, 5, 52, 855, 19921, 614866]
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    stirling = [1]  # stirling[j] = S(m, j), from m = 0 up to n
-    for _ in range(n):
-        stirling = [j * s + t for j, (s, t) in enumerate(zip(stirling + [0], [0] + stirling))]
+    stirling = _stirling_row(n)
     return sum(
         stirling[k] * sum(stirling[j] * perm(j, k) for j in range(k, n + 1))
         for k in range(n + 1)
@@ -124,3 +130,19 @@ def uniform_block_bijection_count(n: int) -> int:
             comb(m - 1, s - 1) * comb(m, s) * counts[m - s] for s in range(1, m + 1)
         ))
     return counts[n]
+
+
+def partial_injection_count(n: int) -> int:
+    """Number of partial injections of degree ``n``: ``|In|``, the sum over
+    ``k`` of ``C(n, k)**2 * k!`` (``k`` upper and ``k`` lower points matched
+    by a bijection, every other point a block of its own)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+
+
+def block_bijection_count(n: int) -> int:
+    """Number of block bijections of degree ``n``: ``|Jn|``, the sum over
+    ``k`` of ``S(n, k)**2 * k!`` (both rows split into ``k`` blocks, the
+    upper blocks matched to the lower ones by a bijection)."""
+    return sum(s * s * factorial(k) for k, s in enumerate(_stirling_row(n)))

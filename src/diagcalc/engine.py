@@ -10,16 +10,16 @@ products and unary operations reach outside it are interned, so the
 exhaustive law checkers run on integer indices and multiply every product
 at most once.
 
-A carrier wrapped by :func:`from_elements` starts by multiplying each new
-product and memoising it.  Once it has multiplied more than ``2 * len(m)``
-products of two carrier elements, it looks for a generating set inside the
-carrier: greedily, by descending rank and then canonical order, it adds every
-element that the set so far does not generate, and takes the :func:`closure`
-of that set.  If the closure is exactly the carrier, each product row of
-two carrier indices is filled once, on first use, by one table lookup per
-entry (Froidure & Pin, 1997).  If the closure leaves the carrier, the
-carrier keeps multiplying.  Products with an interned diagram past the
-carrier are always multiplied and memoised.
+Every carrier starts by multiplying each new product and memoising it.
+Once it has multiplied more than ``2 * len(m)`` products of two carrier
+elements, it looks for a generating set inside the carrier: greedily, by
+descending rank and then canonical order, it adds every element that the
+set so far does not generate, and takes the :func:`closure` of that set.
+If the closure is exactly the carrier, each product row of two carrier
+indices is filled once, on first use, by one table lookup per entry
+(Froidure & Pin, 1997).  If the closure leaves the carrier, the carrier
+keeps multiplying.  Products with an interned diagram past the carrier are
+always multiplied and memoised.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -109,15 +109,12 @@ class FiniteMonoid:
         self.symbols = tuple(symbols) if symbols is not None else None
         self._left = left
         self._canonical: list[int] | None = None
-        # carrier indices below this bound multiply by walking ``right``
-        self._walk = len(elements) if right is not None else 0
         self._escapes: list[Diagram] = []
         self._escape_index: dict[Diagram, int] = {}
         self._rows: defaultdict[int, list[int]] = defaultdict(list)  # product memo
         self._images: dict[Callable[[Diagram], Diagram], list[int]] = {}
-        # carrier-by-carrier products multiplied so far, or None once the
-        # carrier has tried to switch to lookups (or never will)
-        self._multiplied: int | None = None if right is not None else 0
+        # carrier-by-carrier products multiplied so far; None once it tried to switch
+        self._multiplied: int | None = 0
         self._fill: Callable[[int], None] | None = None
 
     def __len__(self) -> int:
@@ -142,19 +139,9 @@ class FiniteMonoid:
         return k
 
     def product(self, i: int, j: int) -> int:
-        """Ambient index of ``diagram(i) * diagram(j)``.
-
-        Two carrier indices of a closure-built carrier walk ``rep_words[j]``
-        through ``right`` and multiply nothing.  Every other product is read
-        from lazily filled rows: a carrier that has switched to lookups fills
-        a row of carrier products at once, and anything else is multiplied
-        once and memoised.
-        """
-        if j < self._walk and i < self._walk:
-            right = self._right
-            for g in self.rep_words[j]:
-                i = right[i][g]
-            return i
+        """Ambient index of ``diagram(i) * diagram(j)``, from lazily filled
+        rows: a carrier switched to lookups fills a row of carrier products at
+        once, and anything else is multiplied once and memoised."""
         row = self._rows[i]
         if j >= len(row):
             row.extend([-1] * (len(self.elements) + len(self._escapes) - len(row)))

@@ -9,8 +9,8 @@ instances can be hashed, sorted and compared directly.
 
 Text form
 ---------
-Classes are written as a bracketed list in first-occurrence order with
-ascending members, e.g. ``[[1,5,6],[2,3],[4],[7,8]]``.
+Classes are written as a JSON array of integer arrays in first-occurrence
+order with ascending members, e.g. ``[[1,5,6],[2,3],[4],[7,8]]``.
 
 Planarity vocabulary
 --------------------
@@ -23,6 +23,7 @@ an interval.  Planar relations are exactly the ones that admit a cap: see
 
 from __future__ import annotations
 
+import json
 from typing import Hashable, Iterable, Iterator, Sequence
 
 
@@ -96,9 +97,9 @@ class _Canonical:
 
 
 class _Record:
-    """A frozen record over ``__slots__``: the report types' stand-in for a
-    frozen dataclass, which would load :mod:`dataclasses` (and with it
-    ``inspect`` and ``ast``) into every CLI run.
+    """A frozen record over ``__slots__``, in place of a frozen dataclass,
+    which would load :mod:`dataclasses` (and with it ``inspect`` and
+    ``ast``) into every CLI run.
 
     The fields are the record class's own slots in order, except the last
     ``_hidden`` ones, which are stored but left out of ``==``, ``hash`` and
@@ -168,7 +169,7 @@ class Equivalence(_Canonical):
 
     @classmethod
     def from_text(cls, text: str) -> "Equivalence":
-        """Parse the bracketed class list, inferring ``n`` from the points.
+        """Parse the JSON class list, inferring ``n`` from the points.
 
         >>> Equivalence.from_text("[[1,3],[2]]").labels
         (0, 1, 0)
@@ -402,43 +403,13 @@ def bricks(eq: Equivalence) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _parse_nested_ints(text: str) -> list[list[int]]:
-    """Parse ``[[1,4],[2,3,-4]]`` into a list of integer lists."""
-    stripped = text.strip()
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ValueError("expected a bracketed list of blocks")
-    body = stripped[1:-1].strip()
-    if not body:
-        return []
-    blocks: list[list[int]] = []
-    depth = 0
-    current: list[str] = []
-    chunks: list[str] = []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                current = []
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced brackets")
-            if depth == 0:
-                chunks.append("".join(current))
-                continue
-        elif depth == 0:
-            if ch in ", \t\n":
-                continue
-            raise ValueError(f"unexpected character {ch!r} between blocks")
-        current.append(ch)
-    if depth != 0:
-        raise ValueError("unbalanced brackets")
-    for chunk in chunks:
-        items = [piece.strip() for piece in chunk.split(",") if piece.strip()]
-        if not items:
-            raise ValueError("empty block")
-        try:
-            blocks.append([int(piece) for piece in items])
-        except ValueError as exc:
-            raise ValueError(f"bad vertex in block {chunk!r}") from exc
+    """Parse a JSON array of non-empty integer arrays, e.g. ``[[1,4],[2,3,-4]]``."""
+    try:
+        blocks = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"expected a JSON list of non-empty integer lists: {exc}") from exc
+    if type(blocks) is not list or not all(
+        type(b) is list and b and all(type(v) is int for v in b) for b in blocks
+    ):
+        raise ValueError("expected a JSON list of non-empty integer lists")
     return blocks

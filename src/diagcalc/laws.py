@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 # their module, so the wrappers are used whenever this module was imported
 from . import engine, partitions
 from .engine import CheckReport, FiniteMonoid
-from .equivalences import Equivalence, _find, _normalize, join
+from .equivalences import Equivalence, _find, _normalize, _Record, join
 from .partitions import Diagram, cap_atom, collapse, floor_map, identity, merge, range_cap
 
 
@@ -238,7 +238,7 @@ def check_action_pair(
 # -- left congruences -------------------------------------------------------
 
 
-class LeftCongruence:
+class LeftCongruence(_Record):
     """A left congruence on a fixed, canonically sorted carrier."""
 
     __slots__ = ("carrier", "labels")
@@ -246,18 +246,7 @@ class LeftCongruence:
     def __init__(self, carrier: Sequence[Diagram], labels: Sequence[int]):
         if len(carrier) != len(labels):
             raise ValueError(f"{len(carrier)} carrier elements but {len(labels)} labels")
-        self.carrier = tuple(carrier)
-        self.labels = _normalize(labels)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LeftCongruence)
-            and self.carrier == other.carrier
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.labels))
+        self._set(tuple(carrier), _normalize(labels))
 
     def class_count(self) -> int:
         return 1 + max(self.labels, default=-1)

@@ -21,8 +21,9 @@ ascending.  Blocks appear in first-occurrence order, e.g.::
 
     [[1,4],[2,3,-4,-5],[5,6],[-1,-2,-6],[-3]]
 
-Every vertex ``1..n`` and ``-1..-n`` must appear exactly once; the degree is
-inferred from the largest absolute vertex.
+Any JSON array of non-empty integer arrays is read, in any order and with
+any JSON whitespace; every vertex ``1..n`` and ``-1..-n`` must appear
+exactly once, and the degree is inferred from the largest absolute vertex.
 
 Structure vocabulary
 --------------------

@@ -173,10 +173,6 @@ class _Relations:
         for a, b in zip(ws, ws[1:]):
             self.add(a, b)
 
-    def extend(self, relations: Iterable[Relation]) -> None:
-        for lhs, rhs in relations:
-            self.add(lhs, rhs)
-
     def done(self) -> tuple[Relation, ...]:
         return tuple(self._pairs)
 

@@ -1,5 +1,6 @@
-"""Differential tests: a ``from_elements`` carrier that has switched from
-multiplying to table lookups against plain ``multiply``, the oracle.
+"""Differential tests: a carrier, wrapped by ``from_elements`` or built by
+``closure``, that has switched from multiplying to table lookups against
+plain ``multiply``, the oracle.
 
 A carrier switches once it has multiplied more than ``2 * len(m)`` products
 of two carrier elements and a generating set inside it closes up to exactly
@@ -12,15 +13,17 @@ import random
 import pytest
 
 import diagcalc.engine as engine
-from diagcalc.engine import from_elements
+from diagcalc.engine import closure, from_elements
 from diagcalc.partitions import (
     FAMILY_NAMES,
+    SCHEMA_NAMES,
     Diagram,
     family,
     merge,
     multiply,
     transposition,
 )
+from diagcalc.presentations import schema
 
 
 def switched(m):
@@ -60,6 +63,34 @@ def test_every_family_switches_and_agrees(name, n):
     trigger(m)
     assert switched(m) == (len(m) >= 3)
     assert_products(m, range(len(m)))
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_schema_closures_switch_and_agree(name, n):
+    """Closures of monoid and semigroup schemas multiply and switch like any
+    other carrier; a closure of two elements never passes ``2 * len(m)``."""
+    pres = schema(name, n)
+
+    def build():
+        return closure(n, pres.images, monoid=pres.kind == "monoid")
+
+    m = build()
+    pairs = list(itertools.product(range(len(m)), repeat=2))
+    for i, j in pairs[: 2 * len(m)]:
+        assert m.diagram(m.product(i, j)) == multiply(m.diagram(i), m.diagram(j)), (i, j)
+    assert not switched(m)
+    assert_products(m, range(len(m)))
+    assert switched(m) == (len(m) > 2)
+    # switched first, then every product read; the closure's own Cayley
+    # tables agree with the rows the switch fills
+    m = build()
+    trigger(m)
+    assert switched(m) == (len(m) > 2)
+    assert_products(m, range(len(m)))
+    gens = m.generators
+    assert m.right == [[m.product(k, g) for g in gens] for k in range(len(m))]
+    assert m.left_table() == [[m.product(g, k) for g in gens] for k in range(len(m))]
 
 
 def test_planar_full_domain_degree_four_agrees():

@@ -203,8 +203,9 @@ def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
 
 def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
     import diagcalc.cli as cli
-    from diagcalc.partitions import family
+    from diagcalc.partitions import FAMILY_NAMES, family
 
+    assert set(cli._CARRIER_COUNTS) == set(FAMILY_NAMES)
     for monoid, count in cli._CARRIER_COUNTS.items():
         assert [count(n) for n in range(5)] == [len(family(monoid, n)) for n in range(5)]
 
@@ -219,6 +220,10 @@ def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
         ("ehresmann", "pnfd", 5, 19921),
         ("grrac", "ppnfd", 7, 23256),
         ("ehresmann", "sing-tn", 7, 818503),
+        # Bell(12) candidates to filter through ``classify()``
+        ("ehresmann", "fn", 6, 22482),
+        ("restriction", "in", 6, 13327),
+        ("grrac", "jn", 6, 179643),
     ]:
         code, report = run_json(capsys, "verify", "--target", target, "--monoid", monoid,
                                 "--n", str(n))
@@ -534,6 +539,10 @@ def test_render_text_canonicalizes(capsys):
 def test_render_usage_error():
     usage_error("render", "[[1]]")
     usage_error("render", "not a diagram")
+    usage_error("render", "[[1,-1],,[2,-2]]")
+    # too deep for the JSON decoder: a usage error, not an internal one
+    usage_error("render", "[" * 100_000)
+    usage_error("render", "[" * 100_000 + "]" * 100_000)
 
 
 # -- --output files -----------------------------------------------------------------

@@ -4,9 +4,11 @@ import pytest
 
 from diagcalc.counting import (
     bell,
+    block_bijection_count,
     catalan,
     full_domain_count,
     order_preserving_count,
+    partial_injection_count,
     planar_full_domain_count,
     uniform_block_bijection_count,
 )
@@ -62,12 +64,20 @@ def test_diagram_counts_match_families(n):
     assert full_domain_count(n) == len(family("pnfd", n))
     assert planar_full_domain_count(n) == len(family("ppnfd", n))
     assert uniform_block_bijection_count(n) == len(family("fn", n))
+    if n <= 4:  # two more Bell(10) filters at n = 5 would double this test
+        assert partial_injection_count(n) == len(family("in", n))
+        assert block_bijection_count(n) == len(family("jn", n))
 
 
 def test_diagram_counts_frozen():
     assert [full_domain_count(n) for n in range(7)] == [1, 1, 5, 52, 855, 19921, 614866]
     assert planar_full_domain_count(6) == 3808
-    for count in (full_domain_count, planar_full_domain_count, uniform_block_bijection_count):
+    assert [partial_injection_count(n) for n in range(8)] == [
+        1, 2, 7, 34, 209, 1546, 13327, 130922,
+    ]
+    assert [block_bijection_count(n) for n in range(7)] == [1, 1, 3, 25, 339, 6721, 179643]
+    for count in (full_domain_count, planar_full_domain_count, uniform_block_bijection_count,
+                  partial_injection_count, block_bijection_count):
         with pytest.raises(ValueError):
             count(-1)
 

@@ -180,13 +180,6 @@ def test_ambient_products_and_images(build):
     assert all(row_k < len(m) for row in m.left_table() for row_k in row)
 
 
-def test_closure_allocates_no_memo_for_carrier_products():
-    m = closure(3, list(standard_assignment("on", 3).values()))
-    for i, j in itertools.product(range(len(m)), repeat=2):
-        m.product(i, j)
-    assert not m._rows
-
-
 def test_word_for():
     m = s3()
     assert m.word_for(identity(3)) == ()

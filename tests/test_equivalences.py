@@ -11,6 +11,7 @@ import diagcalc
 from diagcalc.counting import bell, catalan
 from diagcalc.equivalences import (
     Equivalence,
+    _parse_nested_ints,
     all_equivalences,
     atom,
     bricks,
@@ -49,6 +50,20 @@ def test_text_round_trip():
         n = rng.randint(1, 7)
         e = Equivalence(n, [rng.randint(0, n - 1) for _ in range(n)])
         assert Equivalence.from_text(e.text()) == e
+
+
+def test_text_grammar_is_exactly_json():
+    assert _parse_nested_ints(" [ [1, -3] ,\n [2] ] ") == [[1, -3], [2]]
+    assert _parse_nested_ints("[]") == []
+    sloppy = ["[[1,2,]]", "[[1] [2]]", "[[1],,[2]]", "[[+1,-1]]", "[[1_0]]"]
+    for text in sloppy + ["[[true]]", "[[1.0]]", "[[]]", "[[[1]]]", "[" * 100_000]:
+        with pytest.raises(ValueError):
+            _parse_nested_ints(text)
+    # the old scanner read these as the equivalence [[1,2]] or [[1],[2]]
+    for text in sloppy[:3]:
+        with pytest.raises(ValueError):
+            Equivalence.from_text(text)
+    assert Equivalence.from_text(" [ [1, 3] ,\n [2] ] ") == Equivalence(3, [0, 1, 0])
 
 
 def test_class_of():

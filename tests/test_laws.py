@@ -8,7 +8,7 @@ import pytest
 
 import diagcalc
 from diagcalc.engine import closure, from_elements
-from diagcalc.equivalences import all_equivalences
+from diagcalc.equivalences import Equivalence, all_equivalences
 from diagcalc.laws import (
     LeftCongruence,
     action_pair_elements,
@@ -408,18 +408,79 @@ def test_join_carrier_mismatch():
         join_left_congruences(a, b)
 
 
+def test_left_congruence_is_a_record():
+    carrier = family("tn", 2)
+    th = LeftCongruence(carrier, [3, 1, 3, 0])
+    assert th.labels == (0, 1, 0, 2) and th.carrier == tuple(carrier)
+    texts = [d.text() for d in carrier]
+    assert th.classes() == ((texts[0], texts[2]), (texts[1],), (texts[3],))
+    same = LeftCongruence(tuple(carrier), [5, 6, 5, 7])
+    assert th == same and hash(th) == hash(same) and len({th, same}) == 1
+    assert th != LeftCongruence(carrier, [0, 1, 2, 3])
+    # equal labels on another carrier, or the same labels as an Equivalence
+    assert LeftCongruence([identity(2)], [0]) != LeftCongruence([identity(3)], [0])
+    assert th != Equivalence(4, th.labels) and th != (th.carrier, th.labels)
+    assert repr(LeftCongruence([identity(1)], [4])) == (
+        "LeftCongruence(carrier=(Diagram.from_text('[[1,-1]]'),), labels=(0,))"
+    )
+    with pytest.raises(AttributeError):
+        th.labels = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        del th.carrier
+    s = from_elements(2, family("sing-tn", 2))
+    assert theta(identity(2), s).classes() == tuple((d.text(),) for d in completion(s))
+
+
+THETA_REPORTS = [
+    "theta-join:tn",
+    "theta-join:sing-tn",
+    "theta-merge-principal",
+    "theta-cap-principal",
+    "theta-cap-join",
+]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_theta_battery(n):
     reports = theta_battery(n)
-    assert [rep.name for rep in reports] == [
-        "theta-join:tn",
-        "theta-join:sing-tn",
-        "theta-merge-principal",
-        "theta-cap-principal",
-        "theta-cap-join",
-    ]
+    assert [rep.name for rep in reports] == THETA_REPORTS
     for rep in reports:
         assert rep.holds, rep
+
+
+@pytest.mark.parametrize(
+    "patched,refuted",
+    [
+        ("join_left_congruences", {"theta-join:tn", "theta-join:sing-tn", "theta-cap-join"}),
+        ("principal_pair_congruence", {"theta-merge-principal", "theta-cap-principal"}),
+    ],
+)
+def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refuted):
+    """With the join or the principal closure made wrong everywhere, each
+    report that compares against it refutes at its first case in scan order,
+    and the others still hold."""
+    import diagcalc.laws as laws
+
+    wrong = LeftCongruence((), ())
+    monkeypatch.setattr(laws, patched, lambda *args: wrong)
+    reports = theta_battery(3)
+    assert [rep.name for rep in reports] == THETA_REPORTS
+    assert {rep.name for rep in reports if not rep.holds} == refuted
+    # the first projection and the first cap are both the one-block diagram
+    top = "[[1,2,3,-1,-2,-3]]"
+    assert family("en", 3)[0].text() == family("dn", 3)[0].text() == top
+    witnesses = {
+        "theta-join:tn": ((top, top), {"carrier": 27, "pairs": 1}),
+        "theta-join:sing-tn": ((top, top), {"carrier": 21, "pairs": 1}),
+        "theta-merge-principal": (("1", "2"), {"carrier": 27}),
+        "theta-cap-principal": ((top,), {"caps": 5}),
+        "theta-cap-join": ((top,), {"caps": 5}),
+    }
+    for rep in reports:
+        if rep.name in refuted:
+            assert (rep.witness, rep.counts) == witnesses[rep.name]
+        else:
+            assert rep.holds and rep.witness is None
 
 
 # -- pinned product counts -----------------------------------------------------------

@@ -67,6 +67,35 @@ def test_parse_examples():
     assert A6.blocks()[0] == (1, 4)
     assert Diagram.from_text("[[1,-1],[2,-2]]") == identity(2)
     assert Diagram.from_text(" [ [1, -1] , [2 , -2] ] ") == identity(2)
+    assert Diagram.from_text("[\n\t[2,-2],\r\n[-1,1]\n]") == identity(2)
+    assert Diagram.from_text("[]") == identity(0)
+
+
+# diagrams in a spelling the old character scanner accepted (stray commas
+# and spaces between blocks, anything ``int()`` reads) and JSON does not
+SLOPPY_TEXTS = [
+    "[[1,-1,]]",
+    "[[1,-1] [2,-2]]",
+    "[[1,-1],,[2,-2]]",
+    "[[+1,-1]]",
+    "[%s]" % ",".join([f"[{v},-{v}]" for v in range(1, 10)] + ["[1_0,-1_0]"]),
+    "[[01,-1]]",
+    "[[\u0661,-1]]",
+]
+# well-formed JSON, but not a list of non-empty integer lists
+ILL_TYPED_TEXTS = ["[[true,-1]]", "[[1.0,-1]]", "[[],[1,-1]]", "[[[1],-1]]", "[[1,-1]", "1"]
+
+
+@pytest.mark.parametrize("text", SLOPPY_TEXTS + ILL_TYPED_TEXTS)
+def test_text_grammar_is_exactly_json(text):
+    with pytest.raises(ValueError):
+        Diagram.from_text(text)
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000])
+def test_deep_nesting_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        Diagram.from_text(text)
 
 
 def test_parse_errors():
