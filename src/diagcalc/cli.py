@@ -4,8 +4,9 @@ Four subcommands:
 
 * ``verify``     run a named verification target and exit 0 (verified),
                  1 (refuted), or 2 (budget exhausted, inconclusive);
-* ``enumerate``  count a standard family, optionally listing elements or
-                 exporting its right Cayley graph;
+* ``enumerate``  list a standard family and check its size against the
+                 independent count, exit 0 (equal) or 1 (not), optionally
+                 listing elements or exporting its right Cayley graph;
 * ``factorize``  split a diagram into a transformation times a canonical
                  right factor, with a generator word that replays it;
 * ``render``     draw a diagram as deterministic SVG.
@@ -25,29 +26,21 @@ nodes of presentation enumeration and the pairs of the ``ehresmann``,
 scanned.  ``action-pair`` is bounded the same way by its ``|U| * |S|``
 pairs, and ``theta-laws`` by its ``Bell(n)**2 * n**n`` theta-join pairs
 (each pair of the ``Bell(n)`` projections compares congruences on the
-``n**n`` transformations).
+``n**n`` transformations).  Every size is read from
+:data:`diagcalc.counting.FAMILY_COUNTS`, so an over-budget scan builds no
+carrier.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .counting import (
-    bell,
-    block_bijection_count,
-    catalan,
-    full_domain_count,
-    order_preserving_count,
-    partial_injection_count,
-    planar_full_domain_count,
-    uniform_block_bijection_count,
-)
+from .counting import FAMILY_COUNTS
 from .engine import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -82,13 +75,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _degree(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # argparse's own wording for ``type=int``
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"degree must be nonnegative, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diagcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification target")
     verify.add_argument("--target", required=True, choices=VERIFY_TARGETS)
-    verify.add_argument("--n", type=int, required=True, help="degree")
+    verify.add_argument("--n", type=_degree, required=True, help="degree")
     verify.add_argument(
         "--monoid",
         help="carrier for law targets (family name, or a pair name like "
@@ -106,7 +109,7 @@ def _build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="count a standard family")
     enum.add_argument("--monoid", required=True, choices=FAMILY_NAMES)
-    enum.add_argument("--n", type=int, required=True)
+    enum.add_argument("--n", type=_degree, required=True)
     enum.add_argument("--elements", action="store_true",
                       help="include the canonical element texts")
     enum.add_argument("--output", help="write here instead of stdout")
@@ -225,8 +228,8 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
     n = args.n
     if args.target in _PAIR_SCANS:
         name = args.monoid or _PAIR_SCANS[args.target]
-        # an unknown name or a negative degree gets ``family``'s error message
-        counted = _CARRIER_COUNTS.get(name) if n >= 0 else None
+        # an unknown name gets ``family``'s error message
+        counted = FAMILY_COUNTS.get(name)
         if counted and (size := counted(n)) ** 2 > budget:
             return {"carrier_size": size, "pairs": size**2}
         monoid = from_elements(n, family(name, n))
@@ -237,41 +240,18 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
         return laws.check_grrac(monoid)
     if args.target == "action-pair":
         pair = args.monoid or "en-tn"
-        if pair in laws.ACTION_PAIRS and n >= 0:
+        if pair in laws.ACTION_PAIRS:
             u_name, s_name = laws.ACTION_PAIRS[pair]
-            u_size, s_size = _CARRIER_COUNTS[u_name](n), _CARRIER_COUNTS[s_name](n)
+            u_size, s_size = FAMILY_COUNTS[u_name](n), FAMILY_COUNTS[s_name](n)
             if u_size * s_size > budget:
                 return {"carrier_size": s_size, "u_size": u_size, "pairs": u_size * s_size}
         u_elements, s_elements = laws.action_pair_elements(pair, n)
         return [laws.check_action_pair(u_elements, s_elements, pair)]
-    if n >= 0 and (pairs := bell(n) ** 2 * n**n) > budget:
-        return {"carrier_size": n**n, "u_size": bell(n), "pairs": pairs}
+    u_size, s_size = FAMILY_COUNTS["en"](n), FAMILY_COUNTS["tn"](n)
+    if (pairs := u_size**2 * s_size) > budget:
+        return {"carrier_size": s_size, "u_size": u_size, "pairs": pairs}
     return laws.theta_battery(n)
 
-
-_CLOSED_FORMS = {
-    "pn": lambda n: bell(2 * n),
-    "ppn": lambda n: catalan(2 * n),
-    "en": bell,
-    "dn": catalan,
-    "on": order_preserving_count,
-    "ptn": order_preserving_count,
-    "tn": lambda n: n**n,
-    "sn": math.factorial,
-    "pen": lambda n: max(2 ** (n - 1), 1),
-}
-
-# every family's size, counted without building it, so that an over-budget
-# pair scan stops before ``family`` runs
-_CARRIER_COUNTS = {
-    **_CLOSED_FORMS,
-    "pnfd": full_domain_count,
-    "ppnfd": planar_full_domain_count,
-    "sing-tn": lambda n: n**n - math.factorial(n),
-    "fn": uniform_block_bijection_count,
-    "in": partial_injection_count,
-    "jn": block_bijection_count,
-}
 
 # families whose right Cayley graph we can export, with the schema whose
 # standard assignment provides the generating set
@@ -288,13 +268,9 @@ _GRAPH_GENERATORS = {
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
-    try:
-        elements = family(args.monoid, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
+    elements = family(args.monoid, args.n)
     size = len(elements)
-    closed = _CLOSED_FORMS.get(args.monoid)
-    expected = closed(args.n) if closed else None
+    expected = FAMILY_COUNTS[args.monoid](args.n)
 
     if args.format == "dot":
         payload = _cayley(args, parser)
@@ -315,7 +291,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
             lines += [d.text() for d in elements]
         payload = "\n".join(lines) + "\n"
     _emit(payload, args.output)
-    return EXIT_VERIFIED if expected is None or expected == size else EXIT_REFUTED
+    return EXIT_VERIFIED if expected == size else EXIT_REFUTED
 
 
 def _cayley(args: argparse.Namespace, parser: _Parser) -> str:

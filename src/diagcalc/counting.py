@@ -1,10 +1,12 @@
 """Exact counting oracles.
 
 Integer sequences that the rest of the package is tested against, and
-that :func:`diagcalc.presentations.target_elements` takes its target sizes
-from.  Everything here is plain integer arithmetic with no dependency on the
-diagram machinery, so these values can act as an independent check on the
-enumerators and closure algorithms.
+:data:`FAMILY_COUNTS`, the one table of the size of every standard family
+of degree ``n``.  The CLI's budgets and ``enumerate`` check, and the
+targets of :func:`diagcalc.presentations.target_elements`, all read their
+sizes from it.  Everything here is plain integer arithmetic with no
+dependency on the diagram machinery, so these values can act as an
+independent check on the enumerators and closure algorithms.
 """
 
 from __future__ import annotations
@@ -146,3 +148,24 @@ def block_bijection_count(n: int) -> int:
     ``k`` of ``S(n, k)**2 * k!`` (both rows split into ``k`` blocks, the
     upper blocks matched to the lower ones by a bijection)."""
     return sum(s * s * factorial(k) for k, s in enumerate(_stirling_row(n)))
+
+
+# the size of each family of :func:`diagcalc.partitions.family` at degree
+# ``n >= 0``, counted without building a diagram
+FAMILY_COUNTS = {
+    "pn": lambda n: bell(2 * n),
+    "pnfd": full_domain_count,
+    "ppn": lambda n: catalan(2 * n),
+    "ppnfd": planar_full_domain_count,
+    "tn": lambda n: n**n,
+    "sing-tn": lambda n: n**n - factorial(n),
+    "ptn": order_preserving_count,
+    "on": order_preserving_count,
+    "sn": factorial,
+    "en": bell,
+    "fn": uniform_block_bijection_count,
+    "in": partial_injection_count,
+    "jn": block_bijection_count,
+    "dn": catalan,
+    "pen": lambda n: max(2 ** (n - 1), 1),
+}

@@ -41,14 +41,7 @@ from typing import Callable, Iterable
 # kernel functions that ``perfbench/tracing.py`` wraps are called through
 # their module, so the wrappers are used whenever this module was imported
 from . import engine, partitions
-from .counting import (
-    bell,
-    catalan,
-    full_domain_count,
-    order_preserving_count,
-    planar_full_domain_count,
-    uniform_block_bijection_count,
-)
+from .counting import FAMILY_COUNTS
 from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
 from .equivalences import _find, _Record
 from .partitions import (
@@ -518,27 +511,28 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
 # Concrete targets, built independently of the schemas.
 
 
-# Each schema's model as (independent count, membership test on the upper
-# and lower label rows).  The four schemas not named after a standard family
-# present Pnfd (sing-xr without its units) and PPnfd.  A full-domain diagram
-# is singular (not a permutation) when two upper points share a block.
+# Each schema's model as (the family it presents, membership test on the
+# upper and lower label rows).  The four schemas not named after a standard
+# family present Pnfd (sing-xr without its n! units) and PPnfd.  A
+# full-domain diagram is singular (not a permutation) when two upper points
+# share a block.
 _TARGETS = {
     "sing-xr": (
-        lambda n: full_domain_count(n) - factorial(n),
+        "pnfd",
         lambda up, lo: _rows_full_domain(up, lo) and len(set(up)) < len(up),
     ),
-    "full-yq": (full_domain_count, _rows_full_domain),
-    "planar-zo": (planar_full_domain_count, _rows_planar_full_domain),
-    "dn": (catalan, _rows_cap),
-    "en": (bell, lambda up, lo: up == lo),
+    "full-yq": ("pnfd", _rows_full_domain),
+    "planar-zo": ("ppnfd", _rows_planar_full_domain),
+    "dn": ("dn", _rows_cap),
+    "en": ("en", lambda up, lo: up == lo),
     "sing-tn": (
-        lambda n: n**n - factorial(n),
+        "sing-tn",
         lambda up, lo: _rows_transformation(up, lo) and len(set(up)) < len(up),
     ),
-    "tn": (lambda n: n**n, _rows_transformation),
-    "fn": (uniform_block_bijection_count, lambda up, lo: sorted(up) == sorted(lo)),
-    "on": (order_preserving_count, _rows_order_preserving),
-    "planar-intermediate": (planar_full_domain_count, _rows_planar_full_domain),
+    "tn": ("tn", _rows_transformation),
+    "fn": ("fn", lambda up, lo: sorted(up) == sorted(lo)),
+    "on": ("on", _rows_order_preserving),
+    "planar-intermediate": ("ppnfd", _rows_planar_full_domain),
 }
 
 
@@ -546,8 +540,8 @@ class Target:
     """A concrete model of degree ``n`` given by its size and a membership
     test.
 
-    ``len()`` is the size, counted by :mod:`diagcalc.counting` without
-    building a diagram, and ``in`` reads only a diagram's labels.
+    ``len()`` is the size, read from :data:`diagcalc.counting.FAMILY_COUNTS`
+    without building a diagram, and ``in`` reads only a diagram's labels.
     """
 
     __slots__ = ("n", "size", "member")
@@ -579,8 +573,9 @@ def target_elements(name: str, n: int) -> Target:
     False
     """
     _check_schema(name, n)
-    count, member = _TARGETS[name]
-    return Target(n, count(n), member)
+    presented, member = _TARGETS[name]
+    size = FAMILY_COUNTS[presented](n) - (factorial(n) if name == "sing-xr" else 0)
+    return Target(n, size, member)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,18 @@ import sys
 
 import pytest
 
-from diagcalc.cli import _CLOSED_FORMS, main
+from diagcalc.cli import main
+from diagcalc.counting import FAMILY_COUNTS
 from diagcalc.engine import CheckReport
 from diagcalc.equivalences import Equivalence
-from diagcalc.partitions import Diagram, cap, from_transformation, identity, multiply
+from diagcalc.partitions import (
+    FAMILY_NAMES,
+    Diagram,
+    cap,
+    from_transformation,
+    identity,
+    multiply,
+)
 from diagcalc.presentations import eval_word, standard_assignment
 from diagcalc.render import render_svg
 
@@ -203,10 +211,10 @@ def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
 
 def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
     import diagcalc.cli as cli
-    from diagcalc.partitions import FAMILY_NAMES, family
+    from diagcalc.partitions import family
 
-    assert set(cli._CARRIER_COUNTS) == set(FAMILY_NAMES)
-    for monoid, count in cli._CARRIER_COUNTS.items():
+    assert set(FAMILY_COUNTS) == set(FAMILY_NAMES)
+    for monoid, count in FAMILY_COUNTS.items():
         assert [count(n) for n in range(5)] == [len(family(monoid, n)) for n in range(5)]
 
     def never(*args, **kwargs):
@@ -236,12 +244,11 @@ def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
 
 
 def test_action_pair_exhausts_before_its_sets_are_built(capsys, monkeypatch):
-    import diagcalc.cli as cli
     import diagcalc.laws as laws
     import diagcalc.partitions as partitions
 
     for u_name, s_name in laws.ACTION_PAIRS.values():
-        assert u_name in cli._CARRIER_COUNTS and s_name in cli._CARRIER_COUNTS
+        assert u_name in FAMILY_COUNTS and s_name in FAMILY_COUNTS
 
     def never(*args, **kwargs):
         raise AssertionError("an action-pair set was built over the budget")
@@ -357,8 +364,19 @@ def test_enumerate_json(capsys):
         capsys, "enumerate", "--monoid", "pnfd", "--n", "3", "--format", "json"
     )
     assert code == 0
-    assert report["size"] == 52 and report["closed_form"] is None
+    assert report["size"] == 52 and report["closed_form"] == 52
     assert "elements" not in report
+
+
+def test_enumerate_checks_the_count(capsys, monkeypatch):
+    # a listing whose size differs from the independent count is refuted
+    monkeypatch.setitem(FAMILY_COUNTS, "pnfd", lambda n: 51)
+    code, report = run_json(capsys, "enumerate", "--monoid", "pnfd", "--n", "3",
+                            "--format", "json")
+    assert code == 1
+    assert report["size"] == 52 and report["closed_form"] == 51
+    code, out = run(capsys, "enumerate", "--monoid", "pnfd", "--n", "3")
+    assert code == 1 and out == "52\n"
 
 
 def test_enumerate_dot_export(capsys):
@@ -378,12 +396,13 @@ def test_enumerate_dot_export(capsys):
 
 
 def test_enumerate_degree_zero(capsys):
-    # each closed-form family has one degree-0 element, the empty diagram
-    for monoid in _CLOSED_FORMS:
+    # each family but sing-tn has one degree-0 element, the empty diagram,
+    # and the empty diagram is a permutation
+    for monoid in FAMILY_NAMES:
         code, report = run_json(capsys, "enumerate", "--monoid", monoid, "--n", "0",
                                 "--format", "json")
         assert code == 0, monoid
-        assert report["size"] == report["closed_form"] == 1, monoid
+        assert report["size"] == report["closed_form"] == (monoid != "sing-tn"), monoid
     code, out = run(capsys, "enumerate", "--monoid", "on", "--n", "0")
     assert code == 0 and out == "1\n"
 
@@ -411,6 +430,25 @@ def test_degree_below_the_schemas_is_a_usage_error(capsys, n, argv):
     err = capsys.readouterr().err
     assert f"error: schemas are defined for n >= 2, got n={n}" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--target", "dn"),
+    ("verify", "--target", "ehresmann"),
+    ("verify", "--target", "action-pair"),
+    ("verify", "--target", "theta-laws"),
+    ("enumerate", "--monoid", "pnfd"),
+])
+def test_negative_degree_is_one_usage_error(capsys, argv):
+    # the parser rejects it before any target or family sees it
+    usage_error(*argv, "--n", "-1")
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --n: degree must be nonnegative, got -1\n")
+
+
+def test_non_integer_degree_keeps_the_int_message(capsys):
+    usage_error("verify", "--target", "dn", "--n", "abc")
+    assert capsys.readouterr().err.endswith("error: argument --n: invalid int value: 'abc'\n")
 
 
 # -- factorize --------------------------------------------------------------------

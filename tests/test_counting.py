@@ -3,6 +3,7 @@ import math
 import pytest
 
 from diagcalc.counting import (
+    FAMILY_COUNTS,
     bell,
     block_bijection_count,
     catalan,
@@ -12,7 +13,7 @@ from diagcalc.counting import (
     planar_full_domain_count,
     uniform_block_bijection_count,
 )
-from diagcalc.partitions import family
+from diagcalc.partitions import FAMILY_NAMES, family
 
 # Frozen reference values (computed independently; standard sequences).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -61,12 +62,22 @@ def test_bell_via_partition_count():
 
 @pytest.mark.parametrize("n", range(6))
 def test_diagram_counts_match_families(n):
-    assert full_domain_count(n) == len(family("pnfd", n))
-    assert planar_full_domain_count(n) == len(family("ppnfd", n))
-    assert uniform_block_bijection_count(n) == len(family("fn", n))
-    if n <= 4:  # two more Bell(10) filters at n = 5 would double this test
-        assert partial_injection_count(n) == len(family("in", n))
-        assert block_bijection_count(n) == len(family("jn", n))
+    # pnfd, ppnfd and fn filter Bell(10) diagrams at n = 5; four more such
+    # families there would double this test
+    names = [name for name in FAMILY_NAMES if n <= 4 or name not in ("pn", "ppn", "in", "jn")]
+    sizes = {name: len(family(name, n)) for name in names}
+    for name in names:
+        assert FAMILY_COUNTS[name](n) == sizes[name], name
+    assert full_domain_count(n) == sizes["pnfd"]
+    assert planar_full_domain_count(n) == sizes["ppnfd"]
+    assert uniform_block_bijection_count(n) == sizes["fn"]
+    if n <= 4:
+        assert partial_injection_count(n) == sizes["in"]
+        assert block_bijection_count(n) == sizes["jn"]
+
+
+def test_every_family_is_counted():
+    assert set(FAMILY_COUNTS) == set(FAMILY_NAMES)
 
 
 def test_diagram_counts_frozen():

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from diagcalc.counting import catalan
 from diagcalc.equivalences import all_equivalences, cap_word
 from diagcalc.partitions import (
     Diagram,
@@ -424,7 +423,7 @@ def test_generation_checks_membership_not_only_size(monkeypatch):
     def only_identity(up, lo):
         return up == lo == tuple(range(len(up)))
 
-    monkeypatch.setitem(presentations._TARGETS, "dn", (catalan, only_identity))
+    monkeypatch.setitem(presentations._TARGETS, "dn", ("dn", only_identity))
     rep = verify_presentation("dn", 3)
     assert rep.status == "refuted" and rep.sound
     assert rep.target_size == rep.closure_size == 5 and rep.enumerated_size is None
