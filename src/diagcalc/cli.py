@@ -45,6 +45,7 @@ from .engine import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     CheckReport,
+    FiniteMonoid,
     cayley_dot,
     closure,
     from_elements,
@@ -268,13 +269,16 @@ _GRAPH_GENERATORS = {
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
+    expected = FAMILY_COUNTS[args.monoid](args.n)
+    if args.format == "dot":
+        # the exported closure is checked against the count; no listing
+        monoid = _cayley(args, parser)
+        _emit(cayley_dot(monoid), args.output)
+        return EXIT_VERIFIED if expected == len(monoid) else EXIT_REFUTED
+
     elements = family(args.monoid, args.n)
     size = len(elements)
-    expected = FAMILY_COUNTS[args.monoid](args.n)
-
-    if args.format == "dot":
-        payload = _cayley(args, parser)
-    elif args.format == "json":
+    if args.format == "json":
         report = {
             "command": "enumerate",
             "monoid": args.monoid,
@@ -294,7 +298,8 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_VERIFIED if expected == size else EXIT_REFUTED
 
 
-def _cayley(args: argparse.Namespace, parser: _Parser) -> str:
+def _cayley(args: argparse.Namespace, parser: _Parser) -> FiniteMonoid:
+    """The closure of the family's standard generators, for graph export."""
     from .presentations import schema, sym_s
 
     schema_name = _GRAPH_GENERATORS.get(args.monoid)
@@ -313,7 +318,7 @@ def _cayley(args: argparse.Namespace, parser: _Parser) -> str:
         except ValueError as exc:
             parser.error(str(exc))
         symbols, images, monoid = pres.alphabet, pres.images, pres.kind == "monoid"
-    return cayley_dot(closure(args.n, images, monoid=monoid, symbols=symbols))
+    return closure(args.n, images, monoid=monoid, symbols=symbols)
 
 
 def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ independent check on the enumerators and closure algorithms.
 from __future__ import annotations
 
 from math import comb, factorial, perm
+from typing import Callable
 
 
 def bell(n: int) -> int:
@@ -150,9 +151,21 @@ def block_bijection_count(n: int) -> int:
     return sum(s * s * factorial(k) for k, s in enumerate(_stirling_row(n)))
 
 
+def _nonnegative(count: Callable[[int], int]) -> Callable[[int], int]:
+    """``count`` that refuses a negative degree by name, whatever it would
+    have made of one."""
+
+    def size(n: int) -> int:
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        return count(n)
+
+    return size
+
+
 # the size of each family of :func:`diagcalc.partitions.family` at degree
 # ``n >= 0``, counted without building a diagram
-FAMILY_COUNTS = {
+FAMILY_COUNTS = {name: _nonnegative(count) for name, count in {
     "pn": lambda n: bell(2 * n),
     "pnfd": full_domain_count,
     "ppn": lambda n: catalan(2 * n),
@@ -168,4 +181,4 @@ FAMILY_COUNTS = {
     "jn": block_bijection_count,
     "dn": catalan,
     "pen": lambda n: max(2 ** (n - 1), 1),
-}
+}.items()}

@@ -10,16 +10,20 @@ products and unary operations reach outside it are interned, so the
 exhaustive law checkers run on integer indices and multiply every product
 at most once.
 
-Every carrier starts by multiplying each new product and memoising it.
-Once it has multiplied more than ``2 * len(m)`` products of two carrier
-elements, it looks for a generating set inside the carrier: greedily, by
-descending rank and then canonical order, it adds every element that the
-set so far does not generate, and takes the :func:`closure` of that set.
-If the closure is exactly the carrier, each product row of two carrier
-indices is filled once, on first use, by one table lookup per entry
-(Froidure & Pin, 1997).  If the closure leaves the carrier, the carrier
-keeps multiplying.  Products with an interned diagram past the carrier are
-always multiplied and memoised.
+Products and images are read by subscript: ``m.table[i][j]`` is the
+ambient index of ``i * j`` and ``m.unary(op)[i]`` that of ``op(i)``; an
+entry read for the first time is computed then and memoised.  Every carrier
+starts by multiplying each new product.  Once it has multiplied more than
+``2 * len(m)`` products of two carrier elements, it "switches": it looks
+for a generating set inside the carrier, greedily, by descending rank and
+then canonical order, adding every element that the set so far does not
+generate, and takes the :func:`closure` of that set.  If the closure is
+exactly the carrier, each row of carrier products becomes a dense list,
+filled once, on first use, by one table lookup per entry (Froidure & Pin,
+1997), and :meth:`FiniteMonoid.rows` hands out all of them; the memo keeps
+only the products it multiplied.  If the closure leaves the carrier, the
+carrier keeps multiplying.  Products with an interned diagram past the
+carrier are always multiplied and memoised.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -28,7 +32,7 @@ pass their own.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import weakref
 from typing import Callable, Iterable, Sequence
 
 from .equivalences import Equivalence, _normalize, _Record, join
@@ -70,6 +74,62 @@ class CheckReport(_Record):
         }
 
 
+# The memo is made of dicts whose ``__missing__`` computes an entry on its
+# first read, so a read of a known entry is one C-level lookup.
+
+
+class _Table(dict):
+    """``table[i]`` is the :class:`_Row` of products ``i * j``."""
+
+    __slots__ = ("monoid",)
+
+    def __init__(self, monoid: "FiniteMonoid"):
+        self.monoid = monoid
+
+    def __missing__(self, i: int) -> "_Row":
+        row = self[i] = _Row(self.monoid, i)
+        return row
+
+
+class _Row(dict):
+    """``row[j]`` is the ambient index of ``i * j``."""
+
+    __slots__ = ("monoid", "i")
+
+    def __init__(self, monoid: "FiniteMonoid", i: int):
+        self.monoid = monoid
+        self.i = i
+
+    def __missing__(self, j: int) -> int:
+        m, i = self.monoid, self.i
+        dense = m._dense
+        # a switched carrier's own products are read from its dense rows and
+        # not stored here; that is the common miss, so it is tried first
+        if dense is not None and i < len(dense) and j < len(dense):
+            return (dense[i] or m._fill(i))[j]
+        return m._product(self, i, j)
+
+
+class _Images(dict):
+    """``images[i]`` is the ambient index of ``op(diagram(i))``."""
+
+    __slots__ = ("monoid", "op")
+
+    def __init__(self, monoid: "FiniteMonoid", op: Callable[[Diagram], Diagram]):
+        self.monoid = monoid
+        self.op = op
+
+    def __missing__(self, i: int) -> int:
+        k = self[i] = self.monoid.intern(self.op(self.monoid.diagram(i)))
+        return k
+
+    def inside(self) -> list[int] | None:
+        """The images of the carrier as a list, or ``None`` if one leaves it."""
+        size = len(self.monoid)
+        images = [self[k] for k in range(size)]
+        return images if all(k < size for k in images) else None
+
+
 class FiniteMonoid:
     """A finite diagram monoid (or semigroup) with interned elements.
 
@@ -82,10 +142,11 @@ class FiniteMonoid:
     Ambient indices: ``0 .. len(m) - 1`` are the carrier's elements, and
     :meth:`intern` gives any other diagram of the same degree the next free
     index past them, so a term that leaves the carrier (say a crossing
-    ``R(a)`` of a planar ``a``) still has an index.  :meth:`product` and
-    :meth:`unary` take and return ambient indices and :meth:`diagram` reads
-    one back; equal indices mean equal diagrams.  ``len(m)``, ``d in m``,
-    ``elements``, ``index`` and :meth:`word_for` mean the carrier only.
+    ``R(a)`` of a planar ``a``) still has an index.  ``table``,
+    :meth:`product` and :meth:`unary` take and return ambient indices and
+    :meth:`diagram` reads one back; equal indices mean equal diagrams.
+    ``len(m)``, ``d in m``, ``elements``, ``index``, :meth:`rows` and
+    :meth:`word_for` mean the carrier only.
     """
 
     def __init__(
@@ -111,11 +172,17 @@ class FiniteMonoid:
         self._canonical: list[int] | None = None
         self._escapes: list[Diagram] = []
         self._escape_index: dict[Diagram, int] = {}
-        self._rows: defaultdict[int, list[int]] = defaultdict(list)  # product memo
-        self._images: dict[Callable[[Diagram], Diagram], list[int]] = {}
-        # carrier-by-carrier products multiplied so far; None once it tried to switch
+        # the memo reaches its carrier through a weak proxy, so a carrier
+        # nobody holds is freed at once rather than by the cycle collector
+        self._proxy = weakref.proxy(self)
+        self.table = _Table(self._proxy)
+        self._images: dict[Callable[[Diagram], Diagram], _Images] = {}
+        # carrier-by-carrier products multiplied so far; None once it switched
         self._multiplied: int | None = 0
-        self._fill: Callable[[int], None] | None = None
+        # once the switch found the carrier closed: its dense rows, each None
+        # until filled, and their filler
+        self._dense: list[list[int] | None] | None = None
+        self._fill: Callable[[int], list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -139,39 +206,50 @@ class FiniteMonoid:
         return k
 
     def product(self, i: int, j: int) -> int:
-        """Ambient index of ``diagram(i) * diagram(j)``, from lazily filled
-        rows: a carrier switched to lookups fills a row of carrier products at
-        once, and anything else is multiplied once and memoised."""
-        row = self._rows[i]
-        if j >= len(row):
-            row.extend([-1] * (len(self.elements) + len(self._escapes) - len(row)))
-        k = row[j]
-        if k < 0:
-            size = len(self.elements)
-            if i < size and j < size:
-                if self._multiplied is not None:
-                    self._multiplied += 1
-                    if self._multiplied > 2 * size:
-                        self._multiplied = None
-                        self._fill = self._lookups()
-                        if row[j] >= 0:  # multiplied while looking
-                            return row[j]
-                if self._fill is not None:
-                    self._fill(i)
-                    return row[j]
-            k = row[j] = self.intern(multiply(self.diagram(i), self.diagram(j)))
+        """Ambient index of ``diagram(i) * diagram(j)``: ``table[i][j]``."""
+        return self.table[i][j]
+
+    @property
+    def switched(self) -> bool:
+        """Has the carrier multiplied enough to try product rows by lookup?"""
+        return self._multiplied is None
+
+    def _product(self, row: _Row, i: int, j: int) -> int:
+        """A product that is not in the dense rows, read for the first time:
+        multiplied and memoised in ``row``, unless it is the product that
+        makes the carrier switch and the switch finds it."""
+        size = len(self.elements)
+        if i < size and j < size:
+            if self._multiplied is not None:
+                self._multiplied += 1
+                if self._multiplied > 2 * size:
+                    self._multiplied = None
+                    self._switch()
+                    return row[j]  # multiplied while looking, looked up, or multiplied now
+        k = row[j] = self.intern(multiply(self.diagram(i), self.diagram(j)))
         return k
 
-    def _lookups(self) -> Callable[[int], None] | None:
-        """A filler of product rows from a generating set inside the carrier
-        (see the module docstring), or ``None`` when a product leaves it.
+    def rows(self) -> list[list[int]] | None:
+        """Every product of two carrier elements, ``rows()[i][j]`` the index
+        of ``i * j``, once the carrier has switched to lookups; ``None``
+        before that, or when a product leaves the carrier."""
+        dense = self._dense
+        if dense is not None:
+            for i, row in enumerate(dense):
+                if row is None:
+                    self._fill(i)
+        return dense
+
+    def _switch(self) -> None:
+        """Find a generating set inside the carrier (see the module
+        docstring) and, if its closure is the carrier, start the dense rows.
         The greedy's closures multiply through this carrier's memo, so no
         product is multiplied twice across its restarts."""
-        size, elements, index = len(self.elements), self.elements, self.index
+        size, elements, index, table = len(self.elements), self.elements, self.index, self.table
         seed = self.identity_index
 
         def inside(a: Diagram, b: Diagram) -> Diagram:
-            k = self.product(index[a], index[b])
+            k = table[index[a]][index[b]]
             if k >= size:
                 raise _Escape
             return elements[k]
@@ -188,7 +266,7 @@ class FiniteMonoid:
                         break
                     generated = {index[d] for d in sub.elements}
         except _Escape:
-            return None
+            return
 
         # the closure re-indexed by the carrier: ``right[x][a]`` is
         # ``x * gens[a]``, and each longer word is its prefix times a letter
@@ -197,43 +275,40 @@ class FiniteMonoid:
         word_at = {w: at[c] for c, w in enumerate(sub.rep_words)}
         letters = [(at[c], w[0]) for c, w in enumerate(sub.rep_words) if len(w) == 1]
         steps = [(at[c], word_at[w[:-1]], w[-1]) for c, w in enumerate(sub.rep_words) if len(w) > 1]
+        dense: list[list[int] | None] = [None] * size
 
-        def fill(i: int) -> None:
-            row, right_i = self._rows[i], right[i]
-            if seed is not None:
-                row[seed] = i
+        def fill(i: int) -> list[int]:
+            row = dense[i] = [i] * size  # the identity's entry, if there is one
+            right_i = right[i]
             for j, a in letters:
                 row[j] = right_i[a]
             for j, p, a in steps:
                 row[j] = right[row[p]][a]
+            return row
 
-        return fill
+        self._dense, self._fill = dense, fill
 
-    def unary(self, op: Callable[[Diagram], Diagram]) -> Callable[[int], int]:
-        """``op`` on ambient indices, each image computed once per monoid."""
-        images = self._images.setdefault(op, [])
-
-        def image(i: int) -> int:
-            if i >= len(images):
-                images.extend([-1] * (len(self.elements) + len(self._escapes) - len(images)))
-            k = images[i]
-            if k < 0:
-                k = images[i] = self.intern(op(self.diagram(i)))
-            return k
-
-        return image
+    def unary(self, op: Callable[[Diagram], Diagram]) -> _Images:
+        """``op`` on ambient indices, read as ``images[i]``; each image is
+        computed once per monoid."""
+        images = self._images.get(op)
+        if images is None:
+            images = self._images[op] = _Images(self._proxy, op)
+        return images
 
     @property
     def right(self) -> list[list[int]]:
         """``right[k][g]`` = index of ``elements[k] * generator_g``."""
         if self._right is None:
-            self._right = [[self.product(k, g) for g in self.generators] for k in range(len(self))]
+            table = self.table
+            self._right = [[table[k][g] for g in self.generators] for k in range(len(self))]
         return self._right
 
     def left_table(self) -> list[list[int]]:
         """``left[k][g]`` = index of ``generator_g * elements[k]`` (lazy)."""
         if self._left is None:
-            self._left = [[self.product(g, k) for g in self.generators] for k in range(len(self))]
+            table = self.table
+            self._left = [[table[g][k] for g in self.generators] for k in range(len(self))]
         return self._left
 
     def canonical_order(self) -> list[int]:
@@ -464,15 +539,16 @@ class BandReport(_Record):
 
 
 def band_type(m: FiniteMonoid) -> BandReport:
-    size = len(m)
-    band = all(m.product(k, k) == k for k in range(size))
+    size, table = len(m), m.table
+    band = all(table[k][k] == k for k in range(size))
     left_regular = right_regular = commutative = band
     if band:
         for x in range(size):
+            row = table[x]
             for y in range(size):
-                xy = m.product(x, y)
-                yx = m.product(y, x)
-                xyx = m.product(xy, x)
+                xy = row[y]
+                yx = table[y][x]
+                xyx = table[xy][x]
                 if xyx != xy:
                     left_regular = False
                 if xyx != yx:

@@ -379,6 +379,18 @@ def test_enumerate_checks_the_count(capsys, monkeypatch):
     assert code == 1 and out == "52\n"
 
 
+def test_enumerate_dot_checks_the_count(capsys, monkeypatch):
+    # the graph export compares the closure it exports with the count
+    import diagcalc.cli
+
+    code, out = run(capsys, "enumerate", "--monoid", "dn", "--n", "3", "--format", "dot")
+    assert code == 0
+    monkeypatch.setitem(FAMILY_COUNTS, "dn", lambda n: 4)
+    monkeypatch.setattr(diagcalc.cli, "family", None)  # no listing is built
+    code, wrong = run(capsys, "enumerate", "--monoid", "dn", "--n", "3", "--format", "dot")
+    assert code == 1 and wrong == out
+
+
 def test_enumerate_dot_export(capsys):
     code, out = run(capsys, "enumerate", "--monoid", "dn", "--n", "3", "--format", "dot")
     assert code == 0

@@ -80,6 +80,13 @@ def test_every_family_is_counted():
     assert set(FAMILY_COUNTS) == set(FAMILY_NAMES)
 
 
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_count_refuses_a_negative_degree(name):
+    # once a float, a wrong count or another function's message
+    with pytest.raises(ValueError, match=r"^n must be non-negative, got -1$"):
+        FAMILY_COUNTS[name](-1)
+
+
 def test_diagram_counts_frozen():
     assert [full_domain_count(n) for n in range(7)] == [1, 1, 5, 52, 855, 19921, 614866]
     assert planar_full_domain_count(6) == 3808

@@ -167,8 +167,8 @@ def test_ambient_products_and_images(build):
     for op in (domain_projection, range_projection, range_cap):
         image = m.unary(op)
         for k in ambient:
-            assert m.diagram(image(k)) == op(m.diagram(k))
-        assert m.unary(op)(ambient[-1]) == image(ambient[-1])
+            assert m.diagram(image[k]) == op(m.diagram(k))
+        assert m.unary(op) is image
     # the carrier view ignores everything interned past it
     assert len(m) == len(carrier) and m.elements == carrier
     assert m.intern(m.elements[0]) == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import diagcalc
-from diagcalc.engine import closure, from_elements
+from diagcalc.engine import FiniteMonoid, closure, from_elements
 from diagcalc.equivalences import Equivalence, all_equivalences
 from diagcalc.laws import (
     LeftCongruence,
@@ -26,6 +26,7 @@ from diagcalc.laws import (
     theta_battery,
 )
 from diagcalc.partitions import (
+    FAMILY_NAMES,
     Diagram,
     all_diagrams,
     cap,
@@ -253,6 +254,59 @@ def test_grrac_axioms_hold(n):
         "closure-rho", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8",
     ]
     assert all(rep.holds for rep in reports)
+
+
+GRRAC_AXIOMS = ("closure-rho", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
+
+
+def test_frontier_reports_are_pinned():
+    # Ehresmann on P4fd and grrac on PP5fd, the verdicts one degree past the
+    # acceptance suite, report by report
+    reports = check_ehresmann(from_elements(4, family("pnfd", 4)))
+    assert [rep.to_dict() for rep in reports] == [
+        {"name": name, "holds": True, "witness": None, "counts": {"size": 855}}
+        for name in EHRESMANN_AXIOMS
+    ]
+    reports = check_grrac(from_elements(5, family("ppnfd", 5)))
+    assert [rep.to_dict() for rep in reports] == [
+        {"name": name, "holds": True, "witness": None, "counts": {"size": 637}}
+        for name in GRRAC_AXIOMS
+    ]
+
+
+BINARY_CHECKS = {
+    "ehresmann": check_ehresmann,
+    "grrac": check_grrac,
+    "left": lambda m: [check_restriction(m, "left")],
+    "right": lambda m: [check_restriction(m, "right")],
+}
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, n) for n in (1, 2, 3) for name in FAMILY_NAMES] + [("pnfd", 4), ("ppnfd", 4)]
+)
+def test_dense_rows_and_memo_agree(monkeypatch, name, n):
+    """Every binary axiom, evaluated on a carrier's dense rows once it has
+    switched, reports what it reports on the memo alone."""
+    def outcome(run):
+        try:
+            return [rep.to_dict() for rep in run(from_elements(n, family(name, n)))]
+        except ValueError as exc:  # rho of a crossing cokernel, from degree 4
+            return str(exc)
+
+    def reports():
+        return {check: outcome(run) for check, run in BINARY_CHECKS.items()}
+
+    served = []
+    rows = FiniteMonoid.rows
+    monkeypatch.setattr(FiniteMonoid, "rows", lambda m: served.append(rows(m)) or served[-1])
+    dense = reports()
+    monkeypatch.setattr(FiniteMonoid, "rows", lambda m: None)
+    assert reports() == dense
+    # both laws-workload carriers that go dense do; the witness of left
+    # restriction on P4fd comes before its carrier switches
+    if (name, n) in (("pnfd", 3), ("ppnfd", 3), ("pnfd", 4), ("ppnfd", 4)):
+        assert any(table is not None for table in served)
 
 
 def test_grrac_g8_mirrors_right_restriction():

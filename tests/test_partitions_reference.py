@@ -204,6 +204,16 @@ def test_families_match_reference_filters(n):
 
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_full_domain_families_match_the_bell_filter(n):
+    """``pnfd`` is generated row by row and ``ppnfd`` is its planar part; the
+    filter over all Bell(2n) diagrams that ``family`` used before is the
+    oracle, in order."""
+    full = [d for d in all_diagrams(n) if d.is_full_domain()]
+    assert family("pnfd", n) == full
+    assert family("ppnfd", n) == [d for d in full if d.is_planar()]
+
+
 def ref_multiply(a: Diagram, b: Diagram) -> Diagram:
     if a.n != b.n:
         raise ValueError(f"degrees must match, got {a.n} and {b.n}")
