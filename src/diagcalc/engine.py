@@ -1,14 +1,14 @@
 """Froidure-Pin closure of diagram sets and finite-monoid bookkeeping.
 
 :func:`closure` grows the submonoid (or subsemigroup) generated by a list of
-diagrams with the Froidure-Pin algorithm, recording for every element a
-shortlex-minimal word over the generators and both Cayley tables, right and
-left; a product is multiplied out only where the tables built so far cannot
-supply it.  :class:`FiniteMonoid` is the one indexed carrier: the elements,
-both Cayley tables, and an ambient past the carrier where diagrams that
-products and unary operations reach outside it are interned, so the
-exhaustive law checkers run on integer indices and multiply every product
-at most once.
+diagrams with the Froidure-Pin loop :func:`_froidure_pin`, recording for
+every element its shortlex-minimal word over the generators, as the tree of
+each word's prefix and last letter, and both Cayley tables; a product is
+multiplied out only where the tables built so far cannot supply it.
+:class:`FiniteMonoid` is the one indexed carrier: the elements, both Cayley
+tables, and an ambient past the carrier where diagrams that products and
+unary operations reach outside it are interned, so the exhaustive law
+checkers run on integer indices and multiply every product at most once.
 
 Products and images are read by subscript: ``m.table[i][j]`` is the
 ambient index of ``i * j`` and ``m.unary(op)[i]`` that of ``op(i)``; an
@@ -17,7 +17,7 @@ starts by multiplying each new product.  Once it has multiplied more than
 ``2 * len(m)`` products of two carrier elements, it "switches": it looks
 for a generating set inside the carrier, greedily, by descending rank and
 then canonical order, adding every element that the set so far does not
-generate, and takes the :func:`closure` of that set.  If the closure is
+generate, and runs the same loop over carrier indices.  If the closure is
 exactly the carrier, each row of carrier products becomes a dense list,
 filled once, on first use, by one table lookup per entry (Froidure & Pin,
 1997), and :meth:`FiniteMonoid.rows` hands out all of them; the memo keeps
@@ -33,7 +33,7 @@ pass their own.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .equivalences import Equivalence, _normalize, _Record, join
 from .partitions import Diagram, identity, multiply
@@ -133,11 +133,11 @@ class _Images(dict):
 class FiniteMonoid:
     """A finite diagram monoid (or semigroup) with interned elements.
 
-    ``elements`` is in discovery order; ``rep_words[k]`` is the
-    shortlex-least word over the generator positions evaluating to
-    ``elements[k]``.  ``identity_index`` is ``None`` for carriers without an
-    identity (e.g. singular subsemigroups).  A ``right`` or ``left`` table
-    of ``None`` is built in full on first use; :func:`closure` supplies both.
+    ``elements`` is in discovery order; ``tree`` is the word tree ``(prefix,
+    last)`` of :func:`_froidure_pin`, read by :meth:`word_for`.
+    ``identity_index`` is ``None`` for carriers without an identity (e.g.
+    singular subsemigroups).  A ``right`` or ``left`` table of ``None`` is
+    built in full on first use; :func:`closure` supplies both.
 
     Ambient indices: ``0 .. len(m) - 1`` are the carrier's elements, and
     :meth:`intern` gives any other diagram of the same degree the next free
@@ -154,7 +154,7 @@ class FiniteMonoid:
         n: int,
         elements: list[Diagram],
         generators: list[int],
-        rep_words: list[tuple[int, ...]],
+        tree: tuple[Sequence[int], Sequence[int]],
         right: list[list[int]] | None,
         identity_index: int | None,
         symbols: Sequence[str] | None = None,
@@ -164,7 +164,7 @@ class FiniteMonoid:
         self.elements = elements
         self.index = {d: k for k, d in enumerate(elements)}
         self.generators = generators
-        self.rep_words = rep_words
+        self._tree = tree
         self._right = right
         self.identity_index = identity_index
         self.symbols = tuple(symbols) if symbols is not None else None
@@ -243,47 +243,44 @@ class FiniteMonoid:
     def _switch(self) -> None:
         """Find a generating set inside the carrier (see the module
         docstring) and, if its closure is the carrier, start the dense rows.
-        The greedy's closures multiply through this carrier's memo, so no
-        product is multiplied twice across its restarts."""
-        size, elements, index, table = len(self.elements), self.elements, self.index, self.table
+        The greedy closes indices through this carrier's memo, so no product
+        is multiplied twice across its restarts."""
+        size, table = len(self.elements), self.table
         seed = self.identity_index
 
-        def inside(a: Diagram, b: Diagram) -> Diagram:
-            k = table[index[a]][index[b]]
+        def inside(i: int, j: int) -> int:
+            k = table[i][j]
             if k >= size:
                 raise _Escape
-            return elements[k]
+            return k
 
-        gens: list[Diagram] = []
-        generated = set() if seed is None else {seed}
-        order = sorted(self.canonical_order(), key=lambda k: -elements[k].rank())
+        gens: list[int] = []
+        generated = () if seed is None else (seed,)
+        order = sorted(self.canonical_order(), key=lambda k: -self.elements[k].rank())
         try:
             for k in order:
                 if k not in generated:
-                    gens.append(elements[k])
-                    sub = closure(self.n, gens, monoid=seed is not None, product=inside)
-                    if len(sub) == size:
+                    gens.append(k)
+                    at, generated, _, tree, right, _ = _froidure_pin(gens, inside, seed, size)
+                    if len(at) == size:
                         break
-                    generated = {index[d] for d in sub.elements}
         except _Escape:
             return
 
-        # the closure re-indexed by the carrier: ``right[x][a]`` is
+        # the closure re-indexed by the carrier: ``rows[x][a]`` is
         # ``x * gens[a]``, and each longer word is its prefix times a letter
-        at = [index[d] for d in sub.elements]
-        right = [[at[x] for x in sub.right[c]] for c in sorted(range(size), key=at.__getitem__)]
-        word_at = {w: at[c] for c, w in enumerate(sub.rep_words)}
-        letters = [(at[c], w[0]) for c, w in enumerate(sub.rep_words) if len(w) == 1]
-        steps = [(at[c], word_at[w[:-1]], w[-1]) for c, w in enumerate(sub.rep_words) if len(w) > 1]
+        rows = [[at[y] for y in right[c]] for c in sorted(range(size), key=at.__getitem__)]
+        letters = [(at[c], a) for c, (p, a) in enumerate(zip(*tree)) if p < 0 <= a]
+        steps = [(at[c], at[p], a) for c, (p, a) in enumerate(zip(*tree)) if p >= 0]
         dense: list[list[int] | None] = [None] * size
 
         def fill(i: int) -> list[int]:
             row = dense[i] = [i] * size  # the identity's entry, if there is one
-            right_i = right[i]
+            right_i = rows[i]
             for j, a in letters:
                 row[j] = right_i[a]
             for j, p, a in steps:
-                row[j] = right[row[p]][a]
+                row[j] = rows[row[p]][a]
             return row
 
         self._dense, self._fill = dense, fill
@@ -321,26 +318,28 @@ class FiniteMonoid:
 
     def word_for(self, d: Diagram) -> tuple[int, ...]:
         """Shortlex word over generator positions evaluating to ``d``."""
-        if d not in self.index:
+        k = self.index.get(d)
+        if k is None:
             raise KeyError(f"{d!r} is not in the monoid")
-        return self.rep_words[self.index[d]]
+        prefix, last = self._tree
+        word: list[int] = []
+        while k >= 0 and last[k] >= 0:
+            word.append(last[k])
+            k = prefix[k]
+        return tuple(reversed(word))
 
 
-def closure(
-    n: int,
-    generators: Sequence[Diagram],
-    *,
-    monoid: bool = True,
-    budget: int = DEFAULT_BUDGET,
-    symbols: Sequence[str] | None = None,
-    product: Callable[[Diagram, Diagram], Diagram] | None = None,
-) -> FiniteMonoid:
-    """Froidure-Pin closure of the generators under multiplication.
+def _froidure_pin(generators: Sequence[Hashable], mul: Callable, seed: Hashable | None,
+                  budget: int) -> tuple:
+    """Closure of ``generators``, any hashable values, under ``mul``, with
+    ``seed`` adjoined first as the empty word unless it is ``None``.
 
-    With ``monoid=True`` the identity is adjoined as the seed (empty word);
-    otherwise only non-empty products are collected and the identity appears
-    just if some product equals it.  ``product`` replaces :func:`multiply`,
-    say by a memoised one.
+    Returns the elements in discovery order, their ``index``, the position
+    ``letter[a]`` of each generator, the word tree ``(prefix, last)`` and
+    both Cayley tables, ``right[u][a]`` the position of ``u * generators[a]``
+    and ``left[u][a]`` that of ``generators[a] * u``.  The word of element
+    ``u`` is the word of ``prefix[u]`` followed by the letter ``last[u]``;
+    a letter's prefix is -1, and so are both entries of the seed.
 
     Elements are found in shortlex order of their representative words,
     one word length at a time.  An element ``u`` of length ``L`` is
@@ -351,18 +350,10 @@ def closure(
     last(r)`` is read from rows that are already filled.  The left row of
     every element of length ``L`` is filled once all rows of length ``L``
     are known (Froidure & Pin, 1997).
-
-    >>> from .partitions import transposition
-    >>> len(closure(3, [transposition(3, 1), transposition(3, 2)]))
-    6
     """
-    if any(g.n != n for g in generators):
-        raise ValueError(f"every generator must have degree {n}")
     k = len(generators)
-    mul = multiply if product is None else product
-    elements: list[Diagram] = []
-    index: dict[Diagram, int] = {}
-    rep_words: list[tuple[int, ...]] = []
+    elements: list = []
+    index: dict = {}
     right: list[list[int]] = []
     left: list[list[int]] = []
     # per element: first and last letter, prefix and suffix of its word; -1
@@ -372,25 +363,23 @@ def closure(
     prefix: list[int] = []
     suffix: list[int] = []
 
-    def intern(d: Diagram, word: tuple[int, ...], pre: int, suf: int) -> int:
-        if d in index:
-            return index[d]
-        if len(elements) >= budget:
-            raise BudgetExceeded(budget)
-        index[d] = len(elements)
-        elements.append(d)
-        rep_words.append(word)
-        first.append(word[0] if word else -1)
-        last.append(word[-1] if word else -1)
-        prefix.append(pre)
-        suffix.append(suf)
-        return index[d]
+    def intern(x: Hashable, b: int, a: int, pre: int, suf: int) -> int:
+        u = index.setdefault(x, len(elements))
+        if u == len(elements):
+            if u >= budget:
+                raise BudgetExceeded(budget)
+            elements.append(x)
+            first.append(b)
+            last.append(a)
+            prefix.append(pre)
+            suffix.append(suf)
+        return u
 
-    if monoid:
-        intern(identity(n), (), -1, -1)
-    letter = [intern(g, (pos,), -1, -1) for pos, g in enumerate(generators)]
+    if seed is not None:
+        intern(seed, -1, -1, -1, -1)
+    letter = [intern(g, a, a, -1, -1) for a, g in enumerate(generators)]
     lo = 0
-    if monoid:
+    if seed is not None:
         right.append(list(letter))
         left.append(list(letter))
         lo = 1
@@ -404,9 +393,8 @@ def closure(
             for a in range(k):
                 r = letter[a] if s < 0 else right[s][a]
                 if prefix[r] == s and last[r] == a:
-                    prod = mul(elements[u], generators[a])
-                    row[a] = intern(prod, rep_words[u] + (a,), u, r)
-                elif last[r] < 0:  # s * a is the identity seed
+                    row[a] = intern(mul(elements[u], generators[a]), b, a, u, r)
+                elif last[r] < 0:  # s * a is the seed
                     row[a] = letter[b]
                 else:
                     p = prefix[r]
@@ -416,9 +404,27 @@ def closure(
             left.append([right[letter[b] if p < 0 else left[p][b]][c] for b in range(k)])
         lo = hi
 
-    return FiniteMonoid(
-        n, elements, letter, rep_words, right, index.get(identity(n)), symbols, left,
-    )
+    return elements, index, letter, (prefix, last), right, left
+
+
+def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
+            budget: int = DEFAULT_BUDGET, symbols: Sequence[str] | None = None) -> FiniteMonoid:
+    """Froidure-Pin closure of the generators under multiplication.
+
+    With ``monoid=True`` the identity is adjoined as the seed (empty word);
+    otherwise only non-empty products are collected and the identity appears
+    just if some product equals it.
+
+    >>> from .partitions import transposition
+    >>> len(closure(3, [transposition(3, 1), transposition(3, 2)]))
+    6
+    """
+    if any(g.n != n for g in generators):
+        raise ValueError(f"every generator must have degree {n}")
+    one = identity(n)
+    elements, index, letter, tree, right, left = _froidure_pin(generators, multiply,
+                                                               one if monoid else None, budget)
+    return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols, left)
 
 
 def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
@@ -435,9 +441,8 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     index the carrier only if the set is closed under multiplication.
     """
     elems = sorted(set(elements))
-    m = FiniteMonoid(
-        n, elems, list(range(len(elems))), [(k,) for k in range(len(elems))], None, None
-    )
+    size = len(elems)  # every element is a one-letter word
+    m = FiniteMonoid(n, elems, list(range(size)), ([-1] * size, range(size)), None, None)
     m.identity_index = m.index.get(identity(n))
     return m
 

@@ -74,8 +74,10 @@ def noncrossing(labels: Sequence[int]) -> bool:
 
 
 class _Canonical:
-    """Comparisons shared by :class:`Equivalence` and ``Diagram``: both are
-    a size ``n`` and a canonical (restricted-growth) label sequence."""
+    """Comparisons and text shared by :class:`Equivalence` and ``Diagram``:
+    both are a size ``n`` and a canonical (restricted-growth) label
+    sequence, and both are written as the JSON list of their groups
+    (classes or signed blocks) without spaces."""
 
     __slots__ = ("n", "labels")
 
@@ -94,6 +96,9 @@ class _Canonical:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}.from_text({self.text()!r})"
+
+    def text(self) -> str:
+        return "[%s]" % ",".join("[%s]" % ",".join(map(str, g)) for g in self._groups())
 
 
 class _Record:
@@ -201,10 +206,7 @@ class Equivalence(_Canonical):
             raise ValueError(f"point {x} out of range 1..{self.n}")
         return self.classes()[self.labels[x - 1]]
 
-    def text(self) -> str:
-        return "[%s]" % ",".join(
-            "[%s]" % ",".join(str(p) for p in block) for block in self.classes()
-        )
+    _groups = classes  # what ``text()`` writes
 
     # -- predicates ------------------------------------------------------
 

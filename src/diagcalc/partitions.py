@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
+from .counting import FAMILY_COUNTS
 from .equivalences import (
     Equivalence,
     _Canonical,
@@ -130,10 +131,7 @@ class Diagram(_Canonical):
         """
         return tuple(tuple(up + [-y for y in lo]) for up, lo in self._parts())
 
-    def text(self) -> str:
-        return "[%s]" % ",".join(
-            "[%s]" % ",".join(str(v) for v in block) for block in self.blocks()
-        )
+    _groups = blocks  # what ``text()`` writes
 
     def __mul__(self, other: "Diagram") -> "Diagram":
         return multiply(self, other)
@@ -159,7 +157,7 @@ class Diagram(_Canonical):
         >>> Diagram.from_text("[[1],[2,-1,-2]]").is_full_domain()
         False
         """
-        return set(self.labels[: self.n]).issubset(self.labels[self.n :])
+        return _rows_full_domain(self.labels[: self.n], self.labels[self.n :])
 
     def structure(self) -> "Structure":
         parts = [(tuple(up), tuple(lo)) for up, lo in self._parts()]
@@ -187,23 +185,19 @@ class Diagram(_Canonical):
 
     def classify(self) -> "Membership":
         parts = self._parts()
-        planar = self.is_planar()
-        full_domain = all(lo for _, lo in parts)
-        transformation = all(len(lo) == 1 for _, lo in parts)
-        images = self.to_transformation() if transformation else ()
+        rows = self.labels[: self.n], self.labels[self.n :]
         return Membership(
             permutation=all(len(up) == len(lo) == 1 for up, lo in parts),
-            transformation=transformation,
-            order_preserving=transformation and images == tuple(sorted(images)),
+            transformation=_rows_transformation(*rows),
+            order_preserving=_rows_order_preserving(*rows),
             partial_injection=all(len(up) <= 1 and len(lo) <= 1 for up, lo in parts),
             block_bijection=all(up and lo for up, lo in parts),
             uniform_block_bijection=all(len(up) == len(lo) for up, lo in parts),
-            projection=self.labels[: self.n] == self.labels[self.n :],
-            full_domain=full_domain,
-            planar=planar,
-            planar_full_domain=planar and full_domain,
-            cap=planar and full_domain
-            and all(not up or (up[0], up[-1]) == (lo[0], lo[-1]) for up, lo in parts),
+            projection=rows[0] == rows[1],
+            full_domain=_rows_full_domain(*rows),
+            planar=self.is_planar(),
+            planar_full_domain=_rows_planar_full_domain(*rows),
+            cap=_rows_cap(*rows),
         )
 
     def to_transformation(self) -> tuple[int, ...]:
@@ -277,10 +271,10 @@ def _rows_planar_full_domain(up: Row, lo: Row) -> bool:
 
 def _rows_cap(up: Row, lo: Row) -> bool:
     """Planar full domain, and each transversal's upper and lower ends coincide."""
+    if not _rows_planar_full_domain(up, lo):
+        return False
     pu, pl = up[::-1], lo[::-1]
-    return _rows_planar_full_domain(up, lo) and all(
-        up.index(b) == lo.index(b) and pu.index(b) == pl.index(b) for b in set(up)
-    )
+    return all(up.index(b) == lo.index(b) and pu.index(b) == pl.index(b) for b in set(up))
 
 
 def multiply(a: Diagram, b: Diagram) -> Diagram:
@@ -503,10 +497,7 @@ def _full_domain(n: int) -> list[Diagram]:
     return out
 
 
-FAMILY_NAMES = (
-    "pn", "pnfd", "ppn", "ppnfd", "tn", "sing-tn", "ptn", "on", "sn",
-    "en", "fn", "in", "jn", "dn", "pen",
-)
+FAMILY_NAMES = tuple(FAMILY_COUNTS)
 
 # the presentation schemas of ``presentations``, named here so that the CLI
 # parser can offer them without importing that module

@@ -111,6 +111,39 @@ def test_seeded_random_pairs_of_full_domain_degree_four(multiplies):
     assert multiplies[0] < 3000
 
 
+def test_the_switch_hashes_each_product_it_multiplies_once(monkeypatch):
+    """The switch closes carrier indices through the memo: a diagram is
+    hashed only to intern a product the switch multiplies, never to map a
+    carrier element back to its index."""
+    counts = {"multiply": 0, "hash": 0}
+    during = [False]
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += during[0]
+            return real(*args)
+
+        return wrapper
+
+    real_switch = engine.FiniteMonoid._switch
+
+    def switch(self):
+        during[0] = True
+        try:
+            real_switch(self)
+        finally:
+            during[0] = False
+
+    monkeypatch.setattr(engine, "multiply", counted("multiply", engine.multiply))
+    monkeypatch.setattr(Diagram, "__hash__", counted("hash", Diagram.__hash__))
+    monkeypatch.setattr(engine.FiniteMonoid, "_switch", switch)
+    m = from_elements(4, family("pnfd", 4))
+    trigger(m)
+    assert switched(m)
+    assert counts["multiply"] > 0
+    assert counts["hash"] <= counts["multiply"]
+
+
 def test_semigroup_without_identity():
     m = from_elements(3, family("sing-tn", 3))
     assert m.identity_index is None

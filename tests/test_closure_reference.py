@@ -6,6 +6,8 @@ generator.  The two must agree on every field of the result -- elements in
 the same order, representative words, generators, identity index, the right
 table -- and on the left table, which the oracle side builds by
 multiplying, as ``FiniteMonoid.left_table`` does for a monoid without one.
+The oracle keeps every word as a tuple, and ``word_for`` on both sides must
+return it for every element.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ from diagcalc.partitions import Diagram, all_diagrams, identity, multiply
 from diagcalc.presentations import SCHEMA_NAMES, schema, standard_assignment
 
 
-def bfs_closure(n, generators, *, monoid=True, budget=2_000_000):
+def bfs_words(n, generators, *, monoid=True, budget=2_000_000):
+    """The oracle's carrier and each element's word as a tuple."""
     elements: list[Diagram] = []
     index: dict[Diagram, int] = {}
     rep_words: list[tuple[int, ...]] = []
+    # the same words as the carrier's tree: prefix position and last letter
+    prefix: list[int] = []
+    last: list[int] = []
     right: list[list[int]] = []
 
-    def intern(d, word):
+    def intern(d, word, pre):
         if d in index:
             return index[d]
         if len(elements) >= budget:
@@ -33,33 +39,41 @@ def bfs_closure(n, generators, *, monoid=True, budget=2_000_000):
         index[d] = len(elements)
         elements.append(d)
         rep_words.append(word)
+        prefix.append(pre)
+        last.append(word[-1] if word else -1)
         return index[d]
 
     if monoid:
-        intern(identity(n), ())
+        intern(identity(n), (), -1)
     for pos, g in enumerate(generators):
-        intern(g, (pos,))
+        intern(g, (pos,), -1)
 
     scan = 0
     while scan < len(elements):
         row = []
         for pos, g in enumerate(generators):
             prod = multiply(elements[scan], g)
-            row.append(intern(prod, rep_words[scan] + (pos,)))
+            row.append(intern(prod, rep_words[scan] + (pos,), scan))
         right.append(row)
         scan += 1
 
     ident = index.get(identity(n))
-    return FiniteMonoid(
-        n, elements, [index[g] for g in generators], rep_words, right, ident,
+    m = FiniteMonoid(
+        n, elements, [index[g] for g in generators], (prefix, last), right, ident,
     )
+    return m, rep_words
+
+
+def bfs_closure(n, generators, *, monoid=True, budget=2_000_000):
+    return bfs_words(n, generators, monoid=monoid, budget=budget)[0]
 
 
 def assert_same(n, generators, monoid=True):
     fast = closure(n, generators, monoid=monoid)
-    slow = bfs_closure(n, generators, monoid=monoid)
+    slow, words = bfs_words(n, generators, monoid=monoid)
     assert fast.elements == slow.elements
-    assert fast.rep_words == slow.rep_words
+    assert [fast.word_for(d) for d in fast.elements] == words
+    assert [slow.word_for(d) for d in slow.elements] == words
     assert fast.generators == slow.generators
     assert fast.identity_index == slow.identity_index
     assert fast.right == slow.right
@@ -119,7 +133,7 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
     gens = _generators(name, n)
     monoid = schema(name, n).kind == "monoid"
     # one multiply per element u = b s and letter a with rep(s) a a representative
-    words = bfs_closure(n, gens, monoid=monoid).rep_words
+    words = bfs_words(n, gens, monoid=monoid)[1]
     reps = set(words)
     assert expected == sum(w[1:] + (a,) in reps for w in words if w for a in range(len(gens)))
 

@@ -37,7 +37,7 @@ def test_closure_symmetric_group():
     m = s3()
     assert len(m) == 6
     assert m.identity_index is not None
-    assert m.rep_words[m.identity_index] == ()
+    assert m.word_for(m.elements[m.identity_index]) == ()
 
 
 def test_closure_empty_generators():
@@ -88,11 +88,11 @@ def test_closure_budget():
 def test_rep_words_evaluate():
     m = closure(3, list(standard_assignment("tn", 3).values()))
     gens = [m.elements[k] for k in m.generators]
-    for k, word in enumerate(m.rep_words):
+    for d in m.elements:
         value = identity(3)
-        for g in word:
+        for g in m.word_for(d):
             value = multiply(value, gens[g])
-        assert value == m.elements[k]
+        assert value == d
 
 
 def test_rep_words_shortlex():
@@ -107,8 +107,8 @@ def test_rep_words_shortlex():
             for g in word:
                 value = multiply(value, gens[g])
             first_hit.setdefault(value, word)
-    for k, d in enumerate(m.elements):
-        assert m.rep_words[k] == first_hit[d]
+    for d in m.elements:
+        assert m.word_for(d) == first_hit[d]
 
 
 def test_right_table_consistency():
