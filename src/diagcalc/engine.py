@@ -12,18 +12,14 @@ checkers run on integer indices and multiply every product at most once.
 
 Products and images are read by subscript: ``m.table[i][j]`` is the
 ambient index of ``i * j`` and ``m.unary(op)[i]`` that of ``op(i)``; an
-entry read for the first time is computed then and memoised.  Every carrier
-starts by multiplying each new product.  Once it has multiplied more than
-``2 * len(m)`` products of two carrier elements, it "switches": it looks
-for a generating set inside the carrier, greedily, by descending rank and
-then canonical order, adding every element that the set so far does not
-generate, and runs the same loop over carrier indices.  If the closure is
-exactly the carrier, each row of carrier products becomes a dense list,
-filled once, on first use, by one table lookup per entry (Froidure & Pin,
-1997), and :meth:`FiniteMonoid.rows` hands out all of them; the memo keeps
-only the products it multiplied.  If the closure leaves the carrier, the
-carrier keeps multiplying.  Products with an interned diagram past the
-carrier are always multiplied and memoised.
+entry read for the first time is computed then and memoised.  In a carrier
+closed under multiplication, the product of two of its elements is looked
+up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one read of
+the right Cayley table past the product with the prefix of ``j``'s word
+(Froidure & Pin, 1997).  Only products with a diagram interned past the
+carrier, and every product in a set that is not closed, are multiplied.
+:func:`from_elements` finds out which kind of set it wraps by closing a
+generating set inside it, once, up front.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -102,12 +98,17 @@ class _Row(dict):
 
     def __missing__(self, j: int) -> int:
         m, i = self.monoid, self.i
-        dense = m._dense
-        # a switched carrier's own products are read from its dense rows and
-        # not stored here; that is the common miss, so it is tried first
-        if dense is not None and i < len(dense) and j < len(dense):
-            return (dense[i] or m._fill(i))[j]
-        return m._product(self, i, j)
+        size = len(m.elements)
+        if m.closed and i < size and j < size:
+            # i * j = (i * prefix(j)) * last(j); the prefix's product is
+            # itself looked up, and kept, on the way
+            prefix, last = m._tree
+            p, a = prefix[j], last[j]
+            k = i if a < 0 else m.right[i if p < 0 else self[p]][a]
+        else:
+            k = m.intern(multiply(m.diagram(i), m.diagram(j)))
+        self[j] = k
+        return k
 
 
 class _Images(dict):
@@ -123,12 +124,6 @@ class _Images(dict):
         k = self[i] = self.monoid.intern(self.op(self.monoid.diagram(i)))
         return k
 
-    def inside(self) -> list[int] | None:
-        """The images of the carrier as a list, or ``None`` if one leaves it."""
-        size = len(self.monoid)
-        images = [self[k] for k in range(size)]
-        return images if all(k < size for k in images) else None
-
 
 class FiniteMonoid:
     """A finite diagram monoid (or semigroup) with interned elements.
@@ -136,8 +131,12 @@ class FiniteMonoid:
     ``elements`` is in discovery order; ``tree`` is the word tree ``(prefix,
     last)`` of :func:`_froidure_pin`, read by :meth:`word_for`.
     ``identity_index`` is ``None`` for carriers without an identity (e.g.
-    singular subsemigroups).  A ``right`` or ``left`` table of ``None`` is
-    built in full on first use; :func:`closure` supplies both.
+    singular subsemigroups).  A carrier given its Cayley tables is
+    ``closed``: it is generated by ``generators`` (and its identity),
+    ``right[k][g]`` is the index of ``elements[k] * generator_g`` and
+    ``left_table()[k][g]`` that of ``generator_g * elements[k]``, and
+    products of its elements are looked up along ``tree``.  Without them it
+    multiplies every product and has no Cayley tables.
 
     Ambient indices: ``0 .. len(m) - 1`` are the carrier's elements, and
     :meth:`intern` gives any other diagram of the same degree the next free
@@ -145,8 +144,8 @@ class FiniteMonoid:
     ``R(a)`` of a planar ``a``) still has an index.  ``table``,
     :meth:`product` and :meth:`unary` take and return ambient indices and
     :meth:`diagram` reads one back; equal indices mean equal diagrams.
-    ``len(m)``, ``d in m``, ``elements``, ``index``, :meth:`rows` and
-    :meth:`word_for` mean the carrier only.
+    ``len(m)``, ``d in m``, ``elements``, ``index`` and :meth:`word_for`
+    mean the carrier only.
     """
 
     def __init__(
@@ -159,13 +158,15 @@ class FiniteMonoid:
         identity_index: int | None,
         symbols: Sequence[str] | None = None,
         left: list[list[int]] | None = None,
+        index: dict[Diagram, int] | None = None,
     ):
         self.n = n
         self.elements = elements
-        self.index = {d: k for k, d in enumerate(elements)}
+        self.index = {d: k for k, d in enumerate(elements)} if index is None else index
         self.generators = generators
         self._tree = tree
-        self._right = right
+        self.right = right
+        self.closed = right is not None
         self.identity_index = identity_index
         self.symbols = tuple(symbols) if symbols is not None else None
         self._left = left
@@ -177,12 +178,6 @@ class FiniteMonoid:
         self._proxy = weakref.proxy(self)
         self.table = _Table(self._proxy)
         self._images: dict[Callable[[Diagram], Diagram], _Images] = {}
-        # carrier-by-carrier products multiplied so far; None once it switched
-        self._multiplied: int | None = 0
-        # once the switch found the carrier closed: its dense rows, each None
-        # until filled, and their filler
-        self._dense: list[list[int] | None] | None = None
-        self._fill: Callable[[int], list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -209,82 +204,6 @@ class FiniteMonoid:
         """Ambient index of ``diagram(i) * diagram(j)``: ``table[i][j]``."""
         return self.table[i][j]
 
-    @property
-    def switched(self) -> bool:
-        """Has the carrier multiplied enough to try product rows by lookup?"""
-        return self._multiplied is None
-
-    def _product(self, row: _Row, i: int, j: int) -> int:
-        """A product that is not in the dense rows, read for the first time:
-        multiplied and memoised in ``row``, unless it is the product that
-        makes the carrier switch and the switch finds it."""
-        size = len(self.elements)
-        if i < size and j < size:
-            if self._multiplied is not None:
-                self._multiplied += 1
-                if self._multiplied > 2 * size:
-                    self._multiplied = None
-                    self._switch()
-                    return row[j]  # multiplied while looking, looked up, or multiplied now
-        k = row[j] = self.intern(multiply(self.diagram(i), self.diagram(j)))
-        return k
-
-    def rows(self) -> list[list[int]] | None:
-        """Every product of two carrier elements, ``rows()[i][j]`` the index
-        of ``i * j``, once the carrier has switched to lookups; ``None``
-        before that, or when a product leaves the carrier."""
-        dense = self._dense
-        if dense is not None:
-            for i, row in enumerate(dense):
-                if row is None:
-                    self._fill(i)
-        return dense
-
-    def _switch(self) -> None:
-        """Find a generating set inside the carrier (see the module
-        docstring) and, if its closure is the carrier, start the dense rows.
-        The greedy closes indices through this carrier's memo, so no product
-        is multiplied twice across its restarts."""
-        size, table = len(self.elements), self.table
-        seed = self.identity_index
-
-        def inside(i: int, j: int) -> int:
-            k = table[i][j]
-            if k >= size:
-                raise _Escape
-            return k
-
-        gens: list[int] = []
-        generated = () if seed is None else (seed,)
-        order = sorted(self.canonical_order(), key=lambda k: -self.elements[k].rank())
-        try:
-            for k in order:
-                if k not in generated:
-                    gens.append(k)
-                    at, generated, _, tree, right, _ = _froidure_pin(gens, inside, seed, size)
-                    if len(at) == size:
-                        break
-        except _Escape:
-            return
-
-        # the closure re-indexed by the carrier: ``rows[x][a]`` is
-        # ``x * gens[a]``, and each longer word is its prefix times a letter
-        rows = [[at[y] for y in right[c]] for c in sorted(range(size), key=at.__getitem__)]
-        letters = [(at[c], a) for c, (p, a) in enumerate(zip(*tree)) if p < 0 <= a]
-        steps = [(at[c], at[p], a) for c, (p, a) in enumerate(zip(*tree)) if p >= 0]
-        dense: list[list[int] | None] = [None] * size
-
-        def fill(i: int) -> list[int]:
-            row = dense[i] = [i] * size  # the identity's entry, if there is one
-            right_i = rows[i]
-            for j, a in letters:
-                row[j] = right_i[a]
-            for j, p, a in steps:
-                row[j] = rows[row[p]][a]
-            return row
-
-        self._dense, self._fill = dense, fill
-
     def unary(self, op: Callable[[Diagram], Diagram]) -> _Images:
         """``op`` on ambient indices, read as ``images[i]``; each image is
         computed once per monoid."""
@@ -293,19 +212,8 @@ class FiniteMonoid:
             images = self._images[op] = _Images(self._proxy, op)
         return images
 
-    @property
-    def right(self) -> list[list[int]]:
-        """``right[k][g]`` = index of ``elements[k] * generator_g``."""
-        if self._right is None:
-            table = self.table
-            self._right = [[table[k][g] for g in self.generators] for k in range(len(self))]
-        return self._right
-
-    def left_table(self) -> list[list[int]]:
-        """``left[k][g]`` = index of ``generator_g * elements[k]`` (lazy)."""
-        if self._left is None:
-            table = self.table
-            self._left = [[table[g][k] for g in self.generators] for k in range(len(self))]
+    def left_table(self) -> list[list[int]] | None:
+        """``left[k][g]`` = index of ``generator_g * elements[k]``."""
         return self._left
 
     def canonical_order(self) -> list[int]:
@@ -424,26 +332,54 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
     one = identity(n)
     elements, index, letter, tree, right, left = _froidure_pin(generators, multiply,
                                                                one if monoid else None, budget)
-    return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols, left)
+    return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols, left, index)
 
 
 def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
-    """Wrap an explicit element set, every element acting as a generator.
+    """Wrap an explicit element set, closing it once, up front.
 
-    Products are multiplied on first use, so wrapping a large set is cheap
-    until they are actually needed.  After more than ``2 * len(m)`` products
-    of two carrier elements have been multiplied, the carrier tries to
-    switch to lookups: it picks a generating set inside itself and, if its
-    closure is exactly the carrier, fills each row of carrier products by
-    one lookup per entry.  A set that is not closed under multiplication
-    keeps multiplying and memoising, as do products with diagrams interned
-    past the carrier.  The Cayley tables (``right``, ``left_table()``)
-    index the carrier only if the set is closed under multiplication.
+    A generating set inside the set is picked greedily, by descending rank
+    and then canonical order, adding every element that the set so far does
+    not generate, and each pick is closed by :func:`_froidure_pin` over
+    carrier indices, with products multiplied through the carrier's memo,
+    so none is multiplied twice across the restarts.  If the closure is the
+    set, the carrier is ``closed`` like a :func:`closure`: it has that
+    generating set, both Cayley tables and the word tree, and looks its
+    products up.  If a product leaves the set, every element stays a
+    generator of its own and every product is multiplied on first use.
     """
     elems = sorted(set(elements))
-    size = len(elems)  # every element is a one-letter word
+    size = len(elems)  # every element is a one-letter word until the set is closed
     m = FiniteMonoid(n, elems, list(range(size)), ([-1] * size, range(size)), None, None)
-    m.identity_index = m.index.get(identity(n))
+    seed = m.identity_index = m.index.get(identity(n))
+    table = m.table
+
+    def inside(i: int, j: int) -> int:
+        k = table[i][j]
+        if k >= size:
+            raise _Escape
+        return k
+
+    gens: list[int] = []
+    try:
+        found = _froidure_pin(gens, inside, seed, size)
+        for k in sorted(m.canonical_order(), key=lambda k: -elems[k].rank()):
+            if len(found[0]) == size:
+                break
+            if k not in found[1]:  # not generated yet
+                gens.append(k)
+                found = _froidure_pin(gens, inside, seed, size)
+    except _Escape:
+        return m
+    at, _, _, (prefix, last), right, left = found
+    # the closure re-indexed by the carrier: its element ``c`` is ``at[c]``
+    position = sorted(range(size), key=at.__getitem__)
+    m.generators = gens
+    m._tree = ([-1 if prefix[c] < 0 else at[prefix[c]] for c in position],
+               [last[c] for c in position])
+    m.right = [[at[x] for x in right[c]] for c in position]
+    m._left = [[at[x] for x in left[c]] for c in position]
+    m.closed = True
     return m
 
 

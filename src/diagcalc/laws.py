@@ -19,13 +19,15 @@ carrier's ambient and still evaluated there, so an operation that is not
 closed hides none of the equational axioms.
 
 Each binary axiom is written once, as a generator over one row: given
-``T``, one operation ``X``, the canonical order and ``a``, it yields every
-``b`` at which the law fails, in that order.  ``E2`` and ``E2*`` are the
+``T``, one operation ``X``, a range of ``b`` and ``a``, it yields every
+``b`` in that range at which the law fails.  ``E2`` and ``E2*`` are the
 same text with ``X = D`` and ``X = R``, and grrac's ``G5``--``G8`` are
-Ehresmann and restriction texts with ``X = rho``.  :func:`_scan` evaluates
-the text over the memo until the carrier has switched to product rows by
-lookup, and over plain lists (its dense rows and the operation's images)
-from then on, if the operation maps the carrier into itself.
+Ehresmann and restriction texts with ``X = rho``.  :func:`_scan` first runs
+a text over narrower ranges that decide it by induction on word length
+(Howie, 1995, ch. 1): one ``a`` per image of ``X``, or every element against
+the carrier's generators, read from its Cayley tables.  When a premise of
+that induction fails, or the narrow run finds a failure, it scans all pairs
+in canonical order, so a witness is the first failing pair either way.
 
 The left-congruence machinery at the bottom implements the congruences
 ``theta_u = {(s, t) : s u = t u}`` used to present quotients by an action,
@@ -38,6 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import weakref
 from typing import Callable, Iterable, Iterator, Sequence
 
 # kernel functions that ``perfbench/tracing.py`` wraps are called through
@@ -47,8 +50,8 @@ from .engine import CheckReport, FiniteMonoid
 from .equivalences import Equivalence, _find, _normalize, _Record, join
 from .partitions import Diagram, cap_atom, collapse, floor_map, identity, merge, range_cap
 
-# ``T[i][j]`` is the index of ``i * j`` and ``X[i]`` that of ``op(i)``: the
-# carrier's memo, or lists once its products are dense
+# ``T[i][j]`` is the index of ``i * j`` and ``X[i]`` that of ``op(i)``, read
+# from the carrier's memo
 Table = Sequence[Sequence[int]]
 Images = Sequence[int]
 Law = Callable[[Table, Images, Sequence[int], int], Iterator[int]]
@@ -62,13 +65,14 @@ def _projections(m: FiniteMonoid) -> tuple[Images, Images]:
 # -- the binary axioms ---------------------------------------------------------
 # Each is a ``Law``; its parameters are left unannotated because annotations
 # cost compile time in every process that imports this module.  Each
-# evaluates its terms in the order its two sides are written, so the
-# products multiplied before a carrier switches do not depend on how the
-# axioms are stored.
+# evaluates its terms in the order its two sides are written.  Below, S is
+# the carrier and G its generators, with its identity when it has one, and
+# each docstring gives the induction by which :func:`_reduced` narrows the
+# pairs to check to G x S, S x G, or one ``a`` and one ``b`` per image.
 
 
 def _commute(T, X, order, a):
-    """``X(a) X(b) = X(b) X(a)``."""
+    """``X(a) X(b) = X(b) X(a)``; reads ``a`` and ``b`` only through ``X``."""
     xa = X[a]
     row = T[xa]
     for b in order:
@@ -78,7 +82,9 @@ def _commute(T, X, order, a):
 
 
 def _kernel_absorbs(T, X, order, a):
-    """``X(a b) = X(a X(b))``."""
+    """``X(a b) = X(a X(b))``.  Induction on ``a = g a'``, from G x S:
+    ``X(g a' b) = X(g X(a' b)) = X(g X(a' X(b))) = X(g a' X(b))``.  Premise:
+    S is closed and ``X(S)`` lies in S, so that ``a' X(b)`` is in S."""
     row = T[a]
     for b in order:
         if X[row[b]] != X[row[X[b]]]:
@@ -86,7 +92,9 @@ def _kernel_absorbs(T, X, order, a):
 
 
 def _range_absorbs(T, X, order, a):
-    """``X(a b) = X(X(a) b)``."""
+    """``X(a b) = X(X(a) b)``.  Induction on ``b = b' g``, from S x G:
+    ``X(a b' g) = X(X(a b') g) = X(X(X(a) b') g) = X(X(a) b' g)``.  Premise:
+    S is closed and ``X(S)`` lies in S, so that ``X(a) b'`` is in S."""
     row, xrow = T[a], T[X[a]]
     for b in order:
         if X[row[b]] != X[xrow[b]]:
@@ -94,7 +102,9 @@ def _range_absorbs(T, X, order, a):
 
 
 def _left_factor(T, X, order, a):
-    """``X(a b) = X(a) X(a b)``."""
+    """``X(a b) = X(a) X(a b)``.  Induction on ``b = b' g``, from S x G:
+    ``X(a b' g) = X(a b') X(a b' g) = X(a) X(a b') X(a b' g)``, which is
+    ``X(a) X(a b' g)`` by the first step again.  Premise: S is closed."""
     row, xrow = T[a], T[X[a]]
     for b in order:
         xab = X[row[b]]
@@ -103,7 +113,9 @@ def _left_factor(T, X, order, a):
 
 
 def _right_factor(T, X, order, a):
-    """``X(a b) = X(a b) X(b)``."""
+    """``X(a b) = X(a b) X(b)``.  Induction on ``a = g a'``, from G x S:
+    ``X(g a' b) = X(g a' b) X(a' b) = X(g a' b) X(a' b) X(b)``, which is
+    ``X(g a' b) X(b)`` by the first step again.  Premise: S is closed."""
     row = T[a]
     for b in order:
         xab = X[row[b]]
@@ -112,7 +124,7 @@ def _right_factor(T, X, order, a):
 
 
 def _closed_product(T, X, order, a):
-    """``X(a) X(b) = X(X(a) X(b))``."""
+    """``X(a) X(b) = X(X(a) X(b))``; reads ``a`` and ``b`` only through ``X``."""
     xrow = T[X[a]]
     for b in order:
         p = xrow[X[b]]
@@ -121,7 +133,7 @@ def _closed_product(T, X, order, a):
 
 
 def _right_regular(T, X, order, a):
-    """``X(a) X(b) X(a) = X(b) X(a)``."""
+    """``X(a) X(b) X(a) = X(b) X(a)``; reads ``a``, ``b`` only through ``X``."""
     xa = X[a]
     xrow = T[xa]
     for b in order:
@@ -131,7 +143,9 @@ def _right_regular(T, X, order, a):
 
 
 def _right_restriction(T, X, order, a):
-    """``X(a) b = b X(a b)``."""
+    """``X(a) b = b X(a b)``.  Induction on ``b = b' g``, from S x G:
+    ``X(a) b' g = b' X(a b') g = b' g X(a b' g)``.  Premise: S is closed;
+    ``X`` may leave it."""
     row, xrow = T[a], T[X[a]]
     for b in order:
         if xrow[b] != T[b][X[row[b]]]:
@@ -139,7 +153,9 @@ def _right_restriction(T, X, order, a):
 
 
 def _left_restriction(T, X, order, a):
-    """``a X(b) = X(a b) a``."""
+    """``a X(b) = X(a b) a``.  Induction on ``a = g a'``, from G x S:
+    ``g a' X(b) = g X(a' b) a' = X(g a' b) g a'``.  Premise: S is closed;
+    ``X`` may leave it."""
     row = T[a]
     for b in order:
         if row[X[b]] != T[X[row[b]]][a]:
@@ -148,26 +164,44 @@ def _left_restriction(T, X, order, a):
 
 # -- scans ---------------------------------------------------------------------
 
+# the texts decided by one ``a`` and one ``b`` per image, and those decided
+# by S x G (the others by G x S); the absorbs texts need ``X(S)`` inside S
+_BY_IMAGE = (_commute, _closed_product, _right_regular)
+_BY_RIGHT_GENERATOR = (_range_absorbs, _left_factor, _right_restriction)
+_ABSORBS = (_kernel_absorbs, _range_absorbs)
+
+
+def _reduced(m: FiniteMonoid, law: Law, X: Images) -> tuple[Sequence[int], Sequence[int]] | None:
+    """The ranges of ``a`` and of ``b`` over which ``law`` holding proves it
+    for all pairs, by the induction in its docstring; ``None`` when a
+    premise of that induction fails."""
+    order = m.canonical_order()
+    if law in _BY_IMAGE:
+        first: dict[int, int] = {}
+        for a in order:
+            first.setdefault(X[a], a)
+        reps = list(first.values())
+        return reps, reps
+    size = len(m)
+    if not m.closed or law in _ABSORBS and any(X[a] >= size for a in order):
+        return None
+    gens = m.generators if m.identity_index is None else [*m.generators, m.identity_index]
+    return (order, gens) if law in _BY_RIGHT_GENERATOR else (gens, order)
+
 
 def _scan(m: FiniteMonoid, name: str, law: Law, op: Images) -> CheckReport:
     """Report the first ordered pair, in canonical order, failing ``law``.
 
-    Rows are read from the carrier's memo until it has switched to product
-    rows by lookup; from the next row on, if ``op`` maps the carrier into
-    itself, every term is an index into the dense rows and the image list.
+    A holding law is proved over the ranges of :func:`_reduced`.  When
+    those do not apply, or some pair in them fails, the scan runs over all
+    pairs, so a witness is the first failing pair in canonical order.
     """
-    order = m.canonical_order()
-    T: Table = m.table
-    X: Images = op
-    waiting = True
+    T, order = m.table, m.canonical_order()
+    ranges = _reduced(m, law, op)
+    if ranges is not None and all(next(law(T, op, ranges[1], a), -1) < 0 for a in ranges[0]):
+        return CheckReport(name, True, (), {"size": len(m)})
     for a in order:
-        if waiting and m.switched:
-            waiting = False
-            images = op.inside()
-            rows = m.rows() if images is not None else None
-            if rows is not None:
-                T, X = rows, images
-        for b in law(T, X, order, a):
+        for b in law(T, op, order, a):
             return CheckReport(name, False, _texts(m, a, b), {"size": len(m)})
     return CheckReport(name, True, (), {"size": len(m)})
 
@@ -415,11 +449,25 @@ def completion(s: FiniteMonoid) -> tuple[Diagram, ...]:
     return tuple(elems)
 
 
+# each carrier's completion with the ambient indices of its elements
+_completions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _completed(s: FiniteMonoid) -> tuple[tuple[Diagram, ...], list[int]]:
+    """:func:`completion` of ``S`` and the index of each element, interned
+    once per carrier."""
+    found = _completions.get(s)
+    if found is None:
+        carrier = completion(s)
+        found = _completions[s] = carrier, [s.intern(x) for x in carrier]
+    return found
+
+
 def theta(u: Diagram, s: FiniteMonoid) -> LeftCongruence:
     """The left congruence ``{(x, y) : x u = y u}`` on the completion of S."""
-    carrier = completion(s)
-    ui = s.intern(u)
-    return LeftCongruence(carrier, [s.table[s.intern(x)][ui] for x in carrier])
+    carrier, indices = _completed(s)
+    ui, table = s.intern(u), s.table
+    return LeftCongruence(carrier, [table[x][ui] for x in indices])
 
 
 def join_left_congruences(a: LeftCongruence, b: LeftCongruence) -> LeftCongruence:
@@ -446,14 +494,10 @@ def left_congruence_closure(
     are queued for every element ``c`` of the completion, which must be
     closed under multiplication (it is whenever ``S`` is a semigroup).
     """
-    carrier = completion(s)
-    order = [s.intern(x) for x in carrier]
+    carrier, order = _completed(s)
     position = {k: p for p, k in enumerate(order)}
     parent = list(range(len(order)))
-    # with an identity the completion is the carrier, so once it has
-    # switched its dense rows hold every product read here
-    rows = s.rows() if s.identity_index is not None else None
-    table = s.table if rows is None else rows
+    table = s.table
     work = [(position[s.intern(a)], position[s.intern(b)]) for a, b in pairs]
     while work:
         x, y = work.pop()

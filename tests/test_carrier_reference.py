@@ -1,10 +1,11 @@
 """Differential tests: a carrier, wrapped by ``from_elements`` or built by
-``closure``, that has switched from multiplying to table lookups against
-plain ``multiply``, the oracle.
+``closure``, that looks its products up against plain ``multiply``, the
+oracle.
 
-A carrier switches once it has multiplied more than ``2 * len(m)`` products
-of two carrier elements and a generating set inside it closes up to exactly
-the carrier; from then on each row of carrier products is filled by lookups.
+``from_elements`` multiplies only while it closes a generating set inside
+its set, up front; a closed carrier then switches to lookups, tracing each
+product ``i * j`` along the word of ``j`` through its right Cayley table.
+A set that is not closed multiplies every product.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from diagcalc.partitions import (
     SCHEMA_NAMES,
     Diagram,
     family,
+    identity,
     merge,
     multiply,
     transposition,
@@ -26,16 +28,20 @@ from diagcalc.partitions import (
 from diagcalc.presentations import schema
 
 
-def switched(m):
-    return m._fill is not None
-
-
 def trigger(m):
-    """Multiply the first three columns of every row: past ``2 * len(m)``
-    products the carrier switches, and each later row miss fills a row."""
+    """Read the first three columns of every row, before any other product."""
     for i in range(len(m)):
         for j in range(min(3, len(m))):
             m.product(i, j)
+
+
+def assert_words(m):
+    """Each element's word over ``m.generators`` multiplies out to it."""
+    for d in m.elements:
+        product = identity(m.n)
+        for a in m.word_for(d):
+            product = multiply(product, m.elements[m.generators[a]])
+        assert product == d
 
 
 def assert_products(m, indices):
@@ -60,16 +66,17 @@ def multiplies(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_family_switches_and_agrees(name, n):
     m = from_elements(n, family(name, n))
+    assert m.closed
+    assert_words(m)
     trigger(m)
-    assert switched(m) == (len(m) >= 3)
     assert_products(m, range(len(m)))
 
 
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 @pytest.mark.parametrize("n", [2, 3])
 def test_schema_closures_switch_and_agree(name, n):
-    """Closures of monoid and semigroup schemas multiply and switch like any
-    other carrier; a closure of two elements never passes ``2 * len(m)``."""
+    """Closures of monoid and semigroup schemas look their products up like
+    any other closed carrier, in any order of reading."""
     pres = schema(name, n)
 
     def build():
@@ -79,14 +86,11 @@ def test_schema_closures_switch_and_agree(name, n):
     pairs = list(itertools.product(range(len(m)), repeat=2))
     for i, j in pairs[: 2 * len(m)]:
         assert m.diagram(m.product(i, j)) == multiply(m.diagram(i), m.diagram(j)), (i, j)
-    assert not switched(m)
     assert_products(m, range(len(m)))
-    assert switched(m) == (len(m) > 2)
-    # switched first, then every product read; the closure's own Cayley
-    # tables agree with the rows the switch fills
+    # three columns first, then every product read; the closure's own
+    # Cayley tables agree with the products it looks up
     m = build()
     trigger(m)
-    assert switched(m) == (len(m) > 2)
     assert_products(m, range(len(m)))
     gens = m.generators
     assert m.right == [[m.product(k, g) for g in gens] for k in range(len(m))]
@@ -96,25 +100,36 @@ def test_schema_closures_switch_and_agree(name, n):
 def test_planar_full_domain_degree_four_agrees():
     m = from_elements(4, family("ppnfd", 4))
     trigger(m)
-    assert switched(m)
     assert_products(m, range(len(m)))
 
 
 def test_seeded_random_pairs_of_full_domain_degree_four(multiplies):
     m = from_elements(4, family("pnfd", 4))
+    closing = multiplies[0]
     rng = random.Random(20240611)
     pairs = [(rng.randrange(len(m)), rng.randrange(len(m))) for _ in range(6000)]
     for i, j in pairs:
         assert m.elements[m.product(i, j)] == multiply(m.elements[i], m.elements[j])
-    assert switched(m)
-    # 2 * 855 + 1 multiplies to switch, then the generating closure's
-    assert multiplies[0] < 3000
+    # the generating closure's multiplies, and none once it is closed
+    assert closing < 3000 and multiplies[0] == closing
+
+
+def test_seeded_random_pairs_of_full_domain_degree_five(multiplies):
+    m = from_elements(5, family("pnfd", 5))
+    assert m.closed and len(m) == 19_921
+    closing = multiplies[0]
+    rng = random.Random(20261019)
+    pairs = [(rng.randrange(len(m)), rng.randrange(len(m))) for _ in range(3000)]
+    for i, j in pairs:
+        assert m.elements[m.product(i, j)] == multiply(m.elements[i], m.elements[j])
+    assert multiplies[0] == closing
 
 
 def test_the_switch_hashes_each_product_it_multiplies_once(monkeypatch):
-    """The switch closes carrier indices through the memo: a diagram is
-    hashed only to intern a product the switch multiplies, never to map a
-    carrier element back to its index."""
+    """``from_elements`` closes carrier indices through the memo before it
+    switches to lookups: while it closes, a diagram is hashed only to intern
+    a product it multiplies, never to map a carrier element back to its
+    index."""
     counts = {"multiply": 0, "hash": 0}
     during = [False]
 
@@ -125,45 +140,47 @@ def test_the_switch_hashes_each_product_it_multiplies_once(monkeypatch):
 
         return wrapper
 
-    real_switch = engine.FiniteMonoid._switch
+    real_closing = engine._froidure_pin
 
-    def switch(self):
+    def closing(*args):
         during[0] = True
         try:
-            real_switch(self)
+            return real_closing(*args)
         finally:
             during[0] = False
 
     monkeypatch.setattr(engine, "multiply", counted("multiply", engine.multiply))
     monkeypatch.setattr(Diagram, "__hash__", counted("hash", Diagram.__hash__))
-    monkeypatch.setattr(engine.FiniteMonoid, "_switch", switch)
+    monkeypatch.setattr(engine, "_froidure_pin", closing)
     m = from_elements(4, family("pnfd", 4))
-    trigger(m)
-    assert switched(m)
+    assert m.closed
     assert counts["multiply"] > 0
     assert counts["hash"] <= counts["multiply"]
 
 
 def test_semigroup_without_identity():
     m = from_elements(3, family("sing-tn", 3))
-    assert m.identity_index is None
+    assert m.identity_index is None and m.closed
     trigger(m)
-    assert switched(m)
     assert_products(m, range(len(m)))
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 @pytest.mark.parametrize("n", [0, 1])
-def test_degrees_zero_and_one_never_switch(name, n):
+def test_degrees_zero_and_one_never_switch(name, n, multiplies):
+    """The smallest carriers close up front like any other, on at most one
+    generator, and multiply none of the products read afterwards."""
     m = from_elements(n, family(name, n))
+    closing = multiplies[0]
+    assert m.closed and len(m.generators) <= 1
     assert_products(m, range(len(m)))
-    assert not switched(m)
+    assert multiplies[0] == closing
 
 
 def test_non_closed_set_keeps_multiplying(multiplies):
     m = from_elements(3, family("sn", 3) + [merge(3, 1, 2)])
+    assert not m.closed and m.generators == list(range(len(m)))
     assert_products(m, range(len(m)))
-    assert not switched(m)
     # every carrier pair multiplied exactly once, escapes included
     assert multiplies[0] == len(m) ** 2
     assert any(m.product(i, j) >= len(m) for i, j in itertools.product(range(len(m)), repeat=2))
@@ -171,18 +188,16 @@ def test_non_closed_set_keeps_multiplying(multiplies):
 
 @pytest.mark.parametrize("name,n", [("pn", 2), ("ppnfd", 3), ("sing-tn", 3)])
 def test_right_table_read_before_and_after_the_switch(name, n):
-    # reading ``right`` first multiplies until the switch, mid-table
+    # the Cayley tables over the generating set, read before any product
     m = from_elements(n, family(name, n))
-    right = m.right
-    assert switched(m)
+    right, gens = m.right, m.generators
     for k, row in enumerate(right):
-        assert [m.elements[x] for x in row] == [multiply(m.elements[k], g) for g in m.elements]
-    assert m.left_table() == [[right[g][k] for g in range(len(m))] for k in range(len(m))]
+        assert [m.elements[x] for x in row] == [multiply(m.elements[k], m.elements[g]) for g in gens]
+    assert m.left_table() == [[m.product(g, k) for g in gens] for k in range(len(m))]
     assert_products(m, range(len(m)))
-    # switched first, read afterwards
+    # products read first, the table afterwards
     m = from_elements(n, family(name, n))
     trigger(m)
-    assert switched(m)
     assert m.right == right
 
 
@@ -194,8 +209,7 @@ def test_products_mixed_with_escapes():
             m.product(k, e)
             m.product(e, k)
     trigger(m)
-    assert switched(m)
-    # interned after the switch, past the escapes the products above made;
+    # interned after the lookups, past the escapes the products above made;
     # no product of full-domain diagrams leaves 1 in a block of its own
     outside = (transposition(3, 2), Diagram.from_text("[[1],[-1],[2,-2],[3,-3]]"))
     late = [m.intern(d) for d in outside]

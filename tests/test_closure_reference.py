@@ -5,7 +5,7 @@ replaced, kept as the oracle: it multiplies every element by every
 generator.  The two must agree on every field of the result -- elements in
 the same order, representative words, generators, identity index, the right
 table -- and on the left table, which the oracle side builds by
-multiplying, as ``FiniteMonoid.left_table`` does for a monoid without one.
+multiplying.
 The oracle keeps every word as a tuple, and ``word_for`` on both sides must
 return it for every element.
 """
@@ -58,8 +58,9 @@ def bfs_words(n, generators, *, monoid=True, budget=2_000_000):
         scan += 1
 
     ident = index.get(identity(n))
+    left = [[index[multiply(g, d)] for g in generators] for d in elements]
     m = FiniteMonoid(
-        n, elements, [index[g] for g in generators], (prefix, last), right, ident,
+        n, elements, [index[g] for g in generators], (prefix, last), right, ident, left=left,
     )
     return m, rep_words
 

@@ -133,8 +133,9 @@ def test_from_elements_right_table_iterates_like_it_indexes():
     rows = [row for row in m.right]
     assert rows == [m.right[k] for k in range(len(m))]
     assert m.right[0:2] == rows[0:2]
+    gens = [m.elements[g] for g in m.generators]
     for k, row in enumerate(rows):
-        assert [m.elements[x] for x in row] == [multiply(m.elements[k], g) for g in m.elements]
+        assert [m.elements[x] for x in row] == [multiply(m.elements[k], g) for g in gens]
 
 
 def test_from_elements_wraps():

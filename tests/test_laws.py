@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import diagcalc
-from diagcalc.engine import FiniteMonoid, closure, from_elements
+from diagcalc.engine import closure, from_elements
 from diagcalc.equivalences import Equivalence, all_equivalences
 from diagcalc.laws import (
     LeftCongruence,
@@ -261,7 +261,8 @@ GRRAC_AXIOMS = ("closure-rho", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
 
 def test_frontier_reports_are_pinned():
     # Ehresmann on P4fd and grrac on PP5fd, the verdicts one degree past the
-    # acceptance suite, report by report
+    # acceptance suite, report by report; then P5fd, which the reductions
+    # of the binary axioms decide without a scan of its 19,921² pairs
     reports = check_ehresmann(from_elements(4, family("pnfd", 4)))
     assert [rep.to_dict() for rep in reports] == [
         {"name": name, "holds": True, "witness": None, "counts": {"size": 855}}
@@ -272,6 +273,17 @@ def test_frontier_reports_are_pinned():
         {"name": name, "holds": True, "witness": None, "counts": {"size": 637}}
         for name in GRRAC_AXIOMS
     ]
+    p5 = from_elements(5, family("pnfd", 5))
+    reports = check_ehresmann(p5) + [check_restriction(p5, "right"), check_restriction(p5, "left")]
+    assert [rep.to_dict() for rep in reports] == [
+        {"name": name, "holds": True, "witness": None, "counts": {"size": 19_921}}
+        for name in (*EHRESMANN_AXIOMS, "right-restriction")
+    ] + [{
+        "name": "left-restriction",
+        "holds": False,
+        "witness": ["[[1,2,3,4,5,-1,-2,-3,-4],[-5]]", "[[1,2,3,4,5,-1,-2,-3,-4,-5]]"],
+        "counts": {"size": 19_921},
+    }]
 
 
 BINARY_CHECKS = {
@@ -283,11 +295,17 @@ BINARY_CHECKS = {
 
 
 @pytest.mark.parametrize(
-    "name,n", [(name, n) for n in (1, 2, 3) for name in FAMILY_NAMES] + [("pnfd", 4), ("ppnfd", 4)]
+    "name,n",
+    [(name, n) for n in (1, 2, 3) for name in FAMILY_NAMES]
+    + [("pnfd", 4), ("ppnfd", 4)]
+    + [(name, 0) for name in FAMILY_NAMES]
+    + [("ppnfd", 5)],
 )
 def test_dense_rows_and_memo_agree(monkeypatch, name, n):
-    """Every binary axiom, evaluated on a carrier's dense rows once it has
-    switched, reports what it reports on the memo alone."""
+    """Every binary axiom, decided by its induction over the carrier's
+    dense Cayley rows, reports what the full scan over the memo reports."""
+    import diagcalc.laws as laws
+
     def outcome(run):
         try:
             return [rep.to_dict() for rep in run(from_elements(n, family(name, n)))]
@@ -297,16 +315,59 @@ def test_dense_rows_and_memo_agree(monkeypatch, name, n):
     def reports():
         return {check: outcome(run) for check, run in BINARY_CHECKS.items()}
 
-    served = []
-    rows = FiniteMonoid.rows
-    monkeypatch.setattr(FiniteMonoid, "rows", lambda m: served.append(rows(m)) or served[-1])
-    dense = reports()
-    monkeypatch.setattr(FiniteMonoid, "rows", lambda m: None)
-    assert reports() == dense
-    # both laws-workload carriers that go dense do; the witness of left
-    # restriction on P4fd comes before its carrier switches
-    if (name, n) in (("pnfd", 3), ("ppnfd", 3), ("pnfd", 4), ("ppnfd", 4)):
-        assert any(table is not None for table in served)
+    reduced = reports()
+    monkeypatch.setattr(laws, "_reduced", lambda m, law, op: None)
+    assert reports() == reduced
+
+
+@pytest.mark.parametrize(
+    "name,n,checks,binary",
+    [("pnfd", 4, ("ehresmann", "right"), 9), ("ppnfd", 5, ("grrac", "right"), 6)],
+)
+def test_the_reductions_decide_the_holding_verdicts(monkeypatch, name, n, checks, binary):
+    """On the laws workload's P4fd and on PP5fd every holding binary axiom
+    is decided by its induction alone: each premise holds and the narrow
+    ranges find no failure, so no full scan runs."""
+    import diagcalc.laws as laws
+
+    real, decided = laws._reduced, []
+
+    def spy(m, law, op):
+        ranges = real(m, law, op)
+        decided.append(ranges is not None
+                       and all(next(law(m.table, op, ranges[1], a), -1) < 0 for a in ranges[0]))
+        return ranges
+
+    monkeypatch.setattr(laws, "_reduced", spy)
+    m = from_elements(n, family(name, n))
+    assert all(rep.holds for check in checks for rep in BINARY_CHECKS[check](m))
+    assert decided == [True] * binary
+
+
+def test_the_reductions_check_their_premises():
+    """The generator reductions need a closed carrier with its identity
+    among the generators, and the absorbs texts need ``X(S)`` inside S; the
+    image reductions need neither."""
+    import diagcalc.laws as laws
+
+    tn = from_elements(3, family("tn", 3))
+    D = tn.unary(domain_projection)
+    order, gens = tn.canonical_order(), [*tn.generators, tn.identity_index]
+    assert tn.closed and any(D[a] >= len(tn) for a in order)
+    assert laws._reduced(tn, laws._left_factor, D) == (order, gens)
+    assert laws._reduced(tn, laws._right_factor, D) == (gens, order)
+    assert laws._reduced(tn, laws._kernel_absorbs, D) is None
+    assert laws._reduced(tn, laws._range_absorbs, D) is None
+    pnfd = from_elements(3, family("pnfd", 3))
+    assert laws._reduced(pnfd, laws._kernel_absorbs, pnfd.unary(domain_projection)) == (
+        [*pnfd.generators, pnfd.identity_index], pnfd.canonical_order())
+    # one representative per image, the first in canonical order
+    reps, _ = laws._reduced(tn, laws._commute, D)
+    assert len(reps) == len({D[a] for a in order}) and reps[0] == order[0]
+    open_set = from_elements(3, family("sn", 3) + [merge(3, 1, 2)])
+    assert not open_set.closed
+    assert laws._reduced(open_set, laws._right_restriction, open_set.unary(range_projection)) is None
+    assert laws._reduced(open_set, laws._commute, open_set.unary(range_projection)) is not None
 
 
 def test_grrac_g8_mirrors_right_restriction():
@@ -543,14 +604,18 @@ def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refu
 @pytest.mark.parametrize(
     "job,multiplies",
     [
-        (lambda: theta_battery(3), 445),
-        (lambda: theta_battery(4), 8_999),
-        (lambda: check_ehresmann(from_elements(3, family("pn", 3))), 694),
-        (lambda: check_restriction(from_elements(4, family("ppnfd", 4)), "right"), 1_274),
-        (lambda: check_grrac(from_elements(4, family("ppnfd", 4))), 539),
-        # the witness comes before the carrier has multiplied 2 * 855
-        # products, so it never switches to lookups
-        (lambda: check_restriction(from_elements(4, family("pnfd", 4)), "left"), 856),
+        # theta builds its carriers with ``from_elements``, which closes tn,
+        # sing-tn and on up front
+        (lambda: theta_battery(3), 444),
+        (lambda: theta_battery(4), 9_377),
+        # the closure of P3, its one multiplying step; every law reads the
+        # tables
+        (lambda: check_ehresmann(from_elements(3, family("pn", 3))), 293),
+        # the closure of PP4fd, then products with the R(a) that leave it
+        (lambda: check_restriction(from_elements(4, family("ppnfd", 4)), "right"), 401),
+        (lambda: check_grrac(from_elements(4, family("ppnfd", 4))), 322),
+        # the closure of P4fd, up front, before the witness in row 1
+        (lambda: check_restriction(from_elements(4, family("pnfd", 4)), "left"), 1_139),
     ],
     ids=[
         "theta_battery-3",
