@@ -12,14 +12,13 @@ checkers run on integer indices and multiply every product at most once.
 
 Products and images are read by subscript: ``m.table[i][j]`` is the
 ambient index of ``i * j`` and ``m.unary(op)[i]`` that of ``op(i)``; an
-entry read for the first time is computed then and memoised.  In a carrier
-closed under multiplication, the product of two of its elements is looked
-up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one read of
-the right Cayley table past the product with the prefix of ``j``'s word
-(Froidure & Pin, 1997).  Only products with a diagram interned past the
-carrier, and every product in a set that is not closed, are multiplied.
-:func:`from_elements` finds out which kind of set it wraps by closing a
-generating set inside it, once, up front.
+entry read for the first time is computed then and memoised.  Every carrier
+is closed under multiplication, so the product of two of its elements is
+looked up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one
+read of the right Cayley table past the product with the prefix of ``j``'s
+word (Froidure & Pin, 1997).  Only products with a diagram interned past
+the carrier are multiplied.  :func:`from_elements` builds its carrier the
+way :func:`closure` does, from a generating set it picks inside the set.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -35,10 +34,6 @@ from .equivalences import Equivalence, _normalize, _Record, join
 from .partitions import Diagram, identity, multiply
 
 DEFAULT_BUDGET = 2_000_000
-
-
-class _Escape(Exception):
-    """A product of two carrier elements left the carrier."""
 
 
 class BudgetExceeded(Exception):
@@ -99,7 +94,7 @@ class _Row(dict):
     def __missing__(self, j: int) -> int:
         m, i = self.monoid, self.i
         size = len(m.elements)
-        if m.closed and i < size and j < size:
+        if i < size and j < size:
             # i * j = (i * prefix(j)) * last(j); the prefix's product is
             # itself looked up, and kept, on the way
             prefix, last = m._tree
@@ -131,12 +126,11 @@ class FiniteMonoid:
     ``elements`` is in discovery order; ``tree`` is the word tree ``(prefix,
     last)`` of :func:`_froidure_pin`, read by :meth:`word_for`.
     ``identity_index`` is ``None`` for carriers without an identity (e.g.
-    singular subsemigroups).  A carrier given its Cayley tables is
-    ``closed``: it is generated by ``generators`` (and its identity),
-    ``right[k][g]`` is the index of ``elements[k] * generator_g`` and
-    ``left_table()[k][g]`` that of ``generator_g * elements[k]``, and
-    products of its elements are looked up along ``tree``.  Without them it
-    multiplies every product and has no Cayley tables.
+    singular subsemigroups).  The carrier is closed under multiplication and
+    generated by ``generators`` (and its identity): ``right[k][g]`` is the
+    index of ``elements[k] * generator_g`` and ``left[k][g]`` that of
+    ``generator_g * elements[k]``, and products of its elements are looked
+    up along ``tree``.
 
     Ambient indices: ``0 .. len(m) - 1`` are the carrier's elements, and
     :meth:`intern` gives any other diagram of the same degree the next free
@@ -154,10 +148,11 @@ class FiniteMonoid:
         elements: list[Diagram],
         generators: list[int],
         tree: tuple[Sequence[int], Sequence[int]],
-        right: list[list[int]] | None,
+        right: list[list[int]],
         identity_index: int | None,
         symbols: Sequence[str] | None = None,
-        left: list[list[int]] | None = None,
+        *,
+        left: list[list[int]],
         index: dict[Diagram, int] | None = None,
     ):
         self.n = n
@@ -166,10 +161,9 @@ class FiniteMonoid:
         self.generators = generators
         self._tree = tree
         self.right = right
-        self.closed = right is not None
+        self.left = left
         self.identity_index = identity_index
         self.symbols = tuple(symbols) if symbols is not None else None
-        self._left = left
         self._canonical: list[int] | None = None
         self._escapes: list[Diagram] = []
         self._escape_index: dict[Diagram, int] = {}
@@ -211,10 +205,6 @@ class FiniteMonoid:
         if images is None:
             images = self._images[op] = _Images(self._proxy, op)
         return images
-
-    def left_table(self) -> list[list[int]] | None:
-        """``left[k][g]`` = index of ``generator_g * elements[k]``."""
-        return self._left
 
     def canonical_order(self) -> list[int]:
         """Element indices sorted by canonical encoding (for witness scans)."""
@@ -332,55 +322,52 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
     one = identity(n)
     elements, index, letter, tree, right, left = _froidure_pin(generators, multiply,
                                                                one if monoid else None, budget)
-    return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols, left, index)
+    return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols,
+                        left=left, index=index)
 
 
 def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
-    """Wrap an explicit element set, closing it once, up front.
+    """The carrier of an explicit element set closed under multiplication.
 
     A generating set inside the set is picked greedily, by descending rank
     and then canonical order, adding every element that the set so far does
     not generate, and each pick is closed by :func:`_froidure_pin` over
-    carrier indices, with products multiplied through the carrier's memo,
-    so none is multiplied twice across the restarts.  If the closure is the
-    set, the carrier is ``closed`` like a :func:`closure`: it has that
-    generating set, both Cayley tables and the word tree, and looks its
-    products up.  If a product leaves the set, every element stays a
-    generator of its own and every product is multiplied on first use.
+    positions in the set, with each product of two positions multiplied
+    once across the restarts.  The carrier is then built as by
+    :func:`closure`: elements in discovery order, that generating set, both
+    Cayley tables and the word tree.  A set with an element of another
+    degree, or with a product outside it, raises ``ValueError``.
     """
-    elems = sorted(set(elements))
-    size = len(elems)  # every element is a one-letter word until the set is closed
-    m = FiniteMonoid(n, elems, list(range(size)), ([-1] * size, range(size)), None, None)
-    seed = m.identity_index = m.index.get(identity(n))
-    table = m.table
+    distinct = set(elements)
+    if any(d.n != n for d in distinct):
+        raise ValueError(f"every element must have degree {n}")
+    elems = sorted(distinct, key=lambda d: (-d.rank(), d.labels))
+    size = len(elems)
+    position = {d: k for k, d in enumerate(elems)}
+    seed = position.get(identity(n))
+    memo: dict[int, int] = {}
 
-    def inside(i: int, j: int) -> int:
-        k = table[i][j]
-        if k >= size:
-            raise _Escape
+    def mul(i: int, j: int) -> int:
+        k = memo.get(i * size + j)
+        if k is None:
+            d = multiply(elems[i], elems[j])
+            k = memo[i * size + j] = position.get(d, -1)
+            if k < 0:
+                raise ValueError(f"the set is not closed: "
+                                 f"{elems[i].text()} * {elems[j].text()} = {d.text()}")
         return k
 
     gens: list[int] = []
-    try:
-        found = _froidure_pin(gens, inside, seed, size)
-        for k in sorted(m.canonical_order(), key=lambda k: -elems[k].rank()):
-            if len(found[0]) == size:
-                break
-            if k not in found[1]:  # not generated yet
-                gens.append(k)
-                found = _froidure_pin(gens, inside, seed, size)
-    except _Escape:
-        return m
-    at, _, _, (prefix, last), right, left = found
-    # the closure re-indexed by the carrier: its element ``c`` is ``at[c]``
-    position = sorted(range(size), key=at.__getitem__)
-    m.generators = gens
-    m._tree = ([-1 if prefix[c] < 0 else at[prefix[c]] for c in position],
-               [last[c] for c in position])
-    m.right = [[at[x] for x in right[c]] for c in position]
-    m._left = [[at[x] for x in left[c]] for c in position]
-    m.closed = True
-    return m
+    found = _froidure_pin(gens, mul, seed, size)
+    for k in range(size):
+        if len(found[0]) == size:
+            break
+        if k not in found[1]:  # not generated yet
+            gens.append(k)
+            found = _froidure_pin(gens, mul, seed, size)
+    at, _, letter, tree, right, left = found
+    return FiniteMonoid(n, [elems[a] for a in at], letter, tree, right,
+                        None if seed is None else 0, left=left)
 
 
 # -- Green's relations ----------------------------------------------------
@@ -461,7 +448,7 @@ def green(m: FiniteMonoid) -> GreenClasses:
     """
     size = len(m)
     r_of = _strongly_connected(size, [sorted(set(row)) for row in m.right])
-    l_of = _strongly_connected(size, [sorted(set(row)) for row in m.left_table()])
+    l_of = _strongly_connected(size, [sorted(set(row)) for row in m.left])
     j_of = join(Equivalence(size, r_of), Equivalence(size, l_of)).labels
     return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
 
@@ -530,7 +517,7 @@ def cayley_json(m: FiniteMonoid, side: str = "right") -> dict:
     """Right or left Cayley graph as a plain JSON-ready dict."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    table = m.right if side == "right" else m.left_table()
+    table = m.right if side == "right" else m.left
     symbols = list(m.symbols) if m.symbols else [f"g{k}" for k in range(len(m.generators))]
     order = m.canonical_order()
     position = {k: p for p, k in enumerate(order)}

@@ -173,8 +173,8 @@ _ABSORBS = (_kernel_absorbs, _range_absorbs)
 
 def _reduced(m: FiniteMonoid, law: Law, X: Images) -> tuple[Sequence[int], Sequence[int]] | None:
     """The ranges of ``a`` and of ``b`` over which ``law`` holding proves it
-    for all pairs, by the induction in its docstring; ``None`` when a
-    premise of that induction fails."""
+    for all pairs, by the induction in its docstring; ``None`` when the
+    absorbs texts' premise, ``X(S)`` inside the (closed) carrier, fails."""
     order = m.canonical_order()
     if law in _BY_IMAGE:
         first: dict[int, int] = {}
@@ -183,7 +183,7 @@ def _reduced(m: FiniteMonoid, law: Law, X: Images) -> tuple[Sequence[int], Seque
         reps = list(first.values())
         return reps, reps
     size = len(m)
-    if not m.closed or law in _ABSORBS and any(X[a] >= size for a in order):
+    if law in _ABSORBS and any(X[a] >= size for a in order):
         return None
     gens = m.generators if m.identity_index is None else [*m.generators, m.identity_index]
     return (order, gens) if law in _BY_RIGHT_GENERATOR else (gens, order)

@@ -181,7 +181,8 @@ class Diagram(_Canonical):
         return Equivalence(self.n, self.labels[self.n :])
 
     def rank(self) -> int:
-        return sum(1 for up, lo in self._parts() if up and lo)
+        """The number of transversals: blocks with points in both rows."""
+        return len(set(self.labels[: self.n]).intersection(self.labels[self.n :]))
 
     def classify(self) -> "Membership":
         parts = self._parts()

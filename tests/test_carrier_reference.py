@@ -5,7 +5,7 @@ oracle.
 ``from_elements`` multiplies only while it closes a generating set inside
 its set, up front; a closed carrier then switches to lookups, tracing each
 product ``i * j`` along the word of ``j`` through its right Cayley table.
-A set that is not closed multiplies every product.
+A set that is not closed is rejected.
 """
 
 import itertools
@@ -66,10 +66,24 @@ def multiplies(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_family_switches_and_agrees(name, n):
     m = from_elements(n, family(name, n))
-    assert m.closed
     assert_words(m)
     trigger(m)
     assert_products(m, range(len(m)))
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in FAMILY_NAMES for n in range(4)]
+                         + [("pnfd", 4), ("ppnfd", 5)])
+def test_from_elements_is_the_closure_of_its_generators(name, n):
+    """``from_elements`` builds its carrier as ``closure`` does, so closing
+    its generators again gives the same carrier in every field."""
+    m = from_elements(n, family(name, n))
+    c = closure(n, [m.elements[g] for g in m.generators], monoid=m.identity_index is not None)
+    assert m.elements == c.elements
+    assert m.generators == c.generators
+    assert m.identity_index == c.identity_index
+    assert m.right == c.right
+    assert m.left == c.left
+    assert [m.word_for(d) for d in m.elements] == [c.word_for(d) for d in c.elements]
 
 
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
@@ -94,7 +108,7 @@ def test_schema_closures_switch_and_agree(name, n):
     assert_products(m, range(len(m)))
     gens = m.generators
     assert m.right == [[m.product(k, g) for g in gens] for k in range(len(m))]
-    assert m.left_table() == [[m.product(g, k) for g in gens] for k in range(len(m))]
+    assert m.left == [[m.product(g, k) for g in gens] for k in range(len(m))]
 
 
 def test_planar_full_domain_degree_four_agrees():
@@ -116,7 +130,7 @@ def test_seeded_random_pairs_of_full_domain_degree_four(multiplies):
 
 def test_seeded_random_pairs_of_full_domain_degree_five(multiplies):
     m = from_elements(5, family("pnfd", 5))
-    assert m.closed and len(m) == 19_921
+    assert len(m) == 19_921
     closing = multiplies[0]
     rng = random.Random(20261019)
     pairs = [(rng.randrange(len(m)), rng.randrange(len(m))) for _ in range(3000)]
@@ -153,14 +167,13 @@ def test_the_switch_hashes_each_product_it_multiplies_once(monkeypatch):
     monkeypatch.setattr(Diagram, "__hash__", counted("hash", Diagram.__hash__))
     monkeypatch.setattr(engine, "_froidure_pin", closing)
     m = from_elements(4, family("pnfd", 4))
-    assert m.closed
     assert counts["multiply"] > 0
     assert counts["hash"] <= counts["multiply"]
 
 
 def test_semigroup_without_identity():
     m = from_elements(3, family("sing-tn", 3))
-    assert m.identity_index is None and m.closed
+    assert m.identity_index is None
     trigger(m)
     assert_products(m, range(len(m)))
 
@@ -172,18 +185,18 @@ def test_degrees_zero_and_one_never_switch(name, n, multiplies):
     generator, and multiply none of the products read afterwards."""
     m = from_elements(n, family(name, n))
     closing = multiplies[0]
-    assert m.closed and len(m.generators) <= 1
+    assert len(m.generators) <= 1
     assert_products(m, range(len(m)))
     assert multiplies[0] == closing
 
 
-def test_non_closed_set_keeps_multiplying(multiplies):
-    m = from_elements(3, family("sn", 3) + [merge(3, 1, 2)])
-    assert not m.closed and m.generators == list(range(len(m)))
-    assert_products(m, range(len(m)))
-    # every carrier pair multiplied exactly once, escapes included
-    assert multiplies[0] == len(m) ** 2
-    assert any(m.product(i, j) >= len(m) for i, j in itertools.product(range(len(m)), repeat=2))
+def test_non_closed_set_is_rejected():
+    # the first product that leaves the set is named: (2 3) times the merge
+    # of 1 and 2 merges 1 and 3, which the set lacks
+    escape = "[[1,-1],[2,-3],[3,-2]] * [[1,2,-1,-2],[3,-3]] = [[1,3,-1,-2],[2,-3]]"
+    with pytest.raises(ValueError) as caught:
+        from_elements(3, family("sn", 3) + [merge(3, 1, 2)])
+    assert str(caught.value) == f"the set is not closed: {escape}"
 
 
 @pytest.mark.parametrize("name,n", [("pn", 2), ("ppnfd", 3), ("sing-tn", 3)])
@@ -193,7 +206,7 @@ def test_right_table_read_before_and_after_the_switch(name, n):
     right, gens = m.right, m.generators
     for k, row in enumerate(right):
         assert [m.elements[x] for x in row] == [multiply(m.elements[k], m.elements[g]) for g in gens]
-    assert m.left_table() == [[m.product(g, k) for g in gens] for k in range(len(m))]
+    assert m.left == [[m.product(g, k) for g in gens] for k in range(len(m))]
     assert_products(m, range(len(m)))
     # products read first, the table afterwards
     m = from_elements(n, family(name, n))

@@ -78,7 +78,7 @@ def assert_same(n, generators, monoid=True):
     assert fast.generators == slow.generators
     assert fast.identity_index == slow.identity_index
     assert fast.right == slow.right
-    assert fast.left_table() == slow.left_table()
+    assert fast.left == slow.left
 
 
 # schemas start at n = 2

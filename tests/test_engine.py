@@ -146,6 +146,30 @@ def test_from_elements_wraps():
         assert m.elements[m.product(i, j)] == multiply(m.elements[i], m.elements[j])
 
 
+def test_from_elements_checks_degrees():
+    with pytest.raises(ValueError, match="every element must have degree 3"):
+        from_elements(3, family("pnfd", 2))
+
+
+@pytest.mark.parametrize("name,n,count", [
+    ("pnfd", 4, 6), ("ppnfd", 5, 12), ("dn", 6, 31), ("pnfd", 5, 7),
+])
+def test_from_elements_greedy_generator_counts(name, n, count):
+    assert len(from_elements(n, family(name, n)).generators) == count
+
+
+def test_from_elements_greedy_generators_of_pnfd_three():
+    # descending rank, then canonical order: each element not generated yet
+    m = from_elements(3, family("pnfd", 3))
+    assert [m.elements[g].text() for g in m.generators] == [
+        "[[1,-1],[2,-3],[3,-2]]",
+        "[[1,-2],[2,-1],[3,-3]]",
+        "[[1,2,-1,-2],[3,-3]]",
+        "[[1,2,-1],[3,-2,-3]]",
+        "[[1,2,-1],[3,-2],[-3]]",
+    ]
+
+
 @pytest.mark.parametrize("build", ["from_elements", "closure"])
 def test_ambient_products_and_images(build):
     # the carrier is ptn 3 (order-preserving maps) and the escapes are the
@@ -178,7 +202,7 @@ def test_ambient_products_and_images(build):
         with pytest.raises(KeyError):
             m.word_for(d)
     assert all(row_k < len(m) for row in m.right for row_k in row)
-    assert all(row_k < len(m) for row in m.left_table() for row_k in row)
+    assert all(row_k < len(m) for row in m.left for row_k in row)
 
 
 def test_word_for():

@@ -28,7 +28,7 @@ from diagcalc.presentations import schema
 def ref_green(m) -> GreenClasses:
     size = len(m)
     right_edges = [sorted(set(row)) for row in m.right]
-    left_edges = [sorted(set(row)) for row in m.left_table()]
+    left_edges = [sorted(set(row)) for row in m.left]
     r_of = _strongly_connected(size, right_edges)
     l_of = _strongly_connected(size, left_edges)
     both = [sorted(set(a) | set(b)) for a, b in zip(right_edges, left_edges)]
