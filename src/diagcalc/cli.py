@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
         "en-tn for action-pair); defaults: ehresmann/restriction pnfd, "
         "grrac ppnfd, action-pair en-tn",
     )
-    verify.add_argument("--side", choices=("left", "right"), default="right",
+    verify.add_argument("--side", choices=("left", "right"),
                         help="which restriction law to test (default right)")
     verify.add_argument("--budget", type=int, help="node budget for enumeration")
     verify.add_argument("--seed", type=int, help="echoed into the report")
@@ -168,6 +168,10 @@ def _check_lines(checks: Sequence[CheckReport]) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
+    if args.monoid is not None and args.target not in (*_PAIR_SCANS, "action-pair"):
+        parser.error(f"--monoid does not apply to --target {args.target}")
+    if args.side is not None and args.target != "restriction":
+        parser.error(f"--side applies only to --target restriction, not {args.target}")
     budget = _resolve_budget(args, parser)
     report: dict = {
         "command": "verify",
@@ -237,7 +241,7 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
         if args.target == "ehresmann":
             return laws.check_ehresmann(monoid)
         if args.target == "restriction":
-            return [laws.check_restriction(monoid, args.side)]
+            return [laws.check_restriction(monoid, args.side or "right")]
         return laws.check_grrac(monoid)
     if args.target == "action-pair":
         pair = args.monoid or "en-tn"
@@ -252,20 +256,6 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
     if (pairs := u_size**2 * s_size) > budget:
         return {"carrier_size": s_size, "u_size": u_size, "pairs": pairs}
     return laws.theta_battery(n)
-
-
-# families whose right Cayley graph we can export, with the schema whose
-# standard assignment provides the generating set
-_GRAPH_GENERATORS = {
-    "pnfd": "full-yq",
-    "ppnfd": "planar-zo",
-    "tn": "tn",
-    "sing-tn": "sing-tn",
-    "on": "on",
-    "en": "en",
-    "fn": "fn",
-    "dn": "dn",
-}
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
@@ -299,15 +289,20 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cayley(args: argparse.Namespace, parser: _Parser) -> FiniteMonoid:
-    """The closure of the family's standard generators, for graph export."""
-    from .presentations import schema, sym_s
+    """The closure of the family's standard generators, for graph export:
+    the images of the first schema that presents it, or for ``sn`` the
+    adjacent transpositions."""
+    from .presentations import PRESENTS, schema, sym_s
 
-    schema_name = _GRAPH_GENERATORS.get(args.monoid)
+    # each presented family with its first schema: later entries overwrite
+    # earlier ones, so the schemas go in last to first
+    schemas = {PRESENTS.get(name, name): name for name in reversed(SCHEMA_NAMES)}
+    schema_name = schemas.get(args.monoid)
     if schema_name is None:
         if args.monoid != "sn":
             parser.error(
                 f"no standard generating set for {args.monoid!r}; "
-                f"graph export supports {', '.join(sorted({*_GRAPH_GENERATORS, 'sn'}))}"
+                f"graph export supports {', '.join(sorted({*schemas, 'sn'} - {None}))}"
             )
         symbols = [sym_s(i) for i in range(1, args.n)]
         images = [transposition(args.n, i) for i in range(1, args.n)]

@@ -39,7 +39,7 @@ to the block sequence being non-crossing in the boundary order
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
 from .equivalences import (
@@ -146,8 +146,7 @@ class Diagram(_Canonical):
         >>> Diagram.from_text("[[1,2,-1,-2]]").is_planar()
         True
         """
-        boundary = self.labels[: self.n] + self.labels[: self.n - 1 : -1]
-        return noncrossing(boundary)
+        return MEMBERS["ppn"](self.labels[: self.n], self.labels[self.n :])
 
     def is_full_domain(self) -> bool:
         """Every upper point lies in a transversal.
@@ -157,7 +156,7 @@ class Diagram(_Canonical):
         >>> Diagram.from_text("[[1],[2,-1,-2]]").is_full_domain()
         False
         """
-        return _rows_full_domain(self.labels[: self.n], self.labels[self.n :])
+        return MEMBERS["pnfd"](self.labels[: self.n], self.labels[self.n :])
 
     def structure(self) -> "Structure":
         parts = [(tuple(up), tuple(lo)) for up, lo in self._parts()]
@@ -185,21 +184,8 @@ class Diagram(_Canonical):
         return len(set(self.labels[: self.n]).intersection(self.labels[self.n :]))
 
     def classify(self) -> "Membership":
-        parts = self._parts()
-        rows = self.labels[: self.n], self.labels[self.n :]
-        return Membership(
-            permutation=all(len(up) == len(lo) == 1 for up, lo in parts),
-            transformation=_rows_transformation(*rows),
-            order_preserving=_rows_order_preserving(*rows),
-            partial_injection=all(len(up) <= 1 and len(lo) <= 1 for up, lo in parts),
-            block_bijection=all(up and lo for up, lo in parts),
-            uniform_block_bijection=all(len(up) == len(lo) for up, lo in parts),
-            projection=rows[0] == rows[1],
-            full_domain=_rows_full_domain(*rows),
-            planar=self.is_planar(),
-            planar_full_domain=_rows_planar_full_domain(*rows),
-            cap=_rows_cap(*rows),
-        )
+        up, lo = self.labels[: self.n], self.labels[self.n :]
+        return Membership(*(MEMBERS[name](up, lo) for name in _MEMBERSHIP_FAMILIES))
 
     def to_transformation(self) -> tuple[int, ...]:
         """The map ``x -> y`` with ``y'`` in the block of ``x``.
@@ -245,37 +231,41 @@ class Membership(_Record):
                   planar_full_domain, cap)
 
 
-# Membership tests on a diagram's two label rows, ``up = labels[:n]`` and
-# ``lo = labels[n:]``.  They read nothing but the labels, for callers that
-# test many diagrams against one family without listing it.
+# Each family's membership rule, on a diagram's two label rows ``up =
+# labels[:n]`` and ``lo = labels[n:]``.  The rules read nothing but the
+# labels, for callers that test many diagrams against one family without
+# listing it; a compound family is written through the entries it is made of.
 Row = tuple[int, ...]
 
+MEMBERS: dict[str, Callable[[Row, Row], bool]] = {
+    "pn": lambda up, lo: True,
+    "pnfd": lambda up, lo: set(up).issubset(lo),
+    # non-crossing in the boundary order 1, ..., n, n', ..., 1'
+    "ppn": lambda up, lo: noncrossing(up + lo[::-1]),
+    "ppnfd": lambda up, lo: MEMBERS["pnfd"](up, lo) and MEMBERS["ppn"](up, lo),
+    # full domain, and no two lower points share a block
+    "tn": lambda up, lo: len(set(lo)) == len(lo) and MEMBERS["pnfd"](up, lo),
+    "sing-tn": lambda up, lo: MEMBERS["tn"](up, lo) and len(set(up)) < len(up),
+    "ptn": lambda up, lo: MEMBERS["tn"](up, lo) and MEMBERS["ppn"](up, lo),
+    # the image of each upper point is no smaller than that of the one before
+    "on": lambda up, lo: MEMBERS["tn"](up, lo)
+    and all(lo.index(a) <= lo.index(b) for a, b in zip(up, up[1:])),
+    "sn": lambda up, lo: MEMBERS["tn"](up, lo) and len(set(up)) == len(up),
+    "en": lambda up, lo: up == lo,
+    # every block has as many upper points as lower ones
+    "fn": lambda up, lo: sorted(up) == sorted(lo),
+    "in": lambda up, lo: len(set(up)) == len(up) and len(set(lo)) == len(lo),
+    "jn": lambda up, lo: set(up) == set(lo),
+    # each transversal's upper and lower parts have the same first and last point
+    "dn": lambda up, lo: MEMBERS["ppnfd"](up, lo)
+    and all(up.index(b) == lo.index(b) and up[::-1].index(b) == lo[::-1].index(b)
+            for b in set(up)),
+    # a restricted-growth row has interval classes exactly when it never falls
+    "pen": lambda up, lo: MEMBERS["en"](up, lo) and list(up) == sorted(up),
+}
 
-def _rows_full_domain(up: Row, lo: Row) -> bool:
-    return set(up).issubset(lo)
-
-
-def _rows_transformation(up: Row, lo: Row) -> bool:
-    return len(set(lo)) == len(lo) and _rows_full_domain(up, lo)
-
-
-def _rows_order_preserving(up: Row, lo: Row) -> bool:
-    if not _rows_transformation(up, lo):
-        return False
-    images = [lo.index(label) for label in up]
-    return images == sorted(images)
-
-
-def _rows_planar_full_domain(up: Row, lo: Row) -> bool:
-    return _rows_full_domain(up, lo) and noncrossing(up + lo[::-1])
-
-
-def _rows_cap(up: Row, lo: Row) -> bool:
-    """Planar full domain, and each transversal's upper and lower ends coincide."""
-    if not _rows_planar_full_domain(up, lo):
-        return False
-    pu, pl = up[::-1], lo[::-1]
-    return all(up.index(b) == lo.index(b) and pu.index(b) == pl.index(b) for b in set(up))
+# the families behind the fields of :class:`Membership`, in field order
+_MEMBERSHIP_FAMILIES = ("sn", "tn", "on", "in", "jn", "fn", "en", "pnfd", "ppn", "ppnfd", "dn")
 
 
 def multiply(a: Diagram, b: Diagram) -> Diagram:
@@ -530,11 +520,11 @@ def family(name: str, n: int) -> list[Diagram]:
     ===========  ====================================================
 
     ``ptn`` is generated as ``on``: a transformation's diagram is planar
-    exactly when the map is order-preserving.  The other families defined
-    by a predicate are produced by filtering all diagrams, so they are
-    usable as independent cross-checks against anything built from
-    generators; ``pnfd`` is generated row by row instead, and ``ppnfd`` is
-    its planar part.
+    exactly when the map is order-preserving.  ``pn``, ``ppn``, ``fn``,
+    ``in`` and ``jn`` are filtered from all diagrams by their rule in
+    :data:`MEMBERS`, so they are usable as independent cross-checks against
+    anything built from generators; ``pnfd`` is generated row by row
+    instead, and ``ppnfd`` is its planar part.
 
     >>> [len(family(name, 2)) for name in ("pn", "pnfd", "tn", "dn")]
     [15, 5, 4, 2]
@@ -567,14 +557,7 @@ def family(name: str, n: int) -> list[Diagram]:
         return _full_domain(n)
     if name == "ppnfd":
         return [d for d in _full_domain(n) if d.is_planar()]
-    member = {
-        "pn": lambda d: True,
-        "ppn": Diagram.is_planar,
-        "fn": lambda d: d.classify().uniform_block_bijection,
-        "in": lambda d: d.classify().partial_injection,
-        "jn": lambda d: d.classify().block_bijection,
-    }
-    if name not in member:
+    if name not in MEMBERS:
         raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
-    keep = member[name]
-    return [d for d in all_diagrams(n) if keep(d)]
+    keep = MEMBERS[name]
+    return [d for d in all_diagrams(n) if keep(d.labels[:n], d.labels[n:])]

@@ -45,14 +45,10 @@ from .counting import FAMILY_COUNTS
 from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
 from .equivalences import _find, _Record
 from .partitions import (
+    MEMBERS,
     SCHEMA_NAMES,
     Diagram,
     Row,
-    _rows_cap,
-    _rows_full_domain,
-    _rows_order_preserving,
-    _rows_planar_full_domain,
-    _rows_transformation,
     cap_atom,
     collapse,
     from_transformation,
@@ -511,28 +507,14 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
 # Concrete targets, built independently of the schemas.
 
 
-# Each schema's model as (the family it presents, membership test on the
-# upper and lower label rows).  The four schemas not named after a standard
-# family present Pnfd (sing-xr without its n! units) and PPnfd.  A
-# full-domain diagram is singular (not a permutation) when two upper points
-# share a block.
-_TARGETS = {
-    "sing-xr": (
-        "pnfd",
-        lambda up, lo: _rows_full_domain(up, lo) and len(set(up)) < len(up),
-    ),
-    "full-yq": ("pnfd", _rows_full_domain),
-    "planar-zo": ("ppnfd", _rows_planar_full_domain),
-    "dn": ("dn", _rows_cap),
-    "en": ("en", lambda up, lo: up == lo),
-    "sing-tn": (
-        "sing-tn",
-        lambda up, lo: _rows_transformation(up, lo) and len(set(up)) < len(up),
-    ),
-    "tn": ("tn", _rows_transformation),
-    "fn": ("fn", lambda up, lo: sorted(up) == sorted(lo)),
-    "on": ("on", _rows_order_preserving),
-    "planar-intermediate": ("ppnfd", _rows_planar_full_domain),
+# The family each schema presents, where its name is not the family's.
+# sing-xr presents Pnfd without its n! units, which is not one of the
+# families.
+PRESENTS: dict[str, str | None] = {
+    "sing-xr": None,
+    "full-yq": "pnfd",
+    "planar-zo": "ppnfd",
+    "planar-intermediate": "ppnfd",
 }
 
 
@@ -573,9 +555,11 @@ def target_elements(name: str, n: int) -> Target:
     False
     """
     _check_schema(name, n)
-    presented, member = _TARGETS[name]
-    size = FAMILY_COUNTS[presented](n) - (factorial(n) if name == "sing-xr" else 0)
-    return Target(n, size, member)
+    presented = PRESENTS.get(name, name)
+    if presented is None:  # sing-xr: the full-domain diagrams that are not permutations
+        return Target(n, FAMILY_COUNTS["pnfd"](n) - factorial(n),
+                      lambda up, lo: MEMBERS["pnfd"](up, lo) and not MEMBERS["sn"](up, lo))
+    return Target(n, FAMILY_COUNTS[presented](n), MEMBERS[presented])
 
 
 # ---------------------------------------------------------------------------

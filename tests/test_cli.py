@@ -8,7 +8,7 @@ import pytest
 
 from diagcalc.cli import main
 from diagcalc.counting import FAMILY_COUNTS
-from diagcalc.engine import CheckReport
+from diagcalc.engine import CheckReport, cayley_dot, closure
 from diagcalc.equivalences import Equivalence
 from diagcalc.partitions import (
     FAMILY_NAMES,
@@ -17,8 +17,9 @@ from diagcalc.partitions import (
     from_transformation,
     identity,
     multiply,
+    transposition,
 )
-from diagcalc.presentations import eval_word, standard_assignment
+from diagcalc.presentations import eval_word, schema, standard_assignment
 from diagcalc.render import render_svg
 
 
@@ -228,7 +229,7 @@ def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
         ("ehresmann", "pnfd", 5, 19921),
         ("grrac", "ppnfd", 7, 23256),
         ("ehresmann", "sing-tn", 7, 818503),
-        # Bell(12) candidates to filter through ``classify()``
+        # Bell(12) candidates to filter through their rule in ``MEMBERS``
         ("ehresmann", "fn", 6, 22482),
         ("restriction", "in", 6, 13327),
         ("grrac", "jn", 6, 179643),
@@ -327,6 +328,29 @@ def test_verify_usage_errors(monkeypatch):
     usage_error("verify", "--target", "dn", "--n", "3")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--target", "full-yq", "--monoid", "nonsense"), "--monoid does not apply to --target full-yq"),
+    (("--target", "dn", "--monoid", "dn"), "--monoid does not apply to --target dn"),
+    (("--target", "theta-laws", "--monoid", "tn"), "--monoid does not apply to --target theta-laws"),
+    (("--target", "ehresmann", "--side", "right"),
+     "--side applies only to --target restriction, not ehresmann"),
+    (("--target", "action-pair", "--side", "left"),
+     "--side applies only to --target restriction, not action-pair"),
+    (("--target", "full-yq", "--side", "left"),
+     "--side applies only to --target restriction, not full-yq"),
+])
+def test_flags_the_target_does_not_read_are_usage_errors(capsys, argv, message):
+    usage_error("verify", *argv, "--n", "2")
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_restriction_side_defaults_to_right(capsys):
+    argv = ("verify", "--target", "restriction", "--monoid", "pnfd", "--n", "3")
+    code, out = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv, "--side", "right")
+    assert code == 0 and json.loads(out)["checks"][0]["name"].startswith("right")
+
+
 def test_no_command_is_a_usage_error():
     usage_error()
 
@@ -405,6 +429,40 @@ def test_enumerate_dot_export(capsys):
     for n in ("0", "1"):
         code, out = run(capsys, "enumerate", "--monoid", "sn", "--n", n, "--format", "dot")
         assert code == 0 and out.startswith("digraph right_cayley {")
+
+
+# Oracle for graph export: the schema whose generator images span each
+# family's exported graph, written out by hand (``cli`` reads it off
+# ``presentations.PRESENTS``); ``sn`` is generated by its transpositions.
+GRAPH_GENERATORS = {
+    "pnfd": "full-yq",
+    "ppnfd": "planar-zo",
+    "tn": "tn",
+    "sing-tn": "sing-tn",
+    "on": "on",
+    "en": "en",
+    "fn": "fn",
+    "dn": "dn",
+}
+
+
+@pytest.mark.parametrize("monoid", [*GRAPH_GENERATORS, "sn"])
+def test_enumerate_dot_exports_the_table_generators(capsys, monoid):
+    if monoid == "sn":
+        symbols, images, kind = ("s_1", "s_2"), (transposition(3, 1), transposition(3, 2)), "monoid"
+    else:
+        pres = schema(GRAPH_GENERATORS[monoid], 3)
+        symbols, images, kind = pres.alphabet, pres.images, pres.kind
+    expected = cayley_dot(closure(3, images, monoid=kind == "monoid", symbols=symbols))
+    assert run(capsys, "enumerate", "--monoid", monoid, "--n", "3", "--format", "dot") == (
+        0, expected)
+
+
+def test_enumerate_dot_names_the_exportable_families(capsys):
+    usage_error("enumerate", "--monoid", "pn", "--n", "3", "--format", "dot")
+    supported = ", ".join(sorted({*GRAPH_GENERATORS, "sn"}))
+    assert capsys.readouterr().err.endswith(
+        f"error: no standard generating set for 'pn'; graph export supports {supported}\n")
 
 
 def test_enumerate_degree_zero(capsys):

@@ -20,8 +20,10 @@ import random
 
 import pytest
 
+from diagcalc.counting import FAMILY_COUNTS
 from diagcalc.partitions import (
     FAMILY_NAMES,
+    MEMBERS,
     Diagram,
     Membership,
     Structure,
@@ -199,8 +201,13 @@ def test_views_match_random(n):
 def test_families_match_reference_filters(n):
     flags = [(d, ref_classify(d)) for d in all_diagrams(n)]
     assert set(REF_FAMILIES) == set(FAMILY_NAMES)
+    assert set(MEMBERS) == set(FAMILY_COUNTS)
     for name, keep in REF_FAMILIES.items():
-        assert family(name, n) == [d for d, m in flags if keep(d, m)], (name, n)
+        listed = family(name, n)
+        assert listed == [d for d, m in flags if keep(d, m)], (name, n)
+        # the one rule table that ``classify`` and the presentation targets read
+        rule = MEMBERS[name]
+        assert listed == [d for d, _ in flags if rule(d.labels[:n], d.labels[n:])], (name, n)
 
 
 

@@ -416,14 +416,14 @@ def test_target_is_counted_without_listing_diagrams(monkeypatch):
 
 
 def test_generation_checks_membership_not_only_size(monkeypatch):
-    import diagcalc.presentations as presentations
+    import diagcalc.partitions as partitions
 
     # dn's count with a membership test that only the identity passes: the
     # closure has the right size but is not the model
     def only_identity(up, lo):
         return up == lo == tuple(range(len(up)))
 
-    monkeypatch.setitem(presentations._TARGETS, "dn", ("dn", only_identity))
+    monkeypatch.setitem(partitions.MEMBERS, "dn", only_identity)
     rep = verify_presentation("dn", 3)
     assert rep.status == "refuted" and rep.sound
     assert rep.target_size == rep.closure_size == 5 and rep.enumerated_size is None
