@@ -28,8 +28,10 @@ name                      kind       presents
 ========================  =========  ==========================================
 
 ``enumerate_presented`` builds the presented monoid or semigroup exactly by
-right-Cayley-graph completion, and ``verify_presentation`` combines it with
-soundness and generation checks into a single verdict.
+right-Cayley-graph completion.  ``verify_presentation`` checks soundness,
+enumerates, and then evaluates the completed table, one product per
+element, to certify that the images are the target and that no two
+elements of the presented structure share an image: a single verdict.
 """
 
 from __future__ import annotations
@@ -597,11 +599,13 @@ def _prefix_table(
     of some relation side, stored as (parent slot, last letter) after its
     parent.  A relation becomes ``(su, xu, sv, xv)``: side ``u`` ends with
     letter ``xu`` after the prefix in slot ``su``, and likewise ``v``.  An
-    empty side is always ``v`` and has ``xv = -1``.  Relations with equal
-    sides and repeated closings are dropped.
+    empty side is always ``v`` and is ``(sv, xv) = (-1, 0)``: the last row
+    of the scan's prefix ends holds only the scanned node, which is where
+    ``u = 1`` leads.  Relations with equal sides and repeated closings are
+    dropped.
 
     >>> _prefix_table([((0, 1, 1), (0, 1)), ((1,), ())])
-    ([(0, 0), (1, 1)], [(2, 1, 1, 1), (0, 1, 0, -1)])
+    ([(0, 0), (1, 1)], [(2, 1, 1, 1), (0, 1, -1, 0)])
     """
     slot_of: dict[tuple[int, ...], int] = {(): 0}
     slots: list[tuple[int, int]] = []
@@ -619,7 +623,7 @@ def _prefix_table(
             continue
         if not u:
             u, v = v, u
-        closer = (*end(u), *end(v)) if v else (*end(u), 0, -1)
+        closer = (*end(u), *end(v)) if v else (*end(u), -1, 0)
         closers.setdefault(closer, None)
     return slots, list(closers)
 
@@ -637,8 +641,9 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
     missing edge.  Each relation ``u = v`` is then closed from its two
     prefix endpoints by their last letters (scan and fill): if one last edge
     is missing it is set to the other's end, if both are missing they get
-    one new node, and if they end at different nodes the two are queued to
-    merge.  The queued merges are processed before the next node is scanned.
+    one new node, and if they hold different node ids the two are queued to
+    merge (ids of one merged class make a pair that the merge skips).  The
+    queued merges are processed before the next node is scanned.
 
     Merging never separates nodes, so every equality established along the
     way survives to the end; when the scan drains without exceeding
@@ -693,25 +698,21 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
                     y = row[letter] = _find(parent, y)
                 ends.append(rows[y])
 
+            # Close every relation.  Raw edge ids are compared first: equal
+            # ids need no root, and a clash is queued raw, since the merge
+            # drain finds the roots.  A missing edge gets the other's root.
+            ends.append([scan])  # slot -1: u = 1 leads back to the scanned node
             for su, xu, sv, xv in closers:
-                row_u = ends[su]
-                y = row_u[xu]
-                if y >= 0 and parent[y] != y:
-                    y = row_u[xu] = _find(parent, y)
-                if xv < 0:
-                    z = scan  # u = 1 leads back to the scanned node
-                else:
-                    row_v = ends[sv]
-                    z = row_v[xv]
-                    if z >= 0 and parent[z] != z:
-                        z = row_v[xv] = _find(parent, z)
-                if y < 0:
-                    if z < 0:
-                        z = row_v[xv] = allocate()
-                    row_u[xu] = z
+                row_u, row_v = ends[su], ends[sv]
+                y, z = row_u[xu], row_v[xv]
+                if y == z:
+                    if y < 0:
+                        row_u[xu] = row_v[xv] = allocate()
+                elif y < 0:
+                    row_u[xu] = z if parent[z] == z else _find(parent, z)
                 elif z < 0:
-                    row_v[xv] = y
-                elif y != z:
+                    row_v[xv] = y if parent[y] == y else _find(parent, y)
+                else:
                     pending.append((y, z))
 
             # Fold the edge rows of merged nodes together; clashing edges
@@ -796,13 +797,23 @@ class PresentationReport(_Record):
 def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> PresentationReport:
     """End-to-end check that ``schema(name, n)`` presents its target.
 
-    Three facts together certify the isomorphism: every relation holds
-    under the standard assignment (so evaluation factors through the
-    presented structure), the generator images generate exactly the target
-    (surjectivity), and the presented structure has the same finite size
-    (injectivity).  Generation is proven without listing the target: every
-    closure element is in the model, and the closure has the model's
-    independently counted size.
+    First every relation must hold under the standard assignment, so that
+    evaluation ``phi`` is a homomorphism from the presented structure ``M``
+    onto the monoid or semigroup its images generate.  Then ``M`` is
+    enumerated, and each row of its table is evaluated once, along the
+    breadth-first tree that numbers the rows: ``phi(x a) = phi(x) image(a)``,
+    about one product per element.  Being onto, ``phi`` has exactly as many
+    distinct values as the images generate, which the report gives as
+    ``closure_size``.  If every value is in the target, there are as many
+    values as the target's independently counted size, and ``|M|`` is that
+    size too, then ``phi`` is a bijection onto the target, an isomorphism.
+    The target is never listed.
+
+    When the enumeration exhausts its budget, a Froidure–Pin closure of the
+    images decides instead between a refutation (the images do not
+    generate the target) and an inconclusive verdict.  So an assignment
+    that is sound but does not generate the target is refuted only after
+    the enumeration, whose cost ``budget`` bounds.
     """
     pres = schema(name, n)
     assignment = dict(zip(pres.alphabet, pres.images))
@@ -815,20 +826,31 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
             name, n, "refuted", False, soundness.witness, target_size, None, None, 0
         )
 
-    try:
-        generated = engine.closure(n, pres.images, monoid=pres.kind == "monoid", budget=budget)
-    except BudgetExceeded:
-        return PresentationReport(
-            name, n, "exhausted", True, None, target_size, None, None, budget
-        )
+    monoid = pres.kind == "monoid"
+    outcome = enumerate_presented(pres, budget=budget)
+    if outcome.status == "completed":
+        # Row y, first reached from the earlier row x by letter a, evaluates
+        # to value[x] * image(a).  The root row is the empty word: the rows
+        # it reaches are the images, and in a semigroup it is no element.
+        images = pres.images
+        value: list = [identity(n)] + [None] * (len(outcome.table) - 1)
+        for x, row in enumerate(outcome.table):
+            for a, y in enumerate(row):
+                if value[y] is None:
+                    value[y] = partitions.multiply(value[x], images[a]) if x else images[a]
+        generated = set(value if monoid else value[1:])
+    else:
+        try:
+            generated = engine.closure(n, pres.images, monoid=monoid, budget=budget).elements
+        except BudgetExceeded:
+            return PresentationReport(
+                name, n, "exhausted", True, None, target_size, None, None, budget
+            )
     closure_size = len(generated)
-    if closure_size != target_size or not all(d in target for d in generated.elements):
+    if closure_size != target_size or not all(d in target for d in generated):
         return PresentationReport(
             name, n, "refuted", True, None, target_size, closure_size, None, 0
         )
-    del generated  # free the Cayley tables before the coset enumeration
-
-    outcome = enumerate_presented(pres, budget=budget)
     if outcome.status == "exhausted":
         return PresentationReport(
             name, n, "exhausted", True, None, target_size, closure_size, None,

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from diagcalc.counting import bell, catalan, order_preserving_count
 from diagcalc.engine import band_type, from_elements
@@ -288,6 +289,9 @@ CANNED_RUNS = (
 
 def test_c10_byte_identical_reruns(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "DIAGCALC_BUDGET"}
+    # the children import diagcalc from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
 
     def run_suite(tag: str) -> list[bytes]:
         outputs = []

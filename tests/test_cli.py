@@ -1,8 +1,10 @@
 import functools
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -674,7 +676,10 @@ def test_output_writes_file(capsys, tmp_path):
 # -- module entry point ---------------------------------------------------------------
 
 
-def test_python_dash_m_invocation():
+def test_python_dash_m_invocation(monkeypatch):
+    # the children import diagcalc from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    monkeypatch.setenv("PYTHONPATH", src, prepend=os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-m", "diagcalc", "enumerate", "--monoid", "dn", "--n", "3"],
         capture_output=True,

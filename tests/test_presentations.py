@@ -545,6 +545,17 @@ def test_verify_presentation_full_yq3():
     assert rep.target_size == 52
 
 
+@pytest.mark.parametrize("name,n,nodes", [
+    ("sing-xr", 4, 11_785), ("tn", 5, 11_198), ("dn", 7, 986), ("full-yq", 4, 4_692),
+    ("planar-zo", 4, 147),
+])
+def test_node_budget_used_is_pinned(name, n, nodes):
+    # node_budget_used is part of the report bytes: the enumeration must
+    # keep allocating exactly these many nodes
+    rep = verify_presentation(name, n)
+    assert rep.verified and rep.node_budget_used == nodes
+
+
 def test_verify_presentation_budget_exhaustion():
     rep = verify_presentation("full-yq", 4, budget=10)
     assert rep.status == "exhausted"
