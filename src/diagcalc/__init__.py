@@ -24,7 +24,7 @@ _EXPORTS = {
         "diagonal", "join", "successor",
     ),
     "engine": (
-        "BudgetExceeded", "CheckReport", "FiniteMonoid", "band_type", "closure",
+        "BudgetExceeded", "CheckReport", "FiniteMonoid", "band_type", "carrier", "closure",
         "from_elements", "green", "units_and_singular",
     ),
     "laws": (

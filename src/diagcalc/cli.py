@@ -4,19 +4,20 @@ Four subcommands:
 
 * ``verify``     run a named verification target and exit 0 (verified),
                  1 (refuted), or 2 (budget exhausted, inconclusive);
-* ``enumerate``  list a standard family and check its size against the
-                 independent count, exit 0 (equal) or 1 (not), optionally
+* ``enumerate``  list a standard family, the closure of its generators
+                 certified against the independent count, exit 0, optionally
                  listing elements or exporting its right Cayley graph;
 * ``factorize``  split a diagram into a transformation times a canonical
                  right factor, with a generator word that replays it;
 * ``render``     draw a diagram as deterministic SVG.
 
-Usage errors exit 3.  A generator closure in ``enumerate --format dot`` or
-``factorize`` that outgrows the default budget exits 2 (inconclusive), and
-any other uncaught exception exits 4 (internal error); both print a one-line
-message on stderr.  All reports are deterministic for a fixed input and
-library version: JSON is emitted with sorted keys and no timestamps, so two
-identical runs produce identical bytes.
+Usage errors exit 3.  A family in ``enumerate`` or ``factorize`` counted
+past the default budget exits 2 (inconclusive), and any other uncaught
+exception exits 4 (internal error), among them a closure that disagrees
+with its count; both print a one-line message on stderr.  All reports are
+deterministic for a fixed input and library version: JSON is emitted with
+sorted keys and no timestamps, so two identical runs produce identical
+bytes.
 
 The ``verify`` budget defaults to the ``DIAGCALC_BUDGET`` environment
 variable when set, and ``--budget`` overrides both.  It bounds the coset
@@ -41,17 +42,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .counting import FAMILY_COUNTS
-from .engine import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    CheckReport,
-    FiniteMonoid,
-    cayley_dot,
-    closure,
-    from_elements,
-)
+from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport, carrier, cayley_dot
 from .equivalences import cap_word
-from .partitions import FAMILY_NAMES, SCHEMA_NAMES, Diagram, family, multiply, transposition
+from .partitions import FAMILY_NAMES, SCHEMA_NAMES, Diagram, family, multiply
 
 # ``laws``, ``presentations`` and ``render`` are imported by the commands
 # that use them, so each run loads only the modules its verdict needs
@@ -233,11 +226,11 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
     n = args.n
     if args.target in _PAIR_SCANS:
         name = args.monoid or _PAIR_SCANS[args.target]
-        # an unknown name gets ``family``'s error message
+        # an unknown name gets ``carrier``'s error message
         counted = FAMILY_COUNTS.get(name)
         if counted and (size := counted(n)) ** 2 > budget:
             return {"carrier_size": size, "pairs": size**2}
-        monoid = from_elements(n, family(name, n))
+        monoid = carrier(name, n)
         if args.target == "ehresmann":
             return laws.check_ehresmann(monoid)
         if args.target == "restriction":
@@ -259,12 +252,10 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
-    expected = FAMILY_COUNTS[args.monoid](args.n)
+    # the carrier is certified against the count, and raises otherwise
     if args.format == "dot":
-        # the exported closure is checked against the count; no listing
-        monoid = _cayley(args, parser)
-        _emit(cayley_dot(monoid), args.output)
-        return EXIT_VERIFIED if expected == len(monoid) else EXIT_REFUTED
+        _emit(cayley_dot(carrier(args.monoid, args.n)), args.output)
+        return EXIT_VERIFIED
 
     elements = family(args.monoid, args.n)
     size = len(elements)
@@ -274,7 +265,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
             "monoid": args.monoid,
             "n": args.n,
             "size": size,
-            "closed_form": expected,
+            "closed_form": FAMILY_COUNTS[args.monoid](args.n),
         }
         if args.elements:
             report["elements"] = [d.text() for d in elements]
@@ -285,44 +276,13 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
             lines += [d.text() for d in elements]
         payload = "\n".join(lines) + "\n"
     _emit(payload, args.output)
-    return EXIT_VERIFIED if expected == size else EXIT_REFUTED
-
-
-def _cayley(args: argparse.Namespace, parser: _Parser) -> FiniteMonoid:
-    """The closure of the family's standard generators, for graph export:
-    the images of the first schema that presents it, or for ``sn`` the
-    adjacent transpositions."""
-    from .presentations import PRESENTS, schema, sym_s
-
-    # each presented family with its first schema: later entries overwrite
-    # earlier ones, so the schemas go in last to first
-    schemas = {PRESENTS.get(name, name): name for name in reversed(SCHEMA_NAMES)}
-    schema_name = schemas.get(args.monoid)
-    if schema_name is None:
-        if args.monoid != "sn":
-            parser.error(
-                f"no standard generating set for {args.monoid!r}; "
-                f"graph export supports {', '.join(sorted({*schemas, 'sn'} - {None}))}"
-            )
-        symbols = [sym_s(i) for i in range(1, args.n)]
-        images = [transposition(args.n, i) for i in range(1, args.n)]
-        monoid = True
-    else:
-        try:
-            pres = schema(schema_name, args.n)
-        except ValueError as exc:
-            parser.error(str(exc))
-        symbols, images, monoid = pres.alphabet, pres.images, pres.kind == "monoid"
-    return closure(args.n, images, monoid=monoid, symbols=symbols)
+    return EXIT_VERIFIED
 
 
 def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:
     """A generator word for the left factor, over the matching alphabet."""
-    from .presentations import schema
-
-    pres = schema("on" if mode == "on-dn" else "tn", n)
-    monoid = closure(n, pres.images)
-    return tuple(pres.alphabet[k] for k in monoid.word_for(left))
+    monoid = carrier("on" if mode == "on-dn" else "tn", n)
+    return tuple(monoid.symbols[k] for k in monoid.word_for(left))
 
 
 def _right_factor_word(n: int, right: Diagram, mode: str) -> tuple[str, ...]:

@@ -2,11 +2,12 @@
 
 Integer sequences that the rest of the package is tested against, and
 :data:`FAMILY_COUNTS`, the one table of the size of every standard family
-of degree ``n``.  The CLI's budgets and ``enumerate`` check, and the
-targets of :func:`diagcalc.presentations.target_elements`, all read their
-sizes from it.  Everything here is plain integer arithmetic with no
-dependency on the diagram machinery, so these values can act as an
-independent check on the enumerators and closure algorithms.
+of degree ``n``.  The CLI's budgets, the certificate of every carrier
+(:func:`diagcalc.engine.carrier`) and the targets of
+:func:`diagcalc.presentations.target_elements` all read their sizes from
+it.  Everything here is plain integer arithmetic with no dependency on the
+diagram machinery, so these values can act as an independent check on the
+enumerators and closure algorithms.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ is closed under multiplication, so the product of two of its elements is
 looked up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one
 read of the right Cayley table past the product with the prefix of ``j``'s
 word (Froidure & Pin, 1997).  Only products with a diagram interned past
-the carrier are multiplied.  :func:`from_elements` builds its carrier the
-way :func:`closure` does, from a generating set it picks inside the set.
+the carrier are multiplied.  :func:`carrier` is each standard family as the
+closure of its generators, certified against its count and membership
+rule; :func:`from_elements` builds a carrier the way :func:`closure` does,
+from a generating set it picks inside an explicit element set.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -30,8 +32,9 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Hashable, Iterable, Sequence
 
+from .counting import FAMILY_COUNTS
 from .equivalences import Equivalence, _normalize, _Record, join
-from .partitions import Diagram, identity, multiply
+from .partitions import FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, identity, multiply
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -324,6 +327,38 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
                                                                one if monoid else None, budget)
     return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols,
                         left=left, index=index)
+
+
+def carrier(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> FiniteMonoid:
+    """The standard family ``name`` of degree ``n``: the closure of its
+    generators in :data:`diagcalc.partitions.GENERATORS`, with their symbols.
+
+    A family counted in :data:`~diagcalc.counting.FAMILY_COUNTS` at more
+    than ``budget`` elements raises :class:`BudgetExceeded` before anything
+    is multiplied.  The closure is certified before it is returned: it has
+    exactly the counted size and every element passes the family's rule in
+    :data:`~diagcalc.partitions.MEMBERS`, so it is the family.  A closure
+    that fails either check (a wrong table entry) raises ``RuntimeError``.
+
+    >>> len(carrier("ppnfd", 3)), carrier("sing-tn", 3).identity_index
+    (20, None)
+    """
+    if name not in GENERATORS:
+        raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
+    size = FAMILY_COUNTS[name](n)
+    if size > budget:
+        raise BudgetExceeded(budget)
+    monoid, pairs = GENERATORS[name](n)
+    symbols = [symbol for symbol, _ in pairs]
+    rule = MEMBERS[name]
+    try:  # the closure stops as soon as it outgrows the count
+        m = closure(n, [image for _, image in pairs], monoid=monoid, budget=size, symbols=symbols)
+    except BudgetExceeded:
+        m = None
+    if m is None or len(m) != size or not all(rule(d.labels[:n], d.labels[n:]) for d in m.elements):
+        raise RuntimeError(f"the generators of {name} at n={n} do not generate "
+                           f"its {size} elements")
+    return m
 
 
 def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:

@@ -565,9 +565,9 @@ def theta_battery(n: int) -> list[CheckReport]:
     reports: list[CheckReport] = []
 
     en_elements = partitions.family("en", n)
-    tn = engine.from_elements(n, partitions.family("tn", n))
+    tn = engine.carrier("tn", n)
     for label in ("tn", "sing-tn"):
-        s = tn if label == "tn" else engine.from_elements(n, partitions.family(label, n))
+        s = tn if label == "tn" else engine.carrier(label, n)
         en = [s.intern(u) for u in en_elements]
         thetas = [theta(u, s) for u in en_elements]
         holds, witness = True, None
@@ -596,7 +596,7 @@ def theta_battery(n: int) -> list[CheckReport]:
         CheckReport("theta-merge-principal", holds, witness, {"carrier": len(tn)})
     )
 
-    on = engine.from_elements(n, partitions.family("on", n))
+    on = engine.carrier("on", n)
     caps = partitions.family("dn", n)
     atoms = {on.intern(a): theta(a, on) for a in (cap_atom(n, i, i + 1) for i in range(1, n))}
     holds, witness = True, None

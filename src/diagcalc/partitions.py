@@ -49,7 +49,6 @@ from .equivalences import (
     _find,
     _normalize,
     _parse_nested_ints,
-    all_equivalences,
     cap_kernel,
     noncrossing,
     restricted_growth_sequences,
@@ -460,34 +459,6 @@ def all_diagrams(n: int) -> Iterator[Diagram]:
         yield Diagram(n, labels, _canonical=True)
 
 
-def _full_domain(n: int) -> list[Diagram]:
-    """The full-domain diagrams of degree ``n`` in lexicographic order.
-
-    Each upper row is a restricted-growth sequence with ``k`` blocks; the
-    lower rows that go with it meet every one of those blocks and number
-    their own new blocks ``k, k + 1, ...`` in order of first occurrence.
-    They are grown one point at a time, a label at a time in increasing
-    order, and a prefix is dropped once its unmet upper blocks outnumber the
-    points left.
-    """
-    out: list[Diagram] = []
-    for up in restricted_growth_sequences(n):
-        k = 1 + max(up, default=-1)
-        # (lower row so far, bit mask of the upper blocks it has not met,
-        # the label a new lower block would take)
-        rows: list[tuple[tuple[int, ...], int, int]] = [((), (1 << k) - 1, k)]
-        for left in range(n - 1, -1, -1):  # points after the one placed now
-            rows = [
-                (lo + (label,), unmet, fresh + 1 if label == fresh else fresh)
-                for lo, before, fresh in rows
-                for label in range(fresh + 1)
-                for unmet in (before & ~(1 << label),)
-                if unmet.bit_count() <= left
-            ]
-        out.extend(Diagram(n, up + lo, _canonical=True) for lo, _, _ in rows)
-    return out
-
-
 FAMILY_NAMES = tuple(FAMILY_COUNTS)
 
 # the presentation schemas of ``presentations``, named here so that the CLI
@@ -496,6 +467,121 @@ SCHEMA_NAMES = (
     "sing-xr", "full-yq", "planar-zo", "dn", "en", "sing-tn", "tn", "fn", "on",
     "planar-intermediate",
 )
+
+
+# -- generator symbols -------------------------------------------------------
+
+
+def sym_s(i: int) -> str:
+    return f"s_{i}"
+
+
+def sym_f(i: int) -> str:
+    return f"f_{i}"
+
+
+def sym_g(i: int) -> str:
+    return f"g_{i}"
+
+
+def sym_h(i: int) -> str:
+    return f"h_{i}"
+
+
+def sym_e(i: int, j: int) -> str:
+    """Join symbol; the pair is unordered, so the name uses (min, max).
+
+    >>> sym_e(3, 1)
+    'e_13'
+    """
+    if i > j:
+        i, j = j, i
+    return f"e_{i}{j}"
+
+
+def sym_t(i: int, j: int) -> str:
+    """Collapse symbol sending j onto i; the pair is ordered.
+
+    >>> sym_t(3, 1)
+    't_31'
+    """
+    return f"t_{i}{j}"
+
+
+def sym_cap(i: int, j: int) -> str:
+    """Interval-cap symbol for the span [i, j], i < j.
+
+    >>> sym_cap(2, 5)
+    'h_2_5'
+    """
+    if not i < j:
+        raise ValueError(f"a cap span needs i < j, got {i} and {j}")
+    return f"h_{i}_{j}"
+
+
+# -- the generator table -------------------------------------------------------
+
+Pairs = list[tuple[str, Diagram]]
+
+
+def _strands(n: int, *blocks: list[int]) -> Diagram:
+    """The given blocks, with a strand ``{x, x'}`` for every point they miss."""
+    used = {abs(v) for block in blocks for v in block}
+    return Diagram.from_blocks(n, [*blocks, *([x, -x] for x in range(1, n + 1) if x not in used)])
+
+
+# Each kind of generator, keyed by its symbol, as its ``(symbol, image)``
+# pairs at degree ``n``; a single one is left out below the points it needs.
+_KINDS: dict[str, Callable[[int], Pairs]] = {
+    "s_i": lambda n: [(sym_s(i), transposition(n, i)) for i in range(1, n)],
+    # the adjacent collapses i+1 -> i, then i -> i+1
+    "f_i g_i": lambda n: [(sym_f(i), collapse(n, i, i + 1)) for i in range(1, n)]
+    + [(sym_g(i), collapse(n, i + 1, i)) for i in range(1, n)],
+    "h_i": lambda n: [(sym_h(i), merge(n, i, i + 1)) for i in range(1, n)],
+    "e_ij": lambda n: [(sym_e(i, j), merge(n, i, j))
+                       for i, j in itertools.combinations(range(1, n + 1), 2)],
+    "t_ij": lambda n: [(sym_t(i, j), collapse(n, i, j))
+                       for i, j in itertools.permutations(range(1, n + 1), 2)],
+    "h_i_j": lambda n: [(sym_cap(i, j), cap_atom(n, i, j))
+                        for i, j in itertools.combinations(range(1, n + 1), 2)],
+    # i and i' as singletons
+    "p_i": lambda n: [(f"p_{i}", _strands(n, [i], [-i])) for i in range(1, n + 1)],
+    "p": lambda n: [("p", _strands(n, [1], [-1]))] if n >= 1 else [],
+    "e": lambda n: [("e", merge(n, 1, 2))] if n >= 2 else [],
+    "t": lambda n: [("t", collapse(n, 1, 2))] if n >= 2 else [],
+    # a block bijection that is not uniform
+    "b": lambda n: [("b", _strands(n, [1, 2, -1], [3, -2, -3]))] if n >= 3 else [],
+}
+
+
+def _monoid(*kinds: str) -> Callable[[int], tuple[bool, Pairs]]:
+    return lambda n: (True, [pair for kind in kinds for pair in _KINDS[kind](n)])
+
+
+# Each family's generators at degree ``n``: whether it is a monoid (its
+# identity the empty word) and its ``(symbol, image)`` pairs in alphabet
+# order.  The schemas that present a family read their alphabet here, and
+# :func:`diagcalc.engine.carrier` closes it and certifies the closure
+# against ``FAMILY_COUNTS`` and ``MEMBERS``.  The sets that no schema
+# presents are those of ``pn`` (East, 2011), ``ppn``, ``in``, ``jn`` and
+# ``pen``.
+GENERATORS: dict[str, Callable[[int], tuple[bool, Pairs]]] = {
+    "pn": _monoid("s_i", "p", "e"),
+    "pnfd": _monoid("s_i", "e", "t"),
+    "ppn": _monoid("p_i", "h_i"),
+    "ppnfd": _monoid("f_i g_i", "h_i"),
+    "tn": _monoid("s_i", "t"),
+    "sing-tn": lambda n: (False, _KINDS["t_ij"](n)),
+    "ptn": _monoid("f_i g_i"),
+    "on": _monoid("f_i g_i"),
+    "sn": _monoid("s_i"),
+    "en": _monoid("e_ij"),
+    "fn": _monoid("s_i", "e"),
+    "in": _monoid("s_i", "p"),
+    "jn": _monoid("s_i", "e", "b"),
+    "dn": _monoid("h_i_j"),
+    "pen": _monoid("h_i"),
+}
 
 
 def family(name: str, n: int) -> list[Diagram]:
@@ -519,45 +605,16 @@ def family(name: str, n: int) -> list[Diagram]:
     ``pen``      embedded convex equivalences
     ===========  ====================================================
 
-    ``ptn`` is generated as ``on``: a transformation's diagram is planar
-    exactly when the map is order-preserving.  ``pn``, ``ppn``, ``fn``,
-    ``in`` and ``jn`` are filtered from all diagrams by their rule in
-    :data:`MEMBERS`, so they are usable as independent cross-checks against
-    anything built from generators; ``pnfd`` is generated row by row
-    instead, and ``ppnfd`` is its planar part.
+    The elements are those of :func:`diagcalc.engine.carrier`, the closure
+    of the family's :data:`GENERATORS` certified against its count and its
+    rule in :data:`MEMBERS`, sorted by their labels.  Nothing is filtered
+    from all diagrams, so a family counted past the default closure budget
+    raises :class:`~diagcalc.engine.BudgetExceeded`, and a wrong generator
+    table ``RuntimeError``.
 
     >>> [len(family(name, 2)) for name in ("pn", "pnfd", "tn", "dn")]
     [15, 5, 4, 2]
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    points = range(1, n + 1)
-    if name == "tn":
-        return sorted(from_transformation(images) for images in itertools.product(points, repeat=n))
-    if name == "sing-tn":
-        return sorted(
-            from_transformation(images)
-            for images in itertools.product(points, repeat=n)
-            if len(set(images)) < n
-        )
-    if name in ("on", "ptn"):
-        return sorted(
-            from_transformation(images)
-            for images in itertools.combinations_with_replacement(points, n)
-        )
-    if name == "sn":
-        return sorted(from_transformation(images) for images in itertools.permutations(points))
-    if name == "en":
-        return sorted(embed(eq) for eq in all_equivalences(n))
-    if name == "dn":
-        return sorted(cap(eq) for eq in all_equivalences(n) if eq.is_planar())
-    if name == "pen":
-        return sorted(embed(eq) for eq in all_equivalences(n) if eq.is_convex())
-    if name == "pnfd":
-        return _full_domain(n)
-    if name == "ppnfd":
-        return [d for d in _full_domain(n) if d.is_planar()]
-    if name not in MEMBERS:
-        raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
-    keep = MEMBERS[name]
-    return [d for d in all_diagrams(n) if keep(d.labels[:n], d.labels[n:])]
+    from .engine import carrier  # ``engine`` imports this module
+
+    return sorted(carrier(name, n).elements, key=lambda d: d.labels)

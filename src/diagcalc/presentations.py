@@ -47,67 +47,24 @@ from .counting import FAMILY_COUNTS
 from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
 from .equivalences import _find, _Record
 from .partitions import (
+    GENERATORS,
     MEMBERS,
     SCHEMA_NAMES,
     Diagram,
     Row,
-    cap_atom,
-    collapse,
     from_transformation,
     identity,
-    merge,
-    transposition,
+    sym_cap,
+    sym_e,
+    sym_f,
+    sym_g,
+    sym_h,
+    sym_s,
+    sym_t,
 )
 
 Word = tuple[str, ...]
 Relation = tuple[Word, Word]
-
-
-def sym_s(i: int) -> str:
-    return f"s_{i}"
-
-
-def sym_f(i: int) -> str:
-    return f"f_{i}"
-
-
-def sym_g(i: int) -> str:
-    return f"g_{i}"
-
-
-def sym_h(i: int) -> str:
-    return f"h_{i}"
-
-
-def sym_e(i: int, j: int) -> str:
-    """Join symbol; the pair is unordered, so the name uses (min, max).
-
-    >>> sym_e(3, 1)
-    'e_13'
-    """
-    if i > j:
-        i, j = j, i
-    return f"e_{i}{j}"
-
-
-def sym_t(i: int, j: int) -> str:
-    """Collapse symbol sending j onto i; the pair is ordered.
-
-    >>> sym_t(3, 1)
-    't_31'
-    """
-    return f"t_{i}{j}"
-
-
-def sym_cap(i: int, j: int) -> str:
-    """Interval-cap symbol for the span [i, j], i < j.
-
-    >>> sym_cap(2, 5)
-    'h_2_5'
-    """
-    if not i < j:
-        raise ValueError(f"a cap span needs i < j, got {i} and {j}")
-    return f"h_{i}_{j}"
 
 
 # One-letter words: relations are written as concatenations of these.
@@ -169,13 +126,9 @@ class _Relations:
 
 
 # ---------------------------------------------------------------------------
-# Schema builders.  Each returns (kind, [(symbol, image), ...], relations).
-
-
-def _pair_alphabet(n: int) -> tuple[list[tuple[str, Diagram]], list[tuple[str, Diagram]]]:
-    joins = [(sym_e(i, j), merge(n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    collapses = [(sym_t(i, j), collapse(n, i, j)) for i, j in itertools.permutations(range(1, n + 1), 2)]
-    return joins, collapses
+# Schema builders.  Each relation group adds its relations to ``rels``; a
+# schema's builder joins its groups to the generators of the families that
+# make up its alphabet.
 
 
 def _join_relations(n: int, rels: _Relations) -> None:
@@ -204,11 +157,8 @@ def _collapse_relations(n: int, rels: _Relations) -> None:
         )
 
 
-def _build_sing_xr(n: int):
-    joins, collapses = _pair_alphabet(n)
-    rels = _Relations()
-    _collapse_relations(n, rels)
-    _join_relations(n, rels)
+def _sing_xr_relations(n: int, rels: _Relations) -> None:
+    """Relations between the joins e_ij and the collapses t_ij."""
     for i, j in itertools.permutations(range(1, n + 1), 2):
         rels.add(_e(i, j) + _t(i, j), _t(i, j))
         rels.add(_t(i, j) + _e(i, j), _e(i, j))
@@ -216,7 +166,6 @@ def _build_sing_xr(n: int):
         rels.add(_e(j, k) + _t(i, j), _t(i, j) + _e(i, k))
     for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
         rels.add(_e(k, l) + _t(i, j), _t(i, j) + _e(k, l))
-    return "semigroup", joins + collapses, rels.done()
 
 
 def _swap_relations(n: int, rels: _Relations) -> None:
@@ -230,13 +179,9 @@ def _swap_relations(n: int, rels: _Relations) -> None:
             rels.add(_s(i) + _s(j) + _s(i), _s(j) + _s(i) + _s(j))
 
 
-def _build_full_yq(n: int):
-    pairs = [(sym_s(i), transposition(n, i)) for i in range(1, n)]
-    pairs.append(("e", merge(n, 1, 2)))
-    pairs.append(("t", collapse(n, 1, 2)))
+def _full_yq_relations(n: int, rels: _Relations) -> None:
+    """Relations of the join e and the collapse t with each other and the swaps."""
     e, t = ("e",), ("t",)
-    rels = _Relations()
-    _swap_relations(n, rels)
     rels.chain(t + t, t, e + t, _s(1) + t)
     rels.chain(e + e, e, t + e, _s(1) + e, e + _s(1))
     for i in range(3, n):
@@ -252,7 +197,6 @@ def _build_full_yq(n: int):
         rels.add(t + w + t + w, w + t + w + t)
         rels.add(e + w + e + w, w + e + w + e)
         rels.add(t + w + e + w, w + e + w + t)
-    return "monoid", pairs, rels.done()
 
 
 def _adjacent_collapse_relations(n: int, rels: _Relations) -> None:
@@ -277,12 +221,8 @@ def _adjacent_collapse_relations(n: int, rels: _Relations) -> None:
         rels.add(_g(i + 1) + _f(i), _g(i + 1))
 
 
-def _build_planar_zo(n: int):
-    pairs = [(sym_f(i), collapse(n, i, i + 1)) for i in range(1, n)]
-    pairs += [(sym_g(i), collapse(n, i + 1, i)) for i in range(1, n)]
-    pairs += [(sym_h(i), merge(n, i, i + 1)) for i in range(1, n)]
-    rels = _Relations()
-    _adjacent_collapse_relations(n, rels)
+def _planar_zo_relations(n: int, rels: _Relations) -> None:
+    """Relations of the adjacent joins h_i with themselves and f_i, g_i."""
     for x in (_f, _g, _h):
         for y in (_f, _g, _h):
             for i in range(1, n):
@@ -297,7 +237,6 @@ def _build_planar_zo(n: int):
                 rels.add(_h(i) + _g(j), _g(j) + _h(i))
     for i in range(1, n - 1):
         rels.add(_h(i) + _g(i + 1), _h(i + 1) + _f(i))
-    return "monoid", pairs, rels.done()
 
 
 def _cap_relations(n: int, rels: _Relations) -> None:
@@ -312,33 +251,9 @@ def _cap_relations(n: int, rels: _Relations) -> None:
         rels.chain(_cap(i, j) + _cap(j, k), _cap(i, k) + _cap(i, j), _cap(i, k) + _cap(j, k))
 
 
-def _build_dn(n: int):
-    pairs = [(sym_cap(i, j), cap_atom(n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    rels = _Relations()
-    _cap_relations(n, rels)
-    return "monoid", pairs, rels.done()
-
-
-def _build_en(n: int):
-    joins, _ = _pair_alphabet(n)
-    rels = _Relations()
-    _join_relations(n, rels)
-    return "monoid", joins, rels.done()
-
-
-def _build_sing_tn(n: int):
-    _, collapses = _pair_alphabet(n)
-    rels = _Relations()
-    _collapse_relations(n, rels)
-    return "semigroup", collapses, rels.done()
-
-
-def _build_tn(n: int):
-    pairs = [(sym_s(i), transposition(n, i)) for i in range(1, n)]
-    pairs.append(("t", collapse(n, 1, 2)))
+def _tn_relations(n: int, rels: _Relations) -> None:
+    """Relations of the collapse t with itself and the swaps."""
     t = ("t",)
-    rels = _Relations()
-    _swap_relations(n, rels)
     rels.add(t + t, t)
     rels.add(_s(1) + t, t)
     for i in range(3, n):
@@ -350,15 +265,11 @@ def _build_tn(n: int):
     if n >= 4:
         w = _s(2) + _s(3) + _s(1) + _s(2)
         rels.add(t + w + t + w, w + t + w + t)
-    return "monoid", pairs, rels.done()
 
 
-def _build_fn(n: int):
-    pairs = [(sym_s(i), transposition(n, i)) for i in range(1, n)]
-    pairs.append(("e", merge(n, 1, 2)))
+def _fn_relations(n: int, rels: _Relations) -> None:
+    """Relations of the join e with itself and the swaps."""
     e = ("e",)
-    rels = _Relations()
-    _swap_relations(n, rels)
     rels.add(e + e, e)
     rels.add(_s(1) + e, e)
     rels.add(e + _s(1), e)
@@ -369,29 +280,15 @@ def _build_fn(n: int):
     if n >= 4:
         w = _s(2) + _s(3) + _s(1) + _s(2)
         rels.add(e + w + e + w, w + e + w + e)
-    return "monoid", pairs, rels.done()
 
 
-def _build_on(n: int):
-    pairs = [(sym_f(i), collapse(n, i, i + 1)) for i in range(1, n)]
-    pairs += [(sym_g(i), collapse(n, i + 1, i)) for i in range(1, n)]
-    rels = _Relations()
-    _adjacent_collapse_relations(n, rels)
-    return "monoid", pairs, rels.done()
-
-
-def _build_planar_intermediate(n: int):
-    pairs = [(sym_f(i), collapse(n, i, i + 1)) for i in range(1, n)]
-    pairs += [(sym_g(i), collapse(n, i + 1, i)) for i in range(1, n)]
-    pairs += [(sym_cap(i, j), cap_atom(n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
+def _planar_intermediate_relations(n: int, rels: _Relations) -> None:
+    """Relations between the interval caps h_i_j and f_i, g_i."""
 
     def hull(i: int, j: int) -> Word:
         # degenerate spans vanish: the cap over [i, i] is the identity
         return () if i == j else _cap(i, j)
 
-    rels = _Relations()
-    _adjacent_collapse_relations(n, rels)
-    _cap_relations(n, rels)
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for k in range(1, n):
             if k == i - 1:
@@ -410,20 +307,39 @@ def _build_planar_intermediate(n: int):
             rels.add(_cap(i, j) + _g(k), rhs)
     for i in range(1, n):
         rels.add(_f(i) + _cap(i, i + 1), _cap(i, i + 1))
-    return "monoid", pairs, rels.done()
+
+
+def _builder(families: tuple[str, ...], *groups: Callable[[int, _Relations], None]) -> Callable:
+    """A schema's builder: at degree ``n`` it returns the kind, the
+    ``(symbol, image)`` pairs of ``families``' generators in order (a
+    semigroup when one of them is), and the relations of ``groups``."""
+
+    def build(n: int) -> tuple[str, list[tuple[str, Diagram]], tuple[Relation, ...]]:
+        monoid, pairs = True, []
+        for family in families:
+            is_monoid, more = GENERATORS[family](n)
+            monoid, pairs = monoid and is_monoid, pairs + more
+        rels = _Relations()
+        for group in groups:
+            group(n, rels)
+        return "monoid" if monoid else "semigroup", pairs, rels.done()
+
+    return build
 
 
 _BUILDERS: dict[str, Callable] = {
-    "sing-xr": _build_sing_xr,
-    "full-yq": _build_full_yq,
-    "planar-zo": _build_planar_zo,
-    "dn": _build_dn,
-    "en": _build_en,
-    "sing-tn": _build_sing_tn,
-    "tn": _build_tn,
-    "fn": _build_fn,
-    "on": _build_on,
-    "planar-intermediate": _build_planar_intermediate,
+    "sing-xr": _builder(("en", "sing-tn"), _collapse_relations, _join_relations,
+                        _sing_xr_relations),
+    "full-yq": _builder(("pnfd",), _swap_relations, _full_yq_relations),
+    "planar-zo": _builder(("ppnfd",), _adjacent_collapse_relations, _planar_zo_relations),
+    "dn": _builder(("dn",), _cap_relations),
+    "en": _builder(("en",), _join_relations),
+    "sing-tn": _builder(("sing-tn",), _collapse_relations),
+    "tn": _builder(("tn",), _swap_relations, _tn_relations),
+    "fn": _builder(("fn",), _swap_relations, _fn_relations),
+    "on": _builder(("on",), _adjacent_collapse_relations),
+    "planar-intermediate": _builder(("on", "dn"), _adjacent_collapse_relations, _cap_relations,
+                                    _planar_intermediate_relations),
 }
 
 
@@ -548,10 +464,11 @@ def target_elements(name: str, n: int) -> Target:
     so agreement with the generated closure is an actual check: when every
     closure element is in the model and the closure has the model's size,
     the two are equal.  :func:`diagcalc.partitions.family` lists the same
-    models and is the tests' cross-check.
+    models, certified the same way; the tests check both against filters of
+    all diagrams.
 
     >>> target = target_elements("planar-zo", 6)
-    >>> len(target), identity(6) in target, cap_atom(6, 2, 5) in target
+    >>> len(target), identity(6) in target, partitions.cap_atom(6, 2, 5) in target
     (3808, True, True)
     >>> Diagram.from_text("[[1,-2],[2,-1]]") in target_elements("planar-zo", 2)
     False
@@ -909,35 +826,12 @@ def derived_word(kind: str, i: int, j: int, n: int) -> Word:
     raise ValueError(f"unknown derived word kind {kind!r}")
 
 
-def hat_morphism(n: int) -> dict[str, Word]:
-    """Rewrites each pairwise symbol as a word over the swap alphabet.
-
-    Maps e_ij to its conjugated join and t_ij to its conjugated collapse,
-    so that any word over the pairwise alphabet can be replayed through
-    ``schema("full-yq", n)``.
-    """
-    out: dict[str, Word] = {}
-    for a, b in itertools.combinations(range(1, n + 1), 2):
-        out[sym_e(a, b)] = derived_word("epsilon", a, b, n)
-    for a, b in itertools.permutations(range(1, n + 1), 2):
-        out[sym_t(a, b)] = derived_word("tau", a, b, n)
-    return out
-
-
 def cap_lift(n: int) -> dict[str, Word]:
     """Rewrites each interval-cap symbol as a word over the planar alphabet."""
     return {
         sym_cap(a, b): derived_word("alpha", a, b, n)
         for a, b in itertools.combinations(range(1, n + 1), 2)
     }
-
-
-def apply_morphism(word: Iterable[str], mapping: dict[str, Word]) -> Word:
-    """Concatenate the images of each letter of ``word`` under ``mapping``."""
-    out: list[str] = []
-    for symbol in word:
-        out.extend(mapping[symbol])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -87,5 +87,5 @@ def test_traced_counts_do_not_depend_on_import_order(tmp_path):
     totals = {key for _, counts in runs["cli"] for key in counts}
     for key in ("partitions.multiply.calls", "partitions.projection.calls",
                 "partitions.cap.calls", "partitions.family.calls",
-                "engine.closure.calls", "engine.from_elements.calls"):
+                "engine.closure.calls"):
         assert key in totals, key

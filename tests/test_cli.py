@@ -14,6 +14,7 @@ from diagcalc.engine import CheckReport, cayley_dot, closure
 from diagcalc.equivalences import Equivalence
 from diagcalc.partitions import (
     FAMILY_NAMES,
+    GENERATORS,
     Diagram,
     cap,
     from_transformation,
@@ -151,9 +152,9 @@ def test_internal_error_exits_4(capsys, monkeypatch, expect_fail):
 
 def test_closure_budget_exhaustion_exits_2(capsys, monkeypatch):
     import diagcalc.cli as cli
-    from diagcalc.engine import closure
+    from diagcalc.engine import carrier
 
-    monkeypatch.setattr(cli, "closure", functools.partial(closure, budget=50))
+    monkeypatch.setattr(cli, "carrier", functools.partial(carrier, budget=50))
     for argv in (
         ["enumerate", "--monoid", "pnfd", "--n", "3", "--format", "dot"],  # 52 elements
         ["factorize", "[[1,2,-1],[3,-2],[4,-3],[-4]]", "--mode", "tn-en"],  # |T4| = 256
@@ -195,7 +196,7 @@ def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
 
     for name in ("check_ehresmann", "check_restriction", "check_grrac"):
         monkeypatch.setattr(laws, name, never)
-    monkeypatch.setattr(cli, "from_elements", never)
+    monkeypatch.setattr(cli, "carrier", never)
     # P4 has 4,140 elements: 17,139,600 pairs against the default 2,000,000
     for extra in ([], ["--expect-fail"]):
         code, report = run_json(capsys, "verify", "--target", "ehresmann", "--monoid", "pn",
@@ -395,14 +396,12 @@ def test_enumerate_json(capsys):
 
 
 def test_enumerate_checks_the_count(capsys, monkeypatch):
-    # a listing whose size differs from the independent count is refuted
+    # a closure whose size differs from the independent count is an
+    # internal error, and no listing is printed
     monkeypatch.setitem(FAMILY_COUNTS, "pnfd", lambda n: 51)
-    code, report = run_json(capsys, "enumerate", "--monoid", "pnfd", "--n", "3",
-                            "--format", "json")
-    assert code == 1
-    assert report["size"] == 52 and report["closed_form"] == 51
-    code, out = run(capsys, "enumerate", "--monoid", "pnfd", "--n", "3")
-    assert code == 1 and out == "52\n"
+    for extra in (["--format", "json"], []):
+        code, out = run(capsys, "enumerate", "--monoid", "pnfd", "--n", "3", *extra)
+        assert code == 4 and out == ""
 
 
 def test_enumerate_dot_checks_the_count(capsys, monkeypatch):
@@ -414,7 +413,7 @@ def test_enumerate_dot_checks_the_count(capsys, monkeypatch):
     monkeypatch.setitem(FAMILY_COUNTS, "dn", lambda n: 4)
     monkeypatch.setattr(diagcalc.cli, "family", None)  # no listing is built
     code, wrong = run(capsys, "enumerate", "--monoid", "dn", "--n", "3", "--format", "dot")
-    assert code == 1 and wrong == out
+    assert code == 4 and wrong == ""
 
 
 def test_enumerate_dot_export(capsys):
@@ -461,10 +460,18 @@ def test_enumerate_dot_exports_the_table_generators(capsys, monoid):
 
 
 def test_enumerate_dot_names_the_exportable_families(capsys):
-    usage_error("enumerate", "--monoid", "pn", "--n", "3", "--format", "dot")
-    supported = ", ".join(sorted({*GRAPH_GENERATORS, "sn"}))
-    assert capsys.readouterr().err.endswith(
-        f"error: no standard generating set for 'pn'; graph export supports {supported}\n")
+    # every family is exported, over the symbols of its generator table
+    for monoid in FAMILY_NAMES:
+        for n in range(4):
+            code, out = run(capsys, "enumerate", "--monoid", monoid, "--n", str(n),
+                            "--format", "dot")
+            assert code == 0, (monoid, n)
+            assert out.count("label=\"[") == FAMILY_COUNTS[monoid](n), (monoid, n)
+            symbols = {symbol for symbol, _ in GENERATORS[monoid](n)[1]}
+            edges = out.count(" -> ")
+            assert edges == FAMILY_COUNTS[monoid](n) * len(symbols), (monoid, n)
+            assert {line.rsplit('label="', 1)[1][:-3] for line in out.splitlines()
+                    if " -> " in line} == (symbols if edges else set()), (monoid, n)
 
 
 def test_enumerate_degree_zero(capsys):
@@ -482,7 +489,7 @@ def test_enumerate_degree_zero(capsys):
 def test_enumerate_usage_errors():
     usage_error("enumerate", "--monoid", "nonsense", "--n", "3")
     usage_error("enumerate", "--monoid", "dn")
-    usage_error("enumerate", "--monoid", "pn", "--n", "2", "--format", "dot")
+    usage_error("enumerate", "--monoid", "pn", "--n", "2", "--format", "svg")
 
 
 @pytest.mark.parametrize("n, argv", [
@@ -497,7 +504,13 @@ def test_enumerate_usage_errors():
     (0, ("factorize", "[]", "--mode", "on-dn")),
 ])
 def test_degree_below_the_schemas_is_a_usage_error(capsys, n, argv):
-    # generating sets and factor words come from the schemas (n >= 2)
+    # factor words come from the schemas (n >= 2); graph export reads the
+    # generator table, which covers every degree
+    if argv[0] == "enumerate":
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.startswith("digraph right_cayley {")
+        assert out.count('label="[') == FAMILY_COUNTS[argv[2]](n)
+        return
     usage_error(*argv)
     err = capsys.readouterr().err
     assert f"error: schemas are defined for n >= 2, got n={n}" in err

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
+from diagcalc import engine
+from diagcalc.cli import main
+from diagcalc.counting import FAMILY_COUNTS
 from diagcalc.engine import (
     BudgetExceeded,
     band_type,
+    carrier,
     cayley_dot,
     cayley_json,
     closure,
@@ -14,6 +18,9 @@ from diagcalc.engine import (
     units_and_singular,
 )
 from diagcalc.partitions import (
+    FAMILY_NAMES,
+    GENERATORS,
+    MEMBERS,
     Diagram,
     cap_atom,
     collapse,
@@ -304,3 +311,69 @@ def test_cayley_dot_deterministic():
     assert first.startswith("digraph right_cayley {")
     assert first.rstrip().endswith("}")
     assert first.count(" -> ") == len(m) * len(m.generators)
+
+
+# -- certified carriers -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_family_is_its_certified_closure(name):
+    for n in range(6):
+        monoid, pairs = GENERATORS[name](n)
+        m = carrier(name, n)
+        assert len(m) == FAMILY_COUNTS[name](n), (name, n)
+        assert m.symbols == tuple(symbol for symbol, _ in pairs), (name, n)
+        assert m.generators == [m.index[image] for _, image in pairs], (name, n)
+        if monoid:
+            assert m.elements[m.identity_index] == identity(n), (name, n)
+        listed = family(name, n)
+        assert all(a.labels < b.labels for a, b in zip(listed, listed[1:])), (name, n)
+        assert set(listed) == set(m.elements), (name, n)
+        assert all(MEMBERS[name](d.labels[:n], d.labels[n:]) for d in listed), (name, n)
+
+
+def _without_t(table):
+    def pnfd(n):
+        monoid, pairs = table(n)
+        return monoid, [pair for pair in pairs if pair[0] != "t"]
+
+    return pnfd
+
+
+def _join_for_collapse(table):
+    def tn(n):  # the collapse t's image swapped for the join's
+        monoid, pairs = table(n)
+        return monoid, [(symbol, merge(n, 1, 2) if symbol == "t" else image)
+                        for symbol, image in pairs]
+
+    return tn
+
+
+@pytest.mark.parametrize("name, mutated, argv", [
+    ("pnfd", _without_t, ["verify", "--target", "ehresmann", "--n", "3"]),
+    ("tn", _join_for_collapse, ["enumerate", "--monoid", "tn", "--n", "3", "--format", "json"]),
+])
+def test_a_wrong_generator_table_is_an_internal_error(monkeypatch, capsys, tmp_path, name,
+                                                       mutated, argv):
+    monkeypatch.setitem(GENERATORS, name, mutated(GENERATORS[name]))
+    with pytest.raises(RuntimeError, match=f"the generators of {name} at n=3"):
+        carrier(name, 3)
+    with pytest.raises(RuntimeError):
+        family(name, 3)
+    report = tmp_path / "report"
+    assert main([*argv, "--output", str(report)]) == 4
+    assert not report.exists()
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+def test_a_carrier_over_budget_is_never_closed(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("closed a family counted past its budget")
+
+    monkeypatch.setattr(engine, "closure", never)
+    with pytest.raises(BudgetExceeded):
+        carrier("pnfd", 5, budget=19_920)
+    with pytest.raises(BudgetExceeded):
+        carrier("pn", 6)  # Bell(12) = 4,213,597 against the default budget
+    with pytest.raises(BudgetExceeded):
+        family("jn", 7)

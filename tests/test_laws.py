@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import diagcalc
-from diagcalc.engine import closure, from_elements
+from diagcalc.engine import carrier, closure, from_elements
 from diagcalc.equivalences import Equivalence, all_equivalences
 from diagcalc.laws import (
     LeftCongruence,
@@ -600,18 +600,18 @@ def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refu
 @pytest.mark.parametrize(
     "job,multiplies",
     [
-        # theta builds its carriers with ``from_elements``, which closes tn,
-        # sing-tn and on up front
-        (lambda: theta_battery(3), 444),
-        (lambda: theta_battery(4), 9_377),
-        # the closure of P3, its one multiplying step; every law reads the
-        # tables
-        (lambda: check_ehresmann(from_elements(3, family("pn", 3))), 293),
+        # theta builds its carriers with ``carrier``, which closes tn,
+        # sing-tn and on from their generators up front
+        (lambda: theta_battery(3), 435),
+        (lambda: theta_battery(4), 9_046),
+        # the closure of P3's generators, its one multiplying step; every
+        # law reads the tables
+        (lambda: check_ehresmann(carrier("pn", 3)), 257),
         # the closure of PP4fd, then products with the R(a) that leave it
-        (lambda: check_restriction(from_elements(4, family("ppnfd", 4)), "right"), 401),
-        (lambda: check_grrac(from_elements(4, family("ppnfd", 4))), 322),
+        (lambda: check_restriction(carrier("ppnfd", 4), "right"), 307),
+        (lambda: check_grrac(carrier("ppnfd", 4)), 224),
         # the closure of P4fd, up front, before the witness in row 1
-        (lambda: check_restriction(from_elements(4, family("pnfd", 4)), "left"), 1_139),
+        (lambda: check_restriction(carrier("pnfd", 4), "left"), 1_022),
     ],
     ids=[
         "theta_battery-3",

@@ -27,7 +27,7 @@ BASE = {"cli", "counting", "engine", "equivalences", "partitions"}
 # one command line of each kind, with the submodules it must leave loaded
 COMMANDS = [
     (["verify", "--target", "dn", "--n", "3"], BASE | {"presentations"}),
-    (["enumerate", "--monoid", "dn", "--n", "3", "--format", "dot"], BASE | {"presentations"}),
+    (["enumerate", "--monoid", "dn", "--n", "3", "--format", "dot"], BASE),
     (["factorize", "[[1,2,-1],[3,-2],[-3]]", "--mode", "tn-en"], BASE | {"presentations"}),
     (["verify", "--target", "ehresmann", "--n", "2"], BASE | {"laws"}),
     (["verify", "--target", "theta-laws", "--n", "2"], BASE | {"laws"}),

@@ -211,12 +211,41 @@ def test_families_match_reference_filters(n):
 
 
 
+def ref_full_domain(n: int) -> list[Diagram]:
+    """The full-domain diagrams of degree ``n`` in lexicographic order.
+
+    Each upper row is a restricted-growth sequence with ``k`` blocks; the
+    lower rows that go with it meet every one of those blocks and number
+    their own new blocks ``k, k + 1, ...`` in order of first occurrence.
+    They are grown one point at a time, a label at a time in increasing
+    order, and a prefix is dropped once its unmet upper blocks outnumber the
+    points left.
+    """
+    out: list[Diagram] = []
+    for up in restricted_growth_sequences(n):
+        k = 1 + max(up, default=-1)
+        # (lower row so far, bit mask of the upper blocks it has not met,
+        # the label a new lower block would take)
+        rows: list[tuple[tuple[int, ...], int, int]] = [((), (1 << k) - 1, k)]
+        for left in range(n - 1, -1, -1):  # points after the one placed now
+            rows = [
+                (lo + (label,), unmet, fresh + 1 if label == fresh else fresh)
+                for lo, before, fresh in rows
+                for label in range(fresh + 1)
+                for unmet in (before & ~(1 << label),)
+                if unmet.bit_count() <= left
+            ]
+        out.extend(Diagram(n, up + lo, _canonical=True) for lo, _, _ in rows)
+    return out
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_full_domain_families_match_the_bell_filter(n):
-    """``pnfd`` is generated row by row and ``ppnfd`` is its planar part; the
-    filter over all Bell(2n) diagrams that ``family`` used before is the
-    oracle, in order."""
+    """``pnfd`` and ``ppnfd`` are closures of their generators; the filter
+    over all Bell(2n) diagrams and the row-by-row listing are the oracles,
+    in order."""
     full = [d for d in all_diagrams(n) if d.is_full_domain()]
+    assert ref_full_domain(n) == full
     assert family("pnfd", n) == full
     assert family("ppnfd", n) == [d for d in full if d.is_planar()]
 

@@ -24,14 +24,13 @@ from diagcalc import presentations
 from diagcalc.presentations import (
     SCHEMA_NAMES,
     Presentation,
-    apply_morphism,
+    Word,
     cap_lift,
     check_soundness,
     derived_word,
     enumerate_presented,
     eval_word,
     factor_product,
-    hat_morphism,
     schema,
     standard_assignment,
     sym_cap,
@@ -608,6 +607,29 @@ def test_cap_words_evaluate_correctly():
             assert eval_word(asg, beta) == cap_atom(n, i, j)
             if j == i + 1:
                 assert alpha == beta == (f"h_{i}",)
+
+
+def hat_morphism(n: int) -> dict[str, Word]:
+    """Rewrites each pairwise symbol as a word over the swap alphabet.
+
+    Maps e_ij to its conjugated join and t_ij to its conjugated collapse,
+    so that any word over the pairwise alphabet can be replayed through
+    ``schema("full-yq", n)``.
+    """
+    out: dict[str, Word] = {}
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        out[sym_e(a, b)] = derived_word("epsilon", a, b, n)
+    for a, b in itertools.permutations(range(1, n + 1), 2):
+        out[sym_t(a, b)] = derived_word("tau", a, b, n)
+    return out
+
+
+def apply_morphism(word, mapping: dict[str, Word]) -> Word:
+    """Concatenate the images of each letter of ``word`` under ``mapping``."""
+    out: list[str] = []
+    for symbol in word:
+        out.extend(mapping[symbol])
+    return tuple(out)
 
 
 def test_hat_morphism_letters():
