@@ -329,16 +329,17 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
                         left=left, index=index)
 
 
-def carrier(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> FiniteMonoid:
+def carrier(name: str, n: int) -> FiniteMonoid:
     """The standard family ``name`` of degree ``n``: the closure of its
     generators in :data:`diagcalc.partitions.GENERATORS`, with their symbols.
 
     A family counted in :data:`~diagcalc.counting.FAMILY_COUNTS` at more
-    than ``budget`` elements raises :class:`BudgetExceeded` before anything
-    is multiplied.  The closure is certified before it is returned: it has
-    exactly the counted size and every element passes the family's rule in
-    :data:`~diagcalc.partitions.MEMBERS`, so it is the family.  A closure
-    that fails either check (a wrong table entry) raises ``RuntimeError``.
+    than :data:`DEFAULT_BUDGET` elements raises :class:`BudgetExceeded`
+    before anything is multiplied.  The closure is certified before it is
+    returned: it has exactly the counted size and every element passes the
+    family's rule in :data:`~diagcalc.partitions.MEMBERS`, so it is the
+    family.  A closure that fails either check (a wrong table entry) raises
+    ``RuntimeError``.
 
     >>> len(carrier("ppnfd", 3)), carrier("sing-tn", 3).identity_index
     (20, None)
@@ -346,8 +347,8 @@ def carrier(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> FiniteMonoid:
     if name not in GENERATORS:
         raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
     size = FAMILY_COUNTS[name](n)
-    if size > budget:
-        raise BudgetExceeded(budget)
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceeded(DEFAULT_BUDGET)
     monoid, pairs = GENERATORS[name](n)
     symbols = [symbol for symbol, _ in pairs]
     rule = MEMBERS[name]

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import random
@@ -151,18 +150,21 @@ def test_internal_error_exits_4(capsys, monkeypatch, expect_fail):
 
 
 def test_closure_budget_exhaustion_exits_2(capsys, monkeypatch):
-    import diagcalc.cli as cli
-    from diagcalc.engine import carrier
+    import diagcalc.engine as engine
 
-    monkeypatch.setattr(cli, "carrier", functools.partial(carrier, budget=50))
+    def never(*args, **kwargs):
+        raise AssertionError("closed a family counted past the default budget")
+
+    monkeypatch.setattr(engine, "closure", never)
     for argv in (
-        ["enumerate", "--monoid", "pnfd", "--n", "3", "--format", "dot"],  # 52 elements
-        ["factorize", "[[1,2,-1],[3,-2],[4,-3],[-4]]", "--mode", "tn-en"],  # |T4| = 256
+        ["enumerate", "--monoid", "pnfd", "--n", "7", "--format", "dot"],  # 24,040,451
+        ["factorize", "[[1,2,-1],[3,-2],[4,-3],[5,-4],[6,-5],[7,-6],[8,-7],[-8]]",
+         "--mode", "tn-en"],  # |T8| = 8^8 = 16,777,216
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "diagcalc: inconclusive: budget of 50 elements exceeded\n"
+        assert captured.err == "diagcalc: inconclusive: budget of 2000000 elements exceeded\n"
 
 
 @pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])

@@ -349,9 +349,18 @@ def _join_for_collapse(table):
     return tn
 
 
+def _with_a_swap(table):
+    def on(n):  # s_1 is no order-preserving map: the closure outgrows the count
+        monoid, pairs = table(n)
+        return monoid, [*pairs, ("s_1", transposition(n, 1))]
+
+    return on
+
+
 @pytest.mark.parametrize("name, mutated, argv", [
     ("pnfd", _without_t, ["verify", "--target", "ehresmann", "--n", "3"]),
     ("tn", _join_for_collapse, ["enumerate", "--monoid", "tn", "--n", "3", "--format", "json"]),
+    ("on", _with_a_swap, ["enumerate", "--monoid", "on", "--n", "3", "--format", "dot"]),
 ])
 def test_a_wrong_generator_table_is_an_internal_error(monkeypatch, capsys, tmp_path, name,
                                                        mutated, argv):
@@ -372,8 +381,8 @@ def test_a_carrier_over_budget_is_never_closed(monkeypatch):
 
     monkeypatch.setattr(engine, "closure", never)
     with pytest.raises(BudgetExceeded):
-        carrier("pnfd", 5, budget=19_920)
+        carrier("pnfd", 7)  # 24,040,451 against the default 2,000,000
     with pytest.raises(BudgetExceeded):
-        carrier("pn", 6)  # Bell(12) = 4,213,597 against the default budget
+        carrier("pn", 6)  # Bell(12) = 4,213,597
     with pytest.raises(BudgetExceeded):
         family("jn", 7)
