@@ -25,9 +25,11 @@ nodes of presentation enumeration and the pairs of the ``ehresmann``,
 ``restriction`` and ``grrac`` law scans: a carrier of ``k`` elements whose
 ``k**2`` pairs exceed it is reported as exhausted before any axiom is
 scanned.  ``action-pair`` is bounded the same way by its ``|U| * |S|``
-pairs, and ``theta-laws`` by its ``Bell(n)**2 * n**n`` theta-join pairs
-(each pair of the ``Bell(n)`` projections compares congruences on the
-``n**n`` transformations).  Every size is read from
+pairs, and then by the elements of the closure of U and S together, which
+is reported as exhausted when it outgrows the budget.  ``theta-laws`` is
+bounded by its ``Bell(n)**2 * n**n`` theta-join pairs (each pair of the
+``Bell(n)`` projections compares congruences on the ``n**n``
+transformations).  Every size is read from
 :data:`diagcalc.counting.FAMILY_COUNTS`, so an over-budget scan builds no
 carrier.
 """
@@ -241,10 +243,15 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
         if pair in laws.ACTION_PAIRS:
             u_name, s_name = laws.ACTION_PAIRS[pair]
             u_size, s_size = FAMILY_COUNTS[u_name](n), FAMILY_COUNTS[s_name](n)
+            exhausted = {"carrier_size": s_size, "u_size": u_size, "pairs": u_size * s_size}
             if u_size * s_size > budget:
-                return {"carrier_size": s_size, "u_size": u_size, "pairs": u_size * s_size}
-        u_elements, s_elements = laws.action_pair_elements(pair, n)
-        return [laws.check_action_pair(u_elements, s_elements, pair)]
+                return exhausted
+        # an unknown pair gets ``action_pair_elements``' error message
+        u, s = laws.action_pair_elements(pair, n)
+        try:  # the closure of U and S together is bounded by the budget too
+            return [laws.check_action_pair(u, s, pair, budget=budget)]
+        except BudgetExceeded:
+            return exhausted
     u_size, s_size = FAMILY_COUNTS["en"](n), FAMILY_COUNTS["tn"](n)
     if (pairs := u_size**2 * s_size) > budget:
         return {"carrier_size": s_size, "u_size": u_size, "pairs": pairs}

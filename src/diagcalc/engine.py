@@ -30,7 +30,7 @@ pass their own.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
 from .equivalences import Equivalence, _normalize, _Record, join
@@ -141,8 +141,9 @@ class FiniteMonoid:
     ``R(a)`` of a planar ``a``) still has an index.  ``table``,
     :meth:`product` and :meth:`unary` take and return ambient indices and
     :meth:`diagram` reads one back; equal indices mean equal diagrams.
-    ``len(m)``, ``d in m``, ``elements``, ``index`` and :meth:`word_for`
-    mean the carrier only.
+    ``len(m)``, ``d in m``, iteration (over ``elements``, in discovery
+    order), ``elements``, ``index`` and :meth:`word_for` mean the carrier
+    only, so ``set(m)`` and ``sorted(m)`` are its elements.
     """
 
     def __init__(
@@ -181,6 +182,9 @@ class FiniteMonoid:
 
     def __contains__(self, d: Diagram) -> bool:
         return d in self.index
+
+    def __iter__(self) -> Iterator[Diagram]:
+        return iter(self.elements)
 
     def diagram(self, k: int) -> Diagram:
         """The diagram at ambient index ``k``."""

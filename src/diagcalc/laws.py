@@ -11,7 +11,8 @@ systems these operations are supposed to satisfy, by brute force over a
 concrete finite carrier, and report the first counterexample in canonical
 element order (so reports are independent of how the carrier was built).
 Everything here runs on the indices of one carrier, a
-:class:`~diagcalc.engine.FiniteMonoid`: products are read as
+:class:`~diagcalc.engine.FiniteMonoid` (for an action pair, the closure of
+both of its sets together): products are read as
 ``T[a][b]`` from its ``table`` and an operation's images as ``X[a]`` from
 :meth:`~diagcalc.engine.FiniteMonoid.unary`, so no product or image is
 computed twice.  A law term that leaves the carrier is interned in the
@@ -47,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # their module, so the wrappers are used whenever this module was imported
 from . import engine, partitions
 from .engine import CheckReport, FiniteMonoid
-from .equivalences import Equivalence, _find, _normalize, _Record, join
+from .equivalences import Equivalence, _find, _normalize, _Record, join, noncrossing
 from .partitions import Diagram, cap_atom, collapse, floor_map, identity, merge, range_cap
 
 # ``T[i][j]`` is the index of ``i * j`` and ``X[i]`` that of ``op(i)``, read
@@ -320,8 +321,14 @@ def check_grrac(m: FiniteMonoid) -> list[CheckReport]:
     """Axioms of the cap-valued range operation ``rho(a) = cap(coker(a))``.
 
     Checked over a planar full-domain carrier; ``closure-rho`` reports
-    whether the operation maps the carrier into itself.
+    whether the operation maps the carrier into itself.  Only a planar
+    cokernel has a cap, so on a carrier with a crossing one ``rho`` is no
+    operation at all: the one report is then a failing ``closure-rho``
+    whose witness is the first such element in canonical order.
     """
+    planar = _each(m, "closure-rho", lambda a: noncrossing(m.elements[a].labels[m.n:]))
+    if not planar.holds:
+        return [planar]
     rho, T = m.unary(range_cap), m.table
     unary = {
         "G1": lambda a: T[a][rho[a]] == a,
@@ -343,76 +350,60 @@ def check_grrac(m: FiniteMonoid) -> list[CheckReport]:
 
 
 def check_action_pair(
-    u_elements: Sequence[Diagram],
-    s_elements: Sequence[Diagram],
+    u: FiniteMonoid,
+    s: FiniteMonoid,
     name: str = "action-pair",
+    *,
+    budget: int = engine.DEFAULT_BUDGET,
 ) -> CheckReport:
     """Is ``(U, S)`` a strong action pair inside the diagram monoid?
 
     * A1: ``u s`` lies in ``s U`` for every ``u`` in U, ``s`` in S;
-    * A2: ``s u = t v`` forces ``u = v`` (products taken ambiently).
+    * A2: ``s u = t v`` forces ``u = v``.
 
     When both hold and every element of U is a projection, the induced
-    action is also validated against ``u^s = R(us)``.  Each of the
-    ``|S| |U|`` products of either side is multiplied once and keyed by its
-    labels; no carrier is built, since nearly every product leaves S.
+    action is also validated against ``u^s = R(us)``.  Both carriers are
+    interned, in canonical order, into the closure of their generators
+    together, a monoid that is ``S U`` (with U, S and the identity) when A1
+    holds; every product ``s u`` and ``u s`` is then a read of its table,
+    and that closure is the only place anything is multiplied.  A closure
+    past ``budget`` elements raises :class:`~diagcalc.engine.BudgetExceeded`.
     """
-    U, S = sorted(set(u_elements)), sorted(set(s_elements))
-    in_u, in_s = set(U), set(S)
-    multiply = partitions.multiply
+    m = engine.closure(u.n, [c.elements[g] for c in (u, s) for g in c.generators],
+                       monoid=True, budget=budget)
+    U = [m.intern(u.elements[k]) for k in u.canonical_order()]
+    S = [m.intern(s.elements[k]) for k in s.canonical_order()]
+    T = m.table
     counts = {"U": len(U), "S": len(S)}
 
     # A2 first (it is what makes the action well-defined): group the
-    # products s*u by value and require a unique u in every fibre.  Each
-    # distinct product gets an id on first sight, so a repeated one keeps
-    # no copy of its labels.
-    ids: dict[tuple[int, ...], int] = {}
-    fibre_u: list[int] = []  # by product id, the position of its u in U
-    products_by_s: list[list[int]] = []  # by s, the id of s*u for each u
-    # s*u for an s in U too, which A1 and the projection test read as u*s
-    shared: dict[tuple[Diagram, Diagram], Diagram] = {}
-    for s in S:
-        keep = s in in_u
-        row = [0] * len(U)
-        for k, u in enumerate(U):
-            su = multiply(s, u)
-            if keep:
-                shared[s, u] = su
-            p = row[k] = ids.setdefault(su.labels, len(ids))
-            if p == len(fibre_u):
-                fibre_u.append(k)
-            elif fibre_u[p] != k:
-                return CheckReport(name + "-A2", False, (s.text(), u.text(), U[fibre_u[p]].text()), counts)
-        products_by_s.append(row)
-
-    ranges: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def R(d: Diagram) -> tuple[int, ...]:
-        r = ranges.get(d.labels)
-        if r is None:
-            r = ranges[d.labels] = partitions.range_projection(d).labels
-        return r
+    # products s*u by value and require a unique u in every fibre
+    fibre = [-1] * len(m)  # by product, the position of its u in U
+    for t in S:
+        row = T[t]
+        for k, v in enumerate(U):
+            p = row[v]
+            if fibre[p] < 0:
+                fibre[p] = k
+            elif fibre[p] != k:
+                return CheckReport(name + "-A2", False, _texts(m, t, v, U[fibre[p]]), counts)
 
     # A1: us must equal sv for some v in U, and that v is the action u^s;
     # for projections it must also be R(us).  By A2 the only candidate v is
     # the u of us's fibre.
-    projections = all(
-        (shared[u, u] if u in in_s else multiply(u, u)) == u
-        and partitions.domain_projection(u) == u
-        and R(u) == u.labels
-        for u in U
-    )
+    D, R = _projections(m)
+    projections = all(T[v][v] == v and D[v] == v and R[v] == v for v in U)
     holds = True
     witness: tuple[str, ...] = ()
-    for u in U:
-        mixed = u in in_s
-        for s, row in zip(S, products_by_s):
-            us = shared[u, s] if mixed and s in in_u else multiply(u, s)
-            p = ids.get(us.labels)
-            if p is None or row[fibre_u[p]] != p:
-                return CheckReport(name + "-A1", False, (u.text(), s.text()), counts)
-            if projections and holds and U[fibre_u[p]].labels != R(us):
-                holds, witness = False, (u.text(), s.text(), U[fibre_u[p]].text())
+    for v in U:
+        row = T[v]
+        for t in S:
+            p = row[t]
+            k = fibre[p]
+            if k < 0 or T[t][U[k]] != p:
+                return CheckReport(name + "-A1", False, _texts(m, v, t), counts)
+            if projections and holds and U[k] != R[p]:
+                holds, witness = False, _texts(m, v, t, U[k])
     if projections:
         counts["projection_formula_checked"] = 1
     return CheckReport(name, holds, witness, counts)
@@ -534,19 +525,22 @@ ACTION_PAIRS = {
 }
 
 
-def action_pair_elements(pair: str, n: int) -> tuple[list[Diagram], list[Diagram]]:
-    """Resolve a named pair to its (U, S) element families.
+def action_pair_elements(pair: str, n: int) -> tuple[FiniteMonoid, FiniteMonoid]:
+    """Resolve a named pair to the carriers of its (U, S) families.
 
     ``en-tn``       projections acted on by transformations;
     ``en-sing-tn``  projections acted on by non-bijective transformations;
     ``dn-on``       caps acted on by order-preserving transformations;
     ``pen-ptn``     convex projections and planar transformations (a pair
                     that genuinely fails A1, kept for refutation runs).
+
+    Each is :func:`~diagcalc.engine.carrier`, the closure of the family's
+    generators, which :func:`check_action_pair` closes together.
     """
     if pair not in ACTION_PAIRS:
         raise ValueError(f"unknown action pair {pair!r}; expected one of {', '.join(ACTION_PAIRS)}")
     u_name, s_name = ACTION_PAIRS[pair]
-    return partitions.family(u_name, n), partitions.family(s_name, n)
+    return engine.carrier(u_name, n), engine.carrier(s_name, n)
 
 
 def theta_battery(n: int) -> list[CheckReport]:

@@ -119,14 +119,28 @@ def test_verify_action_pair_targets(capsys):
     assert report["checks"][0]["name"] == "pen-ptn-A1"
 
 
-def test_verify_grrac_on_crossing_carrier_is_a_usage_error(capsys):
-    # at degree 4 some cokernels cross, and only planar relations have caps
-    usage_error("verify", "--target", "grrac", "--monoid", "pnfd", "--n", "4")
-    # at degree 3 every cokernel is planar: a genuine refutation
-    code, report = run_json(capsys, "verify", "--target", "grrac", "--monoid", "pnfd",
+@pytest.mark.parametrize("monoid,witness", [
+    ("pnfd", "[[1,2,3,4,-1,-3],[-2,-4]]"),
+    ("en", "[[1,3,-1,-3],[2,4,-2,-4]]"),
+    ("fn", "[[1,2,-1,-3],[3,4,-2,-4]]"),
+    ("jn", "[[1,2,3,-1,-3],[4,-2,-4]]"),
+], ids=["pnfd", "en", "fn", "jn"])
+def test_verify_grrac_on_crossing_carrier_is_refuted(capsys, monoid, witness):
+    # at degree 4 some cokernels cross, and only planar relations have caps:
+    # rho is no operation on the carrier, refuted at the first such element
+    code, report = run_json(capsys, "verify", "--target", "grrac", "--monoid", monoid,
+                            "--n", "4")
+    assert code == 1 and report["status"] == "refuted"
+    assert report["checks"] == [{
+        "name": "closure-rho", "holds": False, "witness": [witness],
+        "counts": {"size": FAMILY_COUNTS[monoid](4)},
+    }]
+    # at degree 3 every cokernel is planar: rho is an operation that leaves
+    # the carrier, and every axiom is still scanned
+    code, report = run_json(capsys, "verify", "--target", "grrac", "--monoid", monoid,
                             "--n", "3")
-    assert code == 1
-    assert report["status"] == "refuted"
+    assert code == 1 and report["status"] == "refuted"
+    assert len(report["checks"]) == 9
 
 
 @pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
@@ -250,8 +264,8 @@ def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
 
 
 def test_action_pair_exhausts_before_its_sets_are_built(capsys, monkeypatch):
+    import diagcalc.engine as engine
     import diagcalc.laws as laws
-    import diagcalc.partitions as partitions
 
     for u_name, s_name in laws.ACTION_PAIRS.values():
         assert u_name in FAMILY_COUNTS and s_name in FAMILY_COUNTS
@@ -259,7 +273,9 @@ def test_action_pair_exhausts_before_its_sets_are_built(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an action-pair set was built over the budget")
 
-    monkeypatch.setattr(partitions, "family", never)
+    # both carriers and their joint closure are built by these two
+    monkeypatch.setattr(engine, "carrier", never)
+    monkeypatch.setattr(engine, "closure", never)
     # en-tn 6 is Bell(6) = 203 projections times 6**6 = 46,656 transformations
     for extra in ([], ["--expect-fail"]):
         code, report = run_json(capsys, "verify", "--target", "action-pair", "--n", "6", *extra)
@@ -277,6 +293,22 @@ def test_action_pair_exhausts_before_its_sets_are_built(capsys, monkeypatch):
     code, report = run_json(capsys, "verify", "--target", "action-pair", "--monoid", "dn-on",
                             "--n", "4", "--budget", "490")
     assert code == 0 and report["status"] == "verified"
+
+
+@pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
+def test_action_pair_closure_over_budget_is_exhausted(capsys, monkeypatch, expect_fail):
+    import diagcalc.laws as laws
+
+    # the 490 pairs of dn-on 4 fit the budget, and their closure, PP4fd with
+    # 110 elements, is then built under a budget of 109
+    check = laws.check_action_pair
+    monkeypatch.setattr(laws, "check_action_pair",
+                        lambda u, s, name, *, budget: check(u, s, name, budget=109))
+    code, report = run_json(capsys, "verify", "--target", "action-pair", "--monoid", "dn-on",
+                            "--n", "4", *expect_fail)
+    assert code == 2 and report["status"] == "exhausted"
+    assert (report["carrier_size"], report["u_size"]) == (35, 14)
+    assert "checks" not in report
 
 
 def test_theta_laws_exhausts_before_the_battery_runs(capsys, monkeypatch):

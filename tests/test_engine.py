@@ -153,6 +153,14 @@ def test_from_elements_wraps():
         assert m.elements[m.product(i, j)] == multiply(m.elements[i], m.elements[j])
 
 
+def test_a_carrier_iterates_over_its_elements():
+    m = carrier("on", 3)
+    # an ambient diagram interned past the carrier is not one of them
+    m.intern(transposition(3, 1))
+    assert list(m) == m.elements and len(list(m)) == len(m) == 10
+    assert sorted(m) == family("on", 3) and set(m) == set(m.index)
+
+
 def test_from_elements_checks_degrees():
     with pytest.raises(ValueError, match="every element must have degree 3"):
         from_elements(3, family("pnfd", 2))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import diagcalc
-from diagcalc.engine import carrier, closure, from_elements
+from diagcalc.engine import BudgetExceeded, carrier, closure, from_elements
 from diagcalc.equivalences import Equivalence, all_equivalences
 from diagcalc.laws import (
     LeftCongruence,
@@ -256,6 +256,18 @@ def test_grrac_axioms_hold(n):
     assert all(rep.holds for rep in reports)
 
 
+@pytest.mark.parametrize("name", ["pnfd", "en", "fn", "jn"])
+def test_grrac_on_a_crossing_carrier_refutes_closure_only(name):
+    # at degree 4 some cokernels cross, and only planar relations have caps:
+    # rho is no operation there, so closure-rho is the one report
+    m = carrier(name, 4)
+    first = next(d for d in family(name, 4) if not d.coker().is_planar())
+    assert [rep.to_dict() for rep in check_grrac(m)] == [{
+        "name": "closure-rho", "holds": False, "witness": [first.text()],
+        "counts": {"size": len(m)},
+    }]
+
+
 GRRAC_AXIOMS = ("closure-rho", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
 
 
@@ -417,6 +429,25 @@ def test_convex_projection_pair_fails():
     f = Diagram.from_text("[[1,2,-1],[3,-3],[-2]]")
     us = multiply(u, f)
     assert all(us != multiply(f, v) for v in u_elems)
+
+
+def test_action_pair_closure_is_bounded_by_its_budget():
+    # the caps and order-preserving maps of degree 4 close to PP4fd, 110 elements
+    u, s = action_pair_elements("dn-on", 4)
+    with pytest.raises(BudgetExceeded):
+        check_action_pair(u, s, "dn-on", budget=109)
+    assert check_action_pair(u, s, "dn-on", budget=110).holds
+
+
+def test_action_pair_failing_a2_names_both_factors():
+    # with the roles swapped, U the transformations and S the projections,
+    # the one-block projection s forgets which point a transformation
+    # sends where, so s*u = s*v for some u != v
+    rep = check_action_pair(carrier("tn", 3), carrier("en", 3), "tn-en")
+    assert rep.name == "tn-en-A2" and not rep.holds
+    s, u, v = (Diagram.from_text(text) for text in rep.witness)
+    assert u != v and multiply(s, u) == multiply(s, v)
+    assert rep.counts == {"U": 27, "S": 5}
 
 
 # -- left congruences ----------------------------------------------------------------
@@ -612,6 +643,10 @@ def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refu
         (lambda: check_grrac(carrier("ppnfd", 4)), 224),
         # the closure of P4fd, up front, before the witness in row 1
         (lambda: check_restriction(carrier("pnfd", 4), "left"), 1_022),
+        # the carriers of both sides, then the closure of their generators
+        # together; every product s*u and u*s is read from its table
+        (lambda: check_action_pair(*action_pair_elements("dn-on", 5), "dn-on"), 1_742),
+        (lambda: check_action_pair(*action_pair_elements("pen-ptn", 4), "pen-ptn"), 332),
     ],
     ids=[
         "theta_battery-3",
@@ -620,6 +655,8 @@ def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refu
         "restriction-right-PP4fd",
         "grrac-PP4fd",
         "restriction-left-P4fd",
+        "action-pair-dn-on-5",
+        "action-pair-pen-ptn-4",
     ],
 )
 def test_pinned_multiply_counts(monkeypatch, job, multiplies):

@@ -479,24 +479,38 @@ def test_theta_join_and_closure_match_reference(name, n, us):
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("pair", ["en-tn", "en-sing-tn", "dn-on", "pen-ptn"])
+ACTION_PAIR_CASES = [
+    (pair, n) for n in (1, 2, 3, 4) for pair in ("en-tn", "en-sing-tn", "dn-on", "pen-ptn")
+] + [("dn-on", 5), ("pen-ptn", 5)]
+# carrier pairs (U, S, degree) with the roles swapped or mismatched: each fails A2
+A2_FAILING_PAIRS = [("tn", "en", 3), ("on", "dn", 4), ("sn", "en", 3)]
+
+
+@pytest.mark.parametrize("pair,n", ACTION_PAIR_CASES)
 def test_action_pair_matches_reference(pair, n):
-    u_elements, s_elements = laws.action_pair_elements(pair, n)
-    assert dicts(laws.check_action_pair(u_elements, s_elements, pair)) == dicts(
-        check_action_pair(u_elements, s_elements, pair)
-    )
+    u, s = laws.action_pair_elements(pair, n)
+    assert dicts(laws.check_action_pair(u, s, pair)) == dicts(check_action_pair(u, s, pair))
+
+
+@pytest.mark.parametrize("u_name,s_name,n", A2_FAILING_PAIRS)
+def test_action_pair_a2_witness_matches_reference(u_name, s_name, n):
+    u, s = carrier(u_name, n), carrier(s_name, n)
+    name = f"{u_name}-{s_name}"
+    assert dicts(laws.check_action_pair(u, s, name)) == dicts(check_action_pair(u, s, name))
 
 
 def test_action_pair_reference_covers_every_outcome():
-    # the cases above reach A1 failures, projection-formula checks and
-    # plain holds; pin that, so the comparison keeps its teeth
-    outcomes = {
-        (rep.name, rep.holds, "projection_formula_checked" in rep.counts)
-        for pair in ("en-tn", "en-sing-tn", "dn-on", "pen-ptn")
-        for n in (1, 2, 3, 4)
-        for rep in [check_action_pair(*laws.action_pair_elements(pair, n), pair)]
-    }
+    # the cases above reach A2 and A1 failures, projection-formula checks
+    # and plain holds; pin that, so the comparison keeps its teeth
+    reports = [check_action_pair(*laws.action_pair_elements(pair, n), pair)
+               for pair, n in ACTION_PAIR_CASES]
+    reports += [check_action_pair(carrier(u_name, n), carrier(s_name, n), f"{u_name}-{s_name}")
+                for u_name, s_name, n in A2_FAILING_PAIRS]
+    outcomes = {(rep.name, rep.holds, "projection_formula_checked" in rep.counts)
+                for rep in reports}
     assert ("pen-ptn-A1", False, False) in outcomes
     assert ("en-tn", True, True) in outcomes
     assert ("dn-on", True, False) in outcomes
+    assert {name for name, _, _ in outcomes if name.endswith("-A2")} == {
+        f"{u_name}-{s_name}-A2" for u_name, s_name, _ in A2_FAILING_PAIRS
+    }
