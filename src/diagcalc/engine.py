@@ -53,11 +53,7 @@ class CheckReport(_Record):
     """Outcome of one exhaustive law check."""
 
     __slots__ = ("name", "holds", "witness", "counts")
-
-    def __init__(self, name: str, holds: bool, witness: tuple[str, ...] | None = None,
-                 counts: dict[str, int] | None = None):
-        # each report gets its own dict
-        self._set(name, holds, witness, {} if counts is None else counts)
+    _defaults = {"witness": lambda: None, "counts": dict}  # each report gets its own dict
 
     def to_dict(self) -> dict:
         return {
@@ -418,10 +414,6 @@ class GreenClasses(_Record):
 
     __slots__ = ("r_class_of", "l_class_of", "j_class_of", "h_class_of")
 
-    def __init__(self, r_class_of: tuple[int, ...], l_class_of: tuple[int, ...],
-                 j_class_of: tuple[int, ...], h_class_of: tuple[int, ...]):
-        self._set(r_class_of, l_class_of, j_class_of, h_class_of)
-
     def counts(self) -> dict[str, int]:
         return {
             "R": len(set(self.r_class_of)),
@@ -500,10 +492,6 @@ class BandReport(_Record):
     """
 
     __slots__ = ("band", "left_regular", "right_regular", "semilattice", "l_trivial", "r_trivial")
-
-    def __init__(self, band: bool, left_regular: bool, right_regular: bool, semilattice: bool,
-                 l_trivial: bool, r_trivial: bool):
-        self._set(band, left_regular, right_regular, semilattice, l_trivial, r_trivial)
 
 
 def band_type(m: FiniteMonoid) -> BandReport:

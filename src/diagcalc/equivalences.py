@@ -109,16 +109,33 @@ class _Record:
     The fields are the record class's own slots in order, except the last
     ``_hidden`` ones, which are stored but left out of ``==``, ``hash`` and
     ``repr``.  A subclass of a record must declare the same slots again.
-    Equality needs the same class and then equal field tuples, the hash is
-    the field tuple's, and assignment raises ``AttributeError``.
+    The constructor binds positional and then keyword arguments to the
+    fields as a dataclass's does, and fills an omitted field by calling its
+    factory in ``_defaults``.  Equality needs the same class and then equal
+    field tuples, the hash is the field tuple's, and assignment raises
+    ``AttributeError``.
     """
 
     __slots__ = ()
     _hidden = 0
+    _defaults: dict = {}
 
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, kind = self.__slots__, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} takes {len(names)} fields but {len(args)} were given")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{kind} got field {name!r} twice")
+            kwargs[name] = value
+        for name in names:
+            if name not in kwargs:
+                if name not in self._defaults:
+                    raise TypeError(f"{kind} is missing field {name!r}")
+                kwargs[name] = self._defaults[name]()
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{kind} got unknown fields {', '.join(map(repr, kwargs))}")
 
     def _fields(self) -> tuple[str, ...]:
         return self.__slots__[: len(self.__slots__) - self._hidden]

@@ -390,11 +390,13 @@ def check_action_pair(
 
     # A1: us must equal sv for some v in U, and that v is the action u^s;
     # for projections it must also be R(us).  By A2 the only candidate v is
-    # the u of us's fibre.
+    # the u of us's fibre.  A1 reads each row T[v] once, so it drops the row
+    # after its loop, unless it is an A2 row T[t], which A1 reads again.
     D, R = _projections(m)
     projections = all(T[v][v] == v and D[v] == v and R[v] == v for v in U)
     holds = True
     witness: tuple[str, ...] = ()
+    kept = set(S)
     for v in U:
         row = T[v]
         for t in S:
@@ -404,6 +406,8 @@ def check_action_pair(
                 return CheckReport(name + "-A1", False, _texts(m, v, t), counts)
             if projections and holds and U[k] != R[p]:
                 holds, witness = False, _texts(m, v, t, U[k])
+        if v not in kept:
+            del T[v]
     if projections:
         counts["projection_formula_checked"] = 1
     return CheckReport(name, holds, witness, counts)
@@ -420,7 +424,7 @@ class LeftCongruence(_Record):
     def __init__(self, carrier: Sequence[Diagram], labels: Sequence[int]):
         if len(carrier) != len(labels):
             raise ValueError(f"{len(carrier)} carrier elements but {len(labels)} labels")
-        self._set(tuple(carrier), _normalize(labels))
+        super().__init__(tuple(carrier), _normalize(labels))
 
     def class_count(self) -> int:
         return 1 + max(self.labels, default=-1)

@@ -207,12 +207,6 @@ class Structure(_Record):
 
     __slots__ = ("transversals", "upper_blocks", "lower_blocks", "rank", "dom", "codom")
 
-    def __init__(self, transversals: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-                 upper_blocks: tuple[tuple[int, ...], ...],
-                 lower_blocks: tuple[tuple[int, ...], ...], rank: int, dom: tuple[int, ...],
-                 codom: tuple[int, ...]):
-        self._set(transversals, upper_blocks, lower_blocks, rank, dom, codom)
-
 
 class Membership(_Record):
     """Submonoid membership flags for a single diagram."""
@@ -220,14 +214,6 @@ class Membership(_Record):
     __slots__ = ("permutation", "transformation", "order_preserving", "partial_injection",
                  "block_bijection", "uniform_block_bijection", "projection", "full_domain",
                  "planar", "planar_full_domain", "cap")
-
-    def __init__(self, permutation: bool, transformation: bool, order_preserving: bool,
-                 partial_injection: bool, block_bijection: bool, uniform_block_bijection: bool,
-                 projection: bool, full_domain: bool, planar: bool, planar_full_domain: bool,
-                 cap: bool):
-        self._set(permutation, transformation, order_preserving, partial_injection,
-                  block_bijection, uniform_block_bijection, projection, full_domain, planar,
-                  planar_full_domain, cap)
 
 
 # Each family's membership rule, on a diagram's two label rows ``up =

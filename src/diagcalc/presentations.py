@@ -86,10 +86,7 @@ class Presentation(_Record):
 
     __slots__ = ("name", "n", "kind", "alphabet", "relations", "images")
     _hidden = 1
-
-    def __init__(self, name: str, n: int, kind: str, alphabet: tuple[str, ...],
-                 relations: tuple[Relation, ...], images: tuple[Diagram, ...] = ()):
-        self._set(name, n, kind, alphabet, relations, images)
+    _defaults = {"images": tuple}
 
     def to_dict(self) -> dict:
         return {
@@ -502,10 +499,6 @@ class EnumerationResult(_Record):
 
     __slots__ = ("status", "size", "table", "node_budget_used")
 
-    def __init__(self, status: str, size: int | None,
-                 table: tuple[tuple[int, ...], ...] | None, node_budget_used: int):
-        self._set(status, size, table, node_budget_used)
-
 
 def _prefix_table(
     relations: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
@@ -686,12 +679,6 @@ class PresentationReport(_Record):
 
     __slots__ = ("name", "n", "status", "sound", "witness", "target_size", "closure_size",
                  "enumerated_size", "node_budget_used")
-
-    def __init__(self, name: str, n: int, status: str, sound: bool,
-                 witness: tuple[str, ...] | None, target_size: int, closure_size: int | None,
-                 enumerated_size: int | None, node_budget_used: int):
-        self._set(name, n, status, sound, witness, target_size, closure_size, enumerated_size,
-                  node_budget_used)
 
     @property
     def verified(self) -> bool:

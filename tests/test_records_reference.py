@@ -5,8 +5,9 @@ The eight report types are ``__slots__`` classes over
 :mod:`dataclasses`.  The frozen dataclasses they replaced are kept below,
 field for field, as the oracle: for instances the library really builds,
 and for variants that differ in one field, both sides must agree on
-``==``, ``hash``, ``repr``, ``to_dict`` and construction, and both must
-refuse assignment.
+``==``, ``hash``, ``repr``, ``to_dict`` and construction, both must
+refuse assignment, and both must raise ``TypeError`` on the same bad
+arguments.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from diagcalc import engine, partitions, presentations
+from diagcalc import engine, laws, partitions, presentations
 from diagcalc.engine import band_type, closure, from_elements, green
+from diagcalc.equivalences import _Record
 from diagcalc.laws import check_grrac
 from diagcalc.partitions import Diagram, family
 from diagcalc.presentations import enumerate_presented, schema, verify_presentation
@@ -258,3 +260,58 @@ def test_presentation_images_are_not_part_of_the_value():
     assert pres == bare and hash(pres) == hash(bare) and repr(pres) == repr(bare)
     old = Presentation(pres.name, pres.n, pres.kind, pres.alphabet, pres.relations, pres.images)
     assert repr(pres) == repr(old) and hash(pres) == hash(old)
+
+
+def required_names(record) -> list[str]:
+    return [f.name for f in dataclasses.fields(ORACLES[type(record)])
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_bad_arguments_raise_on_both(record):
+    new, old = type(record), ORACLES[type(record)]
+    kwargs = as_kwargs(record)
+    values = list(kwargs.values())
+    last = field_names(record)[-1]
+    cases = [
+        ((*values, None), {}),  # too many positional fields
+        ((), {**kwargs, "unknown": 1}),
+        ((*values[:1],), kwargs),  # the first field by position and by keyword
+        ((*values,), {last: values[-1]}),
+    ]
+    assert required_names(record)
+    for name in required_names(record):
+        cases.append(((), {k: v for k, v in kwargs.items() if k != name}))
+    for args, kw in cases:
+        with pytest.raises(TypeError):
+            old(*args, **kw)
+        with pytest.raises(TypeError):
+            new(*args, **kw)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_omitted_fields_take_their_defaults(record):
+    new, old = type(record), ORACLES[type(record)]
+    required = {name: getattr(record, name) for name in required_names(record)}
+    assert repr(new(**required)) == repr(old(**required))
+    values = list(required.values())
+    assert new(*values) == new(**required) and repr(new(*values)) == repr(old(*values))
+
+
+def record_classes() -> list[type]:
+    out, stack = [], [_Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("diagcalc."):
+                out.append(cls)
+                stack.append(cls)
+    return out
+
+
+def test_defaults_name_their_own_fields():
+    classes = record_classes()
+    assert set(ORACLES) | {laws.LeftCongruence} == set(classes)
+    for cls in classes:
+        # a misspelt key would leave its field required
+        assert set(cls._defaults) <= set(cls.__slots__), cls.__name__
+        assert ("__init__" in vars(cls)) == (cls is laws.LeftCongruence), cls.__name__
