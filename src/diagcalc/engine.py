@@ -4,7 +4,9 @@
 diagrams with the Froidure-Pin loop :func:`_froidure_pin`, recording for
 every element its shortlex-minimal word over the generators, as the tree of
 each word's prefix and last letter, and both Cayley tables; a product is
-multiplied out only where the tables built so far cannot supply it.
+multiplied out only where the tables built so far cannot supply it, and
+then always by a generator, through that generator's map
+(:func:`diagcalc.partitions.multiply_by`), built once per closure.
 :class:`FiniteMonoid` is the one indexed carrier: the elements, both Cayley
 tables, and an ambient past the carrier where diagrams that products and
 unary operations reach outside it are interned, so the exhaustive law
@@ -17,10 +19,12 @@ is closed under multiplication, so the product of two of its elements is
 looked up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one
 read of the right Cayley table past the product with the prefix of ``j``'s
 word (Froidure & Pin, 1997).  Only products with a diagram interned past
-the carrier are multiplied.  :func:`carrier` is each standard family as the
-closure of its generators, certified against its count and membership
-rule; :func:`from_elements` builds a carrier the way :func:`closure` does,
-from a generating set it picks inside an explicit element set.
+the carrier are multiplied, each by a one-off
+:func:`~diagcalc.partitions.multiply`.  :func:`carrier` is each standard
+family as the closure of its generators, certified against its count and
+membership rule; :func:`from_elements` builds a carrier the way
+:func:`closure` does, from a generating set it picks inside an explicit
+element set.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -34,7 +38,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
 from .equivalences import Equivalence, _normalize, _Record, join
-from .partitions import FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, identity, multiply
+from .partitions import (FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, identity, multiply,
+                         multiply_by)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -116,6 +121,25 @@ class _Images(dict):
 
     def __missing__(self, i: int) -> int:
         k = self[i] = self.monoid.intern(self.op(self.monoid.diagram(i)))
+        return k
+
+
+class _Positions(dict):
+    """``positions[i]`` is the position in ``elems`` of ``elems[i] * g``,
+    for ``g = elems[j]``, computed through ``g``'s map on its first read."""
+
+    __slots__ = ("elems", "position", "g", "by")
+
+    def __init__(self, elems: list[Diagram], position: dict[Diagram, int], j: int):
+        self.elems, self.position, self.g = elems, position, elems[j]
+        self.by = multiply_by(self.g)
+
+    def __missing__(self, i: int) -> int:
+        d = self.by(self.elems[i])
+        k = self[i] = self.position.get(d, -1)
+        if k < 0:
+            raise ValueError(f"the set is not closed: "
+                             f"{self.elems[i].text()} * {self.g.text()} = {d.text()}")
         return k
 
 
@@ -230,10 +254,11 @@ class FiniteMonoid:
         return tuple(reversed(word))
 
 
-def _froidure_pin(generators: Sequence[Hashable], mul: Callable, seed: Hashable | None,
-                  budget: int) -> tuple:
-    """Closure of ``generators``, any hashable values, under ``mul``, with
-    ``seed`` adjoined first as the empty word unless it is ``None``.
+def _froidure_pin(generators: Sequence[Hashable], times: Sequence[Callable],
+                  seed: Hashable | None, budget: int) -> tuple:
+    """Closure of ``generators``, any hashable values, under the maps
+    ``times[a]: x -> x * generators[a]``, with ``seed`` adjoined first as
+    the empty word unless it is ``None``.
 
     Returns the elements in discovery order, their ``index``, the position
     ``letter[a]`` of each generator, the word tree ``(prefix, last)`` and
@@ -245,12 +270,12 @@ def _froidure_pin(generators: Sequence[Hashable], mul: Callable, seed: Hashable 
     Elements are found in shortlex order of their representative words,
     one word length at a time.  An element ``u`` of length ``L`` is
     ``b * s`` for its first letter ``b`` and its suffix ``s`` (of length
-    ``L - 1``, already known), and ``u * a`` is multiplied out only when
-    ``rep(s) a`` is itself a representative word.  Otherwise ``s * a = r``
-    has a shorter or lex-smaller word and ``u * a = (b * prefix(r)) *
-    last(r)`` is read from rows that are already filled.  The left row of
-    every element of length ``L`` is filled once all rows of length ``L``
-    are known (Froidure & Pin, 1997).
+    ``L - 1``, already known), and ``u * a`` is computed, as
+    ``times[a](u)``, only when ``rep(s) a`` is itself a representative
+    word.  Otherwise ``s * a = r`` has a shorter or lex-smaller word and
+    ``u * a = (b * prefix(r)) * last(r)`` is read from rows that are
+    already filled.  The left row of every element of length ``L`` is
+    filled once all rows of length ``L`` are known (Froidure & Pin, 1997).
     """
     k = len(generators)
     elements: list = []
@@ -264,45 +289,59 @@ def _froidure_pin(generators: Sequence[Hashable], mul: Callable, seed: Hashable 
     prefix: list[int] = []
     suffix: list[int] = []
 
-    def intern(x: Hashable, b: int, a: int, pre: int, suf: int) -> int:
+    def intern(x: Hashable, b: int) -> int:
         u = index.setdefault(x, len(elements))
         if u == len(elements):
             if u >= budget:
                 raise BudgetExceeded(budget)
             elements.append(x)
             first.append(b)
-            last.append(a)
-            prefix.append(pre)
-            suffix.append(suf)
+            last.append(b)
+            prefix.append(-1)
+            suffix.append(-1)
         return u
 
     if seed is not None:
-        intern(seed, -1, -1, -1, -1)
-    letter = [intern(g, a, a, -1, -1) for a, g in enumerate(generators)]
+        intern(seed, -1)
+    letter = [intern(g, a) for a, g in enumerate(generators)]
     lo = 0
     if seed is not None:
         right.append(list(letter))
         left.append(list(letter))
         lo = 1
 
-    while lo < len(elements):
-        hi = len(elements)
+    size = len(elements)
+    while lo < size:
+        hi = size
         for u in range(lo, hi):
             b, s = first[u], suffix[u]
+            x = elements[u]
+            srow = letter if s < 0 else right[s]
+            lb = letter[b]
             row = [0] * k
             right.append(row)
-            for a in range(k):
-                r = letter[a] if s < 0 else right[s][a]
+            for a, r in enumerate(srow):
                 if prefix[r] == s and last[r] == a:
-                    row[a] = intern(mul(elements[u], generators[a]), b, a, u, r)
+                    y = times[a](x)
+                    v = index.setdefault(y, size)
+                    if v == size:
+                        if v >= budget:
+                            raise BudgetExceeded(budget)
+                        size += 1
+                        elements.append(y)
+                        first.append(b)
+                        last.append(a)
+                        prefix.append(u)
+                        suffix.append(r)
+                    row[a] = v
                 elif last[r] < 0:  # s * a is the seed
-                    row[a] = letter[b]
+                    row[a] = lb
                 else:
                     p = prefix[r]
-                    row[a] = right[letter[b] if p < 0 else left[p][b]][last[r]]
+                    row[a] = right[lb if p < 0 else left[p][b]][last[r]]
         for v in range(lo, hi):
             p, c = prefix[v], last[v]
-            left.append([right[letter[b] if p < 0 else left[p][b]][c] for b in range(k)])
+            left.append([right[w][c] for w in (letter if p < 0 else left[p])])
         lo = hi
 
     return elements, index, letter, (prefix, last), right, left
@@ -314,7 +353,9 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
 
     With ``monoid=True`` the identity is adjoined as the seed (empty word);
     otherwise only non-empty products are collected and the identity appears
-    just if some product equals it.
+    just if some product equals it.  Each generator's map
+    :func:`~diagcalc.partitions.multiply_by` is built once, and every
+    product the loop computes goes through one of them.
 
     >>> from .partitions import transposition
     >>> len(closure(3, [transposition(3, 1), transposition(3, 2)]))
@@ -323,7 +364,8 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
     if any(g.n != n for g in generators):
         raise ValueError(f"every generator must have degree {n}")
     one = identity(n)
-    elements, index, letter, tree, right, left = _froidure_pin(generators, multiply,
+    times = [multiply_by(g) for g in generators]
+    elements, index, letter, tree, right, left = _froidure_pin(generators, times,
                                                                one if monoid else None, budget)
     return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols,
                         left=left, index=index)
@@ -368,10 +410,12 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     A generating set inside the set is picked greedily, by descending rank
     and then canonical order, adding every element that the set so far does
     not generate, and each pick is closed by :func:`_froidure_pin` over
-    positions in the set, with each product of two positions multiplied
-    once across the restarts.  The carrier is then built as by
-    :func:`closure`: elements in discovery order, that generating set, both
-    Cayley tables and the word tree.  A set with an element of another
+    positions in the set.  Each picked generator has one memo, keyed by
+    position and filled through its map
+    :func:`~diagcalc.partitions.multiply_by`, so each product of two
+    positions is multiplied once across the restarts.  The carrier is then
+    built as by :func:`closure`: elements in discovery order, that
+    generating set, both Cayley tables and the word tree.  A set with an element of another
     degree, or with a product outside it, raises ``ValueError``.
     """
     distinct = set(elements)
@@ -381,26 +425,17 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     size = len(elems)
     position = {d: k for k, d in enumerate(elems)}
     seed = position.get(identity(n))
-    memo: dict[int, int] = {}
-
-    def mul(i: int, j: int) -> int:
-        k = memo.get(i * size + j)
-        if k is None:
-            d = multiply(elems[i], elems[j])
-            k = memo[i * size + j] = position.get(d, -1)
-            if k < 0:
-                raise ValueError(f"the set is not closed: "
-                                 f"{elems[i].text()} * {elems[j].text()} = {d.text()}")
-        return k
 
     gens: list[int] = []
-    found = _froidure_pin(gens, mul, seed, size)
+    times: list[Callable[[int], int]] = []
+    found = _froidure_pin(gens, times, seed, size)
     for k in range(size):
         if len(found[0]) == size:
             break
         if k not in found[1]:  # not generated yet
             gens.append(k)
-            found = _froidure_pin(gens, mul, seed, size)
+            times.append(_Positions(elems, position, k).__getitem__)
+            found = _froidure_pin(gens, times, seed, size)
     at, _, letter, tree, right, left = found
     return FiniteMonoid(n, [elems[a] for a in at], letter, tree, right,
                         None if seed is None else 0, left=left)

@@ -254,61 +254,111 @@ _MEMBERSHIP_FAMILIES = ("sn", "tn", "on", "in", "jn", "fn", "en", "pnfd", "ppn",
 
 
 def multiply(a: Diagram, b: Diagram) -> Diagram:
-    """Stack ``a`` on top of ``b`` and contract the middle row.
-
-    The union-find runs over blocks, not points: node ``l`` is ``a``'s block
-    ``l`` and node ``2n + l`` is ``b``'s block ``l`` (either factor has at
-    most ``2n`` blocks).  Middle point ``i`` glues ``a``'s block of ``i'`` to
-    ``b``'s block of ``i``, so there are exactly ``n`` unions.  One pass over
-    ``a``'s upper row and then ``b``'s lower row numbers the roots by first
-    occurrence, so the output is canonical by construction and is never
-    normalised again.
+    """Stack ``a`` on top of ``b`` and contract the middle row: the map
+    :func:`multiply_by` of ``b``, built for this one product.
 
     >>> t = collapse(2, 1, 2)   # 2 -> 1
     >>> s = transposition(2, 1)
     >>> multiply(t, s).text()
     '[[1,2,-2],[-1]]'
     """
-    if a.n != b.n:
-        raise ValueError(f"degrees must match, got {a.n} and {b.n}")
-    n = a.n
-    al, bl = a.labels, b.labels
-    shift = 2 * n
-    parent = list(range(4 * n))
-    # each lookup steps to the parent inline and calls ``_find`` only when
-    # that parent is not yet a root
-    for x, y in zip(al[n:], bl[:n]):
-        x = parent[x]
-        if parent[x] != x:
-            x = _find(parent, x)
-        y = parent[y + shift]
-        if parent[y] != y:
-            y = _find(parent, y)
-        parent[y] = x
-    code = [-1] * (4 * n)
-    out: list[int] = []
-    push = out.append
-    fresh = 0
-    for x in al[:n]:
-        x = parent[x]
-        if parent[x] != x:
-            x = _find(parent, x)
-        c = code[x]
-        if c < 0:
-            c = code[x] = fresh
-            fresh += 1
-        push(c)
-    for x in bl[n:]:
-        x = parent[x + shift]
-        if parent[x] != x:
-            x = _find(parent, x)
-        c = code[x]
-        if c < 0:
-            c = code[x] = fresh
-            fresh += 1
-        push(c)
-    # ``_canonical`` passed by position: the keyword costs a few percent here
-    return Diagram(n, tuple(out), True)
+    return multiply_by(b)(a)
+
+
+def multiply_by(g: Diagram) -> Callable[[Diagram], Diagram]:
+    """The map ``x -> x * g``, reading ``g`` once for many products.
+
+    Stacking ``x`` on ``g`` joins two of ``x``'s blocks only through an
+    upper block of ``g``: the block with upper points ``i < j < ...`` glues
+    ``x``'s blocks of ``i'``, ``j'``, ...  So the map records those pairs of
+    middle points, and for each lower point of ``g`` the first middle point
+    of its block, or a fresh block when its block has no upper point.  A
+    product unions ``x``'s lower labels along the pairs (over ``x``'s at
+    most ``2n`` blocks) and numbers the roots by first occurrence along
+    ``x``'s upper row and then ``g``'s lower row, so the output is
+    canonical by construction.  When ``g`` joins no two middle points (a
+    permutation, say), nothing is unioned: ``x``'s upper row is already the
+    product's, and only the ``n`` lower labels are numbered.
+
+    >>> by_s = multiply_by(transposition(2, 1))
+    >>> by_s(collapse(2, 1, 2)).text()
+    '[[1,2,-2],[-1]]'
+    >>> by_s(by_s(identity(2))) == identity(2)
+    True
+    """
+    n = g.n
+    # A product reads its nodes from ``x.labels + tail``: at ``n + i - 1``
+    # the block of ``x`` that holds middle point ``i`` (``x``'s ``i'``), and
+    # past ``x``'s at most ``2n`` blocks a fresh node for each block of ``g``
+    # without upper points.  ``first[b]`` is where the first middle point of
+    # ``g``'s upper block ``b`` is read (``g``'s labels are restricted-growth,
+    # so its upper blocks are numbered first).
+    first: list[int] = []
+    pairs = []
+    for k, b in enumerate(g.labels[:n], n):
+        if b < len(first):
+            pairs.append((first[b], k))
+        else:
+            first.append(k)
+    shift = 2 * n - len(first)  # the fresh node of any other block ``b``
+    lower = [first[b] if b < len(first) else b + shift for b in g.labels[n:]]
+    nodes = (max(g.labels) + 1 if n else 0) + shift
+    tail = tuple(range(2 * n, nodes))
+    # copied per product: copying a list is cheaper than building it
+    roots, blank = list(range(nodes)), [-1] * nodes
+
+    def by(x: Diagram) -> Diagram:
+        if x.n != n:
+            raise ValueError(f"degrees must match, got {x.n} and {n}")
+        labels = x.labels
+        if pairs:
+            parent = roots.copy()
+            # each lookup steps to the parent inline and calls ``_find``
+            # only when that parent is not yet a root
+            for p, q in pairs:
+                p = parent[labels[p]]
+                if parent[p] != p:
+                    p = _find(parent, p)
+                q = parent[labels[q]]
+                if parent[q] != q:
+                    q = _find(parent, q)
+                parent[q] = p
+            code = blank.copy()
+            out: list[int] = []
+            push = out.append
+            top = 0
+            for v in labels[:n]:
+                v = parent[v]
+                if parent[v] != v:
+                    v = _find(parent, v)
+                c = code[v]
+                if c < 0:
+                    c = code[v] = top
+                    top += 1
+                push(c)
+        else:
+            # nothing is joined: the upper row is restricted-growth, and its
+            # ``top`` labels keep their codes
+            parent = roots
+            out = list(labels[:n])
+            push = out.append
+            top = max(out) + 1 if n else 0
+            code = roots[:top] + blank[top:]
+        labels += tail
+        for k in lower:
+            v = parent[labels[k]]
+            if parent[v] != v:
+                v = _find(parent, v)
+            c = code[v]
+            if c < 0:
+                c = code[v] = top
+                top += 1
+            push(c)
+        # ``_canonical`` passed by position: the keyword costs a few percent
+        # here
+        return Diagram(n, tuple(out), True)
+
+    return by
 
 
 def identity(n: int) -> Diagram:

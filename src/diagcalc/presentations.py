@@ -392,14 +392,16 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
     """Evaluate both sides of every relation; report the first mismatch.
 
     Each distinct prefix of a relation side is multiplied out once per call,
-    as its longest proper prefix's value times the image of its last letter.
+    as its longest proper prefix's value times the image of its last letter,
+    through that image's map (:func:`diagcalc.partitions.multiply_by`).
     """
     value = {(): identity(pres.n)}
+    times = {symbol: partitions.multiply_by(image) for symbol, image in assignment.items()}
 
     def evaluate(word: Word) -> Diagram:
         d = value.get(word)
         if d is None:
-            d = value[word] = partitions.multiply(evaluate(word[:-1]), assignment[word[-1]])
+            d = value[word] = times[word[-1]](evaluate(word[:-1]))
         return d
 
     checked, witness = 0, None
@@ -734,14 +736,16 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
     outcome = enumerate_presented(pres, budget=budget)
     if outcome.status == "completed":
         # Row y, first reached from the earlier row x by letter a, evaluates
-        # to value[x] * image(a).  The root row is the empty word: the rows
-        # it reaches are the images, and in a semigroup it is no element.
+        # to value[x] * image(a), through the image's map.  The root row is
+        # the empty word: the rows it reaches are the images, and in a
+        # semigroup it is no element.
         images = pres.images
+        times = [partitions.multiply_by(image) for image in images]
         value: list = [identity(n)] + [None] * (len(outcome.table) - 1)
         for x, row in enumerate(outcome.table):
             for a, y in enumerate(row):
                 if value[y] is None:
-                    value[y] = partitions.multiply(value[x], images[a]) if x else images[a]
+                    value[y] = times[a](value[x]) if x else images[a]
         generated = set(value if monoid else value[1:])
     else:
         try:

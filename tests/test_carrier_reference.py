@@ -49,16 +49,33 @@ def assert_products(m, indices):
         assert m.diagram(m.product(i, j)) == multiply(m.diagram(i), m.diagram(j)), (i, j)
 
 
-@pytest.fixture
-def multiplies(monkeypatch):
-    real = engine.multiply
-    calls = [0]
+def count_products(monkeypatch, calls, on=(True,)):
+    """Count each product ``engine`` makes while ``on[0]`` into ``calls[0]``:
+    a one-off ``multiply``, or one application of a generator's
+    ``multiply_by`` map."""
+    real, real_by = engine.multiply, engine.multiply_by
 
     def counted(a, b):
-        calls[0] += 1
+        calls[0] += on[0]
         return real(a, b)
 
+    def counted_by(g):
+        by = real_by(g)
+
+        def times(x):
+            calls[0] += on[0]
+            return by(x)
+
+        return times
+
     monkeypatch.setattr(engine, "multiply", counted)
+    monkeypatch.setattr(engine, "multiply_by", counted_by)
+
+
+@pytest.fixture
+def multiplies(monkeypatch):
+    calls = [0]
+    count_products(monkeypatch, calls)
     return calls
 
 
@@ -144,8 +161,9 @@ def test_the_switch_hashes_each_product_it_multiplies_once(monkeypatch):
     switches to lookups: while it closes, a diagram is hashed only to intern
     a product it multiplies, never to map a carrier element back to its
     index."""
-    counts = {"multiply": 0, "hash": 0}
+    counts = {"hash": 0}
     during = [False]
+    products = [0]
 
     def counted(name, real):
         def wrapper(*args):
@@ -165,12 +183,35 @@ def test_the_switch_hashes_each_product_it_multiplies_once(monkeypatch):
 
     # the listing is itself a closure: it is built before the hooks go in
     listed = family("pnfd", 4)
-    monkeypatch.setattr(engine, "multiply", counted("multiply", engine.multiply))
     monkeypatch.setattr(Diagram, "__hash__", counted("hash", Diagram.__hash__))
+    count_products(monkeypatch, products, during)
     monkeypatch.setattr(engine, "_froidure_pin", closing)
     m = from_elements(4, listed)
-    assert counts["multiply"] > 0
-    assert counts["hash"] <= counts["multiply"]
+    assert products[0] > 0
+    assert counts["hash"] <= products[0]
+
+
+@pytest.mark.parametrize("name,n", [("pnfd", 4), ("ppnfd", 4), ("sing-tn", 3)])
+def test_each_product_is_multiplied_once_across_the_restarts(monkeypatch, name, n):
+    """Each picked generator keeps one memo through every greedy restart, so
+    no product ``x * g`` is made twice."""
+    listed = family(name, n)  # a closure itself: listed before the hook goes in
+    made = []
+    real_by = engine.multiply_by
+
+    def recording_by(g):
+        by = real_by(g)
+
+        def times(x):
+            made.append((x, g))
+            return by(x)
+
+        return times
+
+    monkeypatch.setattr(engine, "multiply_by", recording_by)
+    m = from_elements(n, listed)
+    assert len(m.generators) > 1
+    assert len(made) == len(set(made)) > 0
 
 
 def test_semigroup_without_identity():

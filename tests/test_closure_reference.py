@@ -17,7 +17,7 @@ import random
 import pytest
 
 from diagcalc.engine import BudgetExceeded, FiniteMonoid, closure
-from diagcalc.partitions import Diagram, all_diagrams, identity, multiply
+from diagcalc.partitions import Diagram, all_diagrams, identity, multiply, multiply_by
 from diagcalc.presentations import SCHEMA_NAMES, schema, standard_assignment
 
 
@@ -144,7 +144,18 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
         calls.append(1)
         return multiply(a, b)
 
+    # the closure multiplies through one map per generator
+    def counting_by(g):
+        by = multiply_by(g)
+
+        def times(x):
+            calls.append(1)
+            return by(x)
+
+        return times
+
     monkeypatch.setattr(engine, "multiply", counting)
+    monkeypatch.setattr(engine, "multiply_by", counting_by)
     m = closure(n, gens, monoid=monoid)
     assert len(calls) == expected
     # both Cayley graphs come with the closure: no further products needed

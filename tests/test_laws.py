@@ -662,23 +662,39 @@ def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refu
 def test_pinned_multiply_counts(monkeypatch, job, multiplies):
     # every product goes through the carrier's memo, so the number of
     # diagram multiplications is deterministic; a change in it is a
-    # regression (or a gain) to account for
+    # regression (or a gain) to account for.  A product is either a one-off
+    # ``multiply`` or one application of a generator's ``multiply_by`` map.
     import sys
 
     import diagcalc.partitions
 
-    real = diagcalc.partitions.multiply
+    real, real_by = diagcalc.partitions.multiply, diagcalc.partitions.multiply_by
     calls = [0]
 
     def counted(a, b):
         calls[0] += 1
         return real(a, b)
 
+    def counted_by(g):
+        by = real_by(g)
+
+        def times(x):
+            calls[0] += 1
+            return by(x)
+
+        return times
+
     # submodules only: the package resolves ``multiply`` on each lookup, and
-    # patching it would leave a copy in its globals after the undo
+    # patching it would leave a copy in its globals after the undo.
+    # ``partitions`` keeps its own ``multiply_by``, which its ``multiply``
+    # calls, so that a one-off product is counted once.
     for name, module in list(sys.modules.items()):
-        if name.startswith("diagcalc.") and getattr(module, "multiply", None) is real:
+        if not name.startswith("diagcalc."):
+            continue
+        if getattr(module, "multiply", None) is real:
             monkeypatch.setattr(module, "multiply", counted)
+        if name != "diagcalc.partitions" and getattr(module, "multiply_by", None) is real_by:
+            monkeypatch.setattr(module, "multiply_by", counted_by)
     job()
     assert calls[0] == multiplies
 

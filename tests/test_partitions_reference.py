@@ -10,7 +10,10 @@ from all diagrams by the reference ``classify``.  ``ref_multiply`` is the
 product that ``multiply``'s block-level union-find replaced: a union-find over
 all ``3n`` points whose output goes through ``Diagram``'s normalising
 constructor.  Both sides must agree on every diagram (or pair) at small
-degree and on seeded random ones above that.
+degree and on seeded random ones above that.  ``ref_multiply`` is also the
+oracle of ``multiply_by``, whose map for one right factor is applied to
+many left factors: every pair at small degree, and every generator image
+of every family against seeded random diagrams above that.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 from diagcalc.counting import FAMILY_COUNTS
 from diagcalc.partitions import (
     FAMILY_NAMES,
+    GENERATORS,
     MEMBERS,
     Diagram,
     Membership,
@@ -33,6 +37,7 @@ from diagcalc.partitions import (
     from_transformation,
     identity,
     multiply,
+    multiply_by,
 )
 from diagcalc.equivalences import (
     Equivalence,
@@ -291,6 +296,62 @@ def test_multiply_matches_reference_random(n):
     rng = random.Random(2000 + n)
     pool = list(_random_diagrams(rng, n))
     assert_products_match((rng.choice(pool), rng.choice(pool)) for _ in range(3000))
+
+
+def assert_maps_match(g, xs) -> None:
+    """One ``multiply_by(g)`` applied to every ``x`` against ``ref_multiply``."""
+    by = multiply_by(g)
+    for x in xs:
+        got = by(x)
+        assert got == ref_multiply(x, g), (x, g)
+        assert type(got.labels) is tuple, (x, g)
+        assert got.labels == Diagram(got.n, got.labels).labels, (x, g)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_multiply_by_matches_reference_exhaustively(n):
+    # degrees 0 and 1 included; n = 3 is all 203 maps on all 203 diagrams
+    listed = list(all_diagrams(n))
+    for g in listed:
+        assert_maps_match(g, listed)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_multiply_by_matches_reference_on_every_generator(n):
+    rng = random.Random(3000 + n)
+    pool = list(_random_diagrams(rng, n))
+    images = {image for name in FAMILY_NAMES for _, image in GENERATORS[name](n)[1]}
+    for g in sorted(images):
+        assert_maps_match(g, rng.sample(pool, 60))
+
+
+@pytest.mark.parametrize("g", [identity(0), identity(1), from_transformation([1]),
+                               Diagram.from_text("[[1],[-1]]"), identity(3),
+                               Diagram.from_text("[[1,2,-1],[3,-2,-3]]")],
+                         ids=lambda g: g.text())
+def test_multiply_by_rejects_another_degree(g):
+    # both kinds of map: one that joins no middle points and one that does
+    by = multiply_by(g)
+    for n in {0, 1, 2, 4} - {g.n}:
+        x = identity(n)
+        with pytest.raises(ValueError) as caught:
+            by(x)
+        assert str(caught.value) == f"degrees must match, got {n} and {g.n}"
+        with pytest.raises(ValueError) as caught_multiply:
+            multiply(x, g)
+        assert str(caught_multiply.value) == str(caught.value)
+
+
+def test_multiply_by_at_degrees_zero_and_one():
+    empty = identity(0)
+    assert multiply_by(empty)(empty) == empty == multiply(empty, empty)
+    singles = list(all_diagrams(1))
+    assert [d.text() for d in singles] == ["[[1,-1]]", "[[1],[-1]]"]
+    strand, apart = singles
+    for g in singles:
+        by = multiply_by(g)
+        assert by(strand) == g
+        assert by(apart) == apart
 
 
 @pytest.mark.parametrize("n", range(4))
