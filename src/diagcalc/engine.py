@@ -37,7 +37,7 @@ import weakref
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
-from .equivalences import Equivalence, _normalize, _Record, join
+from .equivalences import Equivalence, _Memo, _normalize, _Record, join
 from .partitions import (FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, identity, multiply,
                          multiply_by)
 
@@ -47,8 +47,8 @@ DEFAULT_BUDGET = 2_000_000
 class BudgetExceeded(Exception):
     """Raised when a closure or enumeration outgrows its element budget."""
 
-    def __init__(self, budget: int, message: str = ""):
-        super().__init__(message or f"budget of {budget} elements exceeded")
+    def __init__(self, budget: int):
+        super().__init__(f"budget of {budget} elements exceeded")
         self.budget = budget
 
 
@@ -69,21 +69,10 @@ class CheckReport(_Record):
         }
 
 
-# The memo is made of dicts whose ``__missing__`` computes an entry on its
-# first read, so a read of a known entry is one C-level lookup.
-
-
-class _Table(dict):
-    """``table[i]`` is the :class:`_Row` of products ``i * j``."""
-
-    __slots__ = ("monoid",)
-
-    def __init__(self, monoid: "FiniteMonoid"):
-        self.monoid = monoid
-
-    def __missing__(self, i: int) -> "_Row":
-        row = self[i] = _Row(self.monoid, i)
-        return row
+# A carrier's ``table`` and its ``unary`` images are ``_Memo`` tables,
+# filled on first read, so a read of a known entry is one C-level lookup.
+# A row of ``table`` is a ``_Row``, a dict class of its own because its
+# ``__missing__`` reads the row's own earlier entries.
 
 
 class _Row(dict):
@@ -110,50 +99,17 @@ class _Row(dict):
         return k
 
 
-class _Images(dict):
-    """``images[i]`` is the ambient index of ``op(diagram(i))``."""
-
-    __slots__ = ("monoid", "op")
-
-    def __init__(self, monoid: "FiniteMonoid", op: Callable[[Diagram], Diagram]):
-        self.monoid = monoid
-        self.op = op
-
-    def __missing__(self, i: int) -> int:
-        k = self[i] = self.monoid.intern(self.op(self.monoid.diagram(i)))
-        return k
-
-
-class _Positions(dict):
-    """``positions[i]`` is the position in ``elems`` of ``elems[i] * g``,
-    for ``g = elems[j]``, computed through ``g``'s map on its first read."""
-
-    __slots__ = ("elems", "position", "g", "by")
-
-    def __init__(self, elems: list[Diagram], position: dict[Diagram, int], j: int):
-        self.elems, self.position, self.g = elems, position, elems[j]
-        self.by = multiply_by(self.g)
-
-    def __missing__(self, i: int) -> int:
-        d = self.by(self.elems[i])
-        k = self[i] = self.position.get(d, -1)
-        if k < 0:
-            raise ValueError(f"the set is not closed: "
-                             f"{self.elems[i].text()} * {self.g.text()} = {d.text()}")
-        return k
-
-
 class FiniteMonoid:
     """A finite diagram monoid (or semigroup) with interned elements.
 
     ``elements`` is in discovery order; ``tree`` is the word tree ``(prefix,
     last)`` of :func:`_froidure_pin`, read by :meth:`word_for`.
-    ``identity_index`` is ``None`` for carriers without an identity (e.g.
-    singular subsemigroups).  The carrier is closed under multiplication and
-    generated by ``generators`` (and its identity): ``right[k][g]`` is the
-    index of ``elements[k] * generator_g`` and ``left[k][g]`` that of
-    ``generator_g * elements[k]``, and products of its elements are looked
-    up along ``tree``.
+    ``identity_index`` is the index of the identity diagram, or ``None``
+    for carriers without one (e.g. singular subsemigroups).  The carrier is
+    closed under multiplication and generated by ``generators`` (and its
+    identity): ``right[k][g]`` is the index of ``elements[k] * generator_g``
+    and ``left[k][g]`` that of ``generator_g * elements[k]``, and products
+    of its elements are looked up along ``tree``.
 
     Ambient indices: ``0 .. len(m) - 1`` are the carrier's elements, and
     :meth:`intern` gives any other diagram of the same degree the next free
@@ -173,7 +129,6 @@ class FiniteMonoid:
         generators: list[int],
         tree: tuple[Sequence[int], Sequence[int]],
         right: list[list[int]],
-        identity_index: int | None,
         symbols: Sequence[str] | None = None,
         *,
         left: list[list[int]],
@@ -186,16 +141,16 @@ class FiniteMonoid:
         self._tree = tree
         self.right = right
         self.left = left
-        self.identity_index = identity_index
+        self.identity_index = self.index.get(identity(n))
         self.symbols = tuple(symbols) if symbols is not None else None
         self._canonical: list[int] | None = None
         self._escapes: list[Diagram] = []
         self._escape_index: dict[Diagram, int] = {}
         # the memo reaches its carrier through a weak proxy, so a carrier
         # nobody holds is freed at once rather than by the cycle collector
-        self._proxy = weakref.proxy(self)
-        self.table = _Table(self._proxy)
-        self._images: dict[Callable[[Diagram], Diagram], _Images] = {}
+        m = weakref.proxy(self)
+        self.table = _Memo(lambda i: _Row(m, i))
+        self._images = _Memo(lambda op: _Memo(lambda i: m.intern(op(m.diagram(i)))))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -225,13 +180,10 @@ class FiniteMonoid:
         """Ambient index of ``diagram(i) * diagram(j)``: ``table[i][j]``."""
         return self.table[i][j]
 
-    def unary(self, op: Callable[[Diagram], Diagram]) -> _Images:
+    def unary(self, op: Callable[[Diagram], Diagram]) -> _Memo:
         """``op`` on ambient indices, read as ``images[i]``; each image is
         computed once per monoid."""
-        images = self._images.get(op)
-        if images is None:
-            images = self._images[op] = _Images(self._proxy, op)
-        return images
+        return self._images[op]
 
     def canonical_order(self) -> list[int]:
         """Element indices sorted by canonical encoding (for witness scans)."""
@@ -367,8 +319,7 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
     times = [multiply_by(g) for g in generators]
     elements, index, letter, tree, right, left = _froidure_pin(generators, times,
                                                                one if monoid else None, budget)
-    return FiniteMonoid(n, elements, letter, tree, right, index.get(one), symbols,
-                        left=left, index=index)
+    return FiniteMonoid(n, elements, letter, tree, right, symbols, left=left, index=index)
 
 
 def carrier(name: str, n: int) -> FiniteMonoid:
@@ -426,6 +377,18 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     position = {d: k for k, d in enumerate(elems)}
     seed = position.get(identity(n))
 
+    def times_by(g: Diagram) -> Callable[[int], int]:
+        by = multiply_by(g)
+
+        def position_of(x: int) -> int:
+            d = by(elems[x])
+            k = position.get(d, -1)
+            if k < 0:
+                raise ValueError(f"the set is not closed: "
+                                 f"{elems[x].text()} * {g.text()} = {d.text()}")
+            return k
+        return _Memo(position_of).__getitem__
+
     gens: list[int] = []
     times: list[Callable[[int], int]] = []
     found = _froidure_pin(gens, times, seed, size)
@@ -434,11 +397,10 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
             break
         if k not in found[1]:  # not generated yet
             gens.append(k)
-            times.append(_Positions(elems, position, k).__getitem__)
+            times.append(times_by(elems[k]))
             found = _froidure_pin(gens, times, seed, size)
     at, _, letter, tree, right, left = found
-    return FiniteMonoid(n, [elems[a] for a in at], letter, tree, right,
-                        None if seed is None else 0, left=left)
+    return FiniteMonoid(n, [elems[a] for a in at], letter, tree, right, left=left)
 
 
 # -- Green's relations ----------------------------------------------------

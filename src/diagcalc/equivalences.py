@@ -24,7 +24,7 @@ an interval.  Planar relations are exactly the ones that admit a cap: see
 from __future__ import annotations
 
 import json
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
 def _normalize(labels: Iterable[Hashable]) -> tuple[int, ...]:
@@ -77,19 +77,16 @@ class _Canonical:
     """Comparisons and text shared by :class:`Equivalence` and ``Diagram``:
     both are a size ``n`` and a canonical (restricted-growth) label
     sequence, and both are written as the JSON list of their groups
-    (classes or signed blocks) without spaces."""
+    (classes or signed blocks) without spaces.  Equality and the hash read
+    the labels alone, whose length fixes ``n`` within a class."""
 
     __slots__ = ("n", "labels")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, self.__class__)
-            and self.n == other.n
-            and self.labels == other.labels
-        )
+        return isinstance(other, self.__class__) and self.labels == other.labels
 
     def __hash__(self) -> int:
-        return hash((self.n, self.labels))
+        return hash(self.labels)
 
     def __lt__(self, other: "_Canonical") -> bool:
         return (self.n, self.labels) < (other.n, other.labels)
@@ -160,6 +157,21 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Memo(dict):
+    """A table filled on first read: ``memo[key]`` is ``fill(key)``,
+    computed and stored the first time it is read, so a read of a known
+    entry is one C-level lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable[[Hashable], object]):
+        self.fill = fill
+
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self.fill(key)
+        return value
 
 
 class Equivalence(_Canonical):

@@ -45,7 +45,7 @@ from typing import Callable, Iterable
 from . import engine, partitions
 from .counting import FAMILY_COUNTS
 from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
-from .equivalences import _find, _Record
+from .equivalences import _find, _Memo, _Record
 from .partitions import (
     GENERATORS,
     MEMBERS,
@@ -395,20 +395,15 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
     as its longest proper prefix's value times the image of its last letter,
     through that image's map (:func:`diagcalc.partitions.multiply_by`).
     """
-    value = {(): identity(pres.n)}
     times = {symbol: partitions.multiply_by(image) for symbol, image in assignment.items()}
-
-    def evaluate(word: Word) -> Diagram:
-        d = value.get(word)
-        if d is None:
-            d = value[word] = times[word[-1]](evaluate(word[:-1]))
-        return d
+    value = _Memo(lambda word: times[word[-1]](value[word[:-1]]))
+    value[()] = identity(pres.n)
 
     checked, witness = 0, None
     for lhs, rhs in pres.relations:
         checked += 1
-        left = evaluate(lhs)
-        right = evaluate(rhs)
+        left = value[lhs]
+        right = value[rhs]
         if left != right:
             witness = (" ".join(lhs) or "1", " ".join(rhs) or "1", left.text(), right.text())
             break

@@ -57,10 +57,9 @@ def bfs_words(n, generators, *, monoid=True, budget=2_000_000):
         right.append(row)
         scan += 1
 
-    ident = index.get(identity(n))
     left = [[index[multiply(g, d)] for g in generators] for d in elements]
     m = FiniteMonoid(
-        n, elements, [index[g] for g in generators], (prefix, last), right, ident, left=left,
+        n, elements, [index[g] for g in generators], (prefix, last), right, left=left,
     )
     return m, rep_words
 

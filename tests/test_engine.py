@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -218,6 +220,37 @@ def test_ambient_products_and_images(build):
             m.word_for(d)
     assert all(row_k < len(m) for row in m.right for row_k in row)
     assert all(row_k < len(m) for row in m.left for row_k in row)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: carrier("pnfd", 3),
+    lambda: closure(3, list(standard_assignment("on", 3).values())),
+    lambda: from_elements(3, family("ppnfd", 3)),
+], ids=["carrier", "closure", "from_elements"])
+def test_a_carrier_nobody_holds_is_freed_without_the_cycle_collector(build):
+    # every memo reaches its carrier through a weak proxy; a memo that held
+    # the carrier itself would make a cycle that only the collector frees
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = build()
+        size = len(m)
+        for i in range(size):
+            for j in range(size):
+                m.table[i][j]
+        # not full-domain, so outside each of the three carriers
+        escape = m.intern(Diagram.from_text("[[1],[2,-2],[3,-3],[-1]]"))
+        assert escape == size
+        m.table[0][escape]
+        images = m.unary(domain_projection)
+        for k in range(size + 1):
+            images[k]
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_word_for():

@@ -20,7 +20,7 @@ from diagcalc.partitions import (
     range_projection,
     transposition,
 )
-from diagcalc import presentations
+from diagcalc import partitions, presentations
 from diagcalc.presentations import (
     SCHEMA_NAMES,
     Presentation,
@@ -297,6 +297,32 @@ def ref_check_soundness(pres, assignment):
             witness = (" ".join(lhs) or "1", " ".join(rhs) or "1", left.text(), right.text())
             return False, witness, checked
     return True, None, checked
+
+
+@pytest.mark.parametrize("name,n", [("full-yq", 4), ("sing-xr", 3)])
+def test_soundness_multiplies_each_distinct_prefix_once(monkeypatch, name, n):
+    applied = []
+    plain_by = partitions.multiply_by
+
+    def counting_by(g):
+        by = plain_by(g)
+
+        def times(x):
+            applied.append(1)
+            return by(x)
+
+        return times
+
+    monkeypatch.setattr(partitions, "multiply_by", counting_by)
+    pres = schema(name, n)
+    rep = check_soundness(pres, standard_assignment(name, n))
+    assert rep.holds
+    sides = [side for relation in pres.relations for side in relation]
+    prefixes = {side[:k] for side in sides for k in range(1, len(side) + 1)}
+    # the sides share prefixes, so multiplying each side out on its own
+    # would apply more maps than there are distinct prefixes
+    assert len(prefixes) < sum(map(len, sides))
+    assert len(applied) == len(prefixes)
 
 
 @pytest.mark.parametrize("n", range(2, 5))
