@@ -18,11 +18,12 @@ entry read for the first time is computed then and memoised.  Every carrier
 is closed under multiplication, so the product of two of its elements is
 looked up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one
 read of the right Cayley table past the product with the prefix of ``j``'s
-word (Froidure & Pin, 1997).  Only products with a diagram interned past
-the carrier are multiplied, each by a one-off
-:func:`~diagcalc.partitions.multiply`.  :func:`carrier` is each standard
-family as the closure of its generators, certified against its count and
-membership rule; :func:`from_elements` builds a carrier the way
+word (Froidure & Pin, 1997); :meth:`FiniteMonoid.columns` reads whole
+columns of such products the same way, without storing them.  Only
+products with a diagram interned past the carrier are multiplied, each by
+a one-off :func:`~diagcalc.partitions.multiply`.  :func:`carrier` is each
+standard family as the closure of its generators, certified against its
+count and membership rule; :func:`from_elements` builds a carrier the way
 :func:`closure` does, from a generating set it picks inside an explicit
 element set.
 
@@ -78,22 +79,40 @@ class CheckReport(_Record):
 class _Row(dict):
     """``row[j]`` is the ambient index of ``i * j``."""
 
-    __slots__ = ("monoid", "i")
+    __slots__ = ("monoid", "i", "size", "prefix", "last", "right")
 
     def __init__(self, monoid: "FiniteMonoid", i: int):
+        # the lookup reads the carrier's tables from the row itself; only a
+        # product that leaves the carrier goes through ``monoid``, a proxy
         self.monoid = monoid
         self.i = i
+        self.size = len(monoid.elements)
+        self.prefix, self.last = monoid._tree
+        self.right = monoid.right
 
     def __missing__(self, j: int) -> int:
-        m, i = self.monoid, self.i
-        size = len(m.elements)
+        i, size = self.i, self.size
         if i < size and j < size:
-            # i * j = (i * prefix(j)) * last(j); the prefix's product is
-            # itself looked up, and kept, on the way
-            prefix, last = m._tree
-            p, a = prefix[j], last[j]
-            k = i if a < 0 else m.right[i if p < 0 else self[p]][a]
+            # i * j = (i * prefix(j)) * last(j); when the prefix's product is
+            # not in the row yet, it is read down the path from the longest
+            # prefix of j's word that is, and the path's products are kept
+            prefix, last, right = self.prefix, self.last, self.right
+            p = prefix[j]
+            k = i if p < 0 else self.get(p)
+            if k is None:
+                path = [p]
+                p = prefix[p]
+                while p >= 0 and p not in self:
+                    path.append(p)
+                    p = prefix[p]
+                k = i if p < 0 else self[p]
+                for q in reversed(path):  # a prefix is never the empty word
+                    k = self[q] = right[k][last[q]]
+            a = last[j]
+            if a >= 0:
+                k = right[k][a]
         else:
+            m = self.monoid
             k = m.intern(multiply(m.diagram(i), m.diagram(j)))
         self[j] = k
         return k
@@ -179,6 +198,45 @@ class FiniteMonoid:
     def product(self, i: int, j: int) -> int:
         """Ambient index of ``diagram(i) * diagram(j)``: ``table[i][j]``."""
         return self.table[i][j]
+
+    def columns(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
+        """``[[i * j for i in rows] for j in cols]``, for carrier indices only.
+
+        Each column is read as :class:`_Row` reads one product, batched over
+        ``rows``: the column of ``j`` is that of ``prefix(j)`` moved by the
+        right Cayley table's ``last(j)`` entries, and the column of the empty
+        word is ``rows``.  Columns of prefixes that several words share are
+        computed once.  Nothing is multiplied and nothing is stored in
+        ``table``; an index outside the carrier raises ``ValueError``.  An
+        index repeated in ``cols`` gets the same list each time.
+
+        >>> m = carrier("tn", 2)
+        >>> m.columns(range(4), [1]) == [[m.table[i][1] for i in range(4)]]
+        True
+        """
+        size = len(self.elements)
+        rows = list(rows)
+        for k in (*rows, *cols):
+            if not 0 <= k < size:
+                raise ValueError(f"{k} is not a carrier index of a monoid of {size} elements")
+        prefix, last = self._tree
+        right = self.right
+        known: dict[int, list[int]] = {}  # the column of each word read so far
+        out = []
+        for j in cols:
+            path = []
+            k = j
+            while k >= 0 and k not in known:
+                path.append(k)
+                k = prefix[k]
+            col = rows if k < 0 else known[k]
+            for q in reversed(path):
+                a = last[q]
+                if a >= 0:
+                    col = [right[x][a] for x in col]
+                known[q] = col
+            out.append(known[j])
+        return out
 
     def unary(self, op: Callable[[Diagram], Diagram]) -> _Memo:
         """``op`` on ambient indices, read as ``images[i]``; each image is

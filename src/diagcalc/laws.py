@@ -15,7 +15,9 @@ Everything here runs on the indices of one carrier, a
 both of its sets together): products are read as
 ``T[a][b]`` from its ``table`` and an operation's images as ``X[a]`` from
 :meth:`~diagcalc.engine.FiniteMonoid.unary`, so no product or image is
-computed twice.  A law term that leaves the carrier is interned in the
+computed twice.  An action pair, which reads every product of one set with
+the other, reads them a whole column at a time with
+:meth:`~diagcalc.engine.FiniteMonoid.columns` instead.  A law term that leaves the carrier is interned in the
 carrier's ambient and still evaluated there, so an operation that is not
 closed hides none of the equational axioms.
 
@@ -365,49 +367,45 @@ def check_action_pair(
     action is also validated against ``u^s = R(us)``.  Both carriers are
     interned, in canonical order, into the closure of their generators
     together, a monoid that is ``S U`` (with U, S and the identity) when A1
-    holds; every product ``s u`` and ``u s`` is then a read of its table,
-    and that closure is the only place anything is multiplied.  A closure
-    past ``budget`` elements raises :class:`~diagcalc.engine.BudgetExceeded`.
+    holds; every product ``s u`` and ``u s`` is then read from that
+    closure's word tree and right Cayley table, a whole column at a time
+    (:meth:`~diagcalc.engine.FiniteMonoid.columns`), and that closure is
+    the only place anything is multiplied.  A closure past ``budget``
+    elements raises :class:`~diagcalc.engine.BudgetExceeded`.
     """
     m = engine.closure(u.n, [c.elements[g] for c in (u, s) for g in c.generators],
                        monoid=True, budget=budget)
     U = [m.intern(u.elements[k]) for k in u.canonical_order()]
     S = [m.intern(s.elements[k]) for k in s.canonical_order()]
-    T = m.table
+    su = m.columns(S, U)  # su[k][x] is S[x] * U[k]
     counts = {"U": len(U), "S": len(S)}
 
     # A2 first (it is what makes the action well-defined): group the
     # products s*u by value and require a unique u in every fibre
     fibre = [-1] * len(m)  # by product, the position of its u in U
-    for t in S:
-        row = T[t]
-        for k, v in enumerate(U):
-            p = row[v]
+    for t, row in zip(S, zip(*su)):
+        for k, p in enumerate(row):
             if fibre[p] < 0:
                 fibre[p] = k
             elif fibre[p] != k:
-                return CheckReport(name + "-A2", False, _texts(m, t, v, U[fibre[p]]), counts)
+                return CheckReport(name + "-A2", False, _texts(m, t, U[k], U[fibre[p]]), counts)
 
     # A1: us must equal sv for some v in U, and that v is the action u^s;
     # for projections it must also be R(us).  By A2 the only candidate v is
-    # the u of us's fibre.  A1 reads each row T[v] once, so it drops the row
-    # after its loop, unless it is an A2 row T[t], which A1 reads again.
+    # the u of us's fibre.
+    us = m.columns(U, S)  # us[x][k] is U[k] * S[x]
+    T = m.table
     D, R = _projections(m)
     projections = all(T[v][v] == v and D[v] == v and R[v] == v for v in U)
     holds = True
     witness: tuple[str, ...] = ()
-    kept = set(S)
-    for v in U:
-        row = T[v]
-        for t in S:
-            p = row[t]
+    for v, row in zip(U, zip(*us)):
+        for x, p in enumerate(row):
             k = fibre[p]
-            if k < 0 or T[t][U[k]] != p:
-                return CheckReport(name + "-A1", False, _texts(m, v, t), counts)
+            if k < 0 or su[k][x] != p:
+                return CheckReport(name + "-A1", False, _texts(m, v, S[x]), counts)
             if projections and holds and U[k] != R[p]:
-                holds, witness = False, _texts(m, v, t, U[k])
-        if v not in kept:
-            del T[v]
+                holds, witness = False, _texts(m, v, S[x], U[k])
     if projections:
         counts["projection_formula_checked"] = 1
     return CheckReport(name, holds, witness, counts)

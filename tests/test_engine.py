@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from diagcalc import engine
+from diagcalc import engine, laws
 from diagcalc.cli import main
 from diagcalc.counting import FAMILY_COUNTS
 from diagcalc.engine import (
@@ -245,12 +245,59 @@ def test_a_carrier_nobody_holds_is_freed_without_the_cycle_collector(build):
         images = m.unary(domain_projection)
         for k in range(size + 1):
             images[k]
+        m.columns(range(size), range(size))
         ref = weakref.ref(m)
         del m
         assert ref() is None
     finally:
         if enabled:
             gc.enable()
+
+
+def _columns_agree(m, rows, cols):
+    # read before ``table`` is, so a column that were memoised would show
+    got = m.columns(rows, cols)
+    assert len(m.table) == 0
+    assert got == [[m.table[i][j] for i in rows] for j in cols]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_columns_are_table_reads_on_every_family(name, n):
+    m = carrier(name, n)
+    everything = range(len(m))
+    _columns_agree(m, everything, everything)
+
+
+@pytest.mark.parametrize("pair", sorted(laws.ACTION_PAIRS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_columns_are_table_reads_on_each_joint_closure(pair, n):
+    u, s = laws.action_pair_elements(pair, n)
+    m = closure(n, [c.elements[g] for c in (u, s) for g in c.generators])
+    everything = range(len(m))
+    _columns_agree(m, everything, everything)
+
+
+@pytest.mark.parametrize("name,n,seed", [("pnfd", 5, 5), ("ppnfd", 6, 6)])
+def test_columns_are_table_reads_on_random_indices(name, n, seed):
+    m = carrier(name, n)
+    rng = random.Random(seed)
+    # unsorted and with repeats, so shared and repeated words occur
+    rows = [rng.randrange(len(m)) for _ in range(150)]
+    cols = [rng.randrange(len(m)) for _ in range(150)] + [m.identity_index] + m.generators
+    _columns_agree(m, rows, cols)
+
+
+def test_columns_of_nothing_and_of_escapes():
+    m = carrier("pnfd", 3)
+    size = len(m)
+    assert m.columns([], range(size)) == [[] for _ in range(size)]
+    assert m.columns(range(size), []) == []
+    escape = m.intern(Diagram.from_text("[[1],[2,-2],[3,-3],[-1]]"))
+    for rows, cols in [([0, escape], [0]), ([0], [escape]), ([-1], [0]), ([0], [size + 1])]:
+        with pytest.raises(ValueError):
+            m.columns(rows, cols)
+    assert len(m.table) == 0
 
 
 def test_word_for():
