@@ -215,7 +215,7 @@ class FiniteMonoid:
         True
         """
         size = len(self.elements)
-        rows = list(rows)
+        rows, cols = list(rows), list(cols)
         for k in (*rows, *cols):
             if not 0 <= k < size:
                 raise ValueError(f"{k} is not a carrier index of a monoid of {size} elements")
@@ -478,52 +478,46 @@ class GreenClasses(_Record):
         }
 
 
-def _strongly_connected(size: int, edges: list[list[int]]) -> tuple[int, ...]:
-    """Component id per node (iterative Tarjan), ids relabelled by least node."""
-    indexes = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    comp = [-1] * size
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
+def _strongly_connected(size: int, edges: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Component id per node of the digraph ``node -> edges[node]``, ids
+    relabelled by least node; a row may repeat targets, in any order.
+
+    Kosaraju: list the nodes as a depth-first search finishes them, then
+    search the reversed graph from each unplaced node, last finished first.
+
+    >>> _strongly_connected(5, [[1, 1], [0, 2], [3], [2, 2], [4]])
+    (0, 0, 1, 1, 2)
+    """
+    seen = [False] * size
+    finished: list[int] = []
     for root in range(size):
-        if indexes[root] != -1:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work.pop()
-            if ptr == 0:
-                indexes[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            targets = edges[node]
-            while ptr < len(targets):
-                nxt = targets[ptr]
-                ptr += 1
-                if indexes[nxt] == -1:
-                    work.append((node, ptr))
-                    work.append((nxt, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            node, targets = stack[-1]
+            for nxt in targets:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append((nxt, iter(edges[nxt])))
                     break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], indexes[nxt])
-            if advanced:
-                continue
-            if low[node] == indexes[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp[member] = ncomp
-                    if member == node:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    # relabel components by their least member so the ids are canonical
+            else:
+                stack.pop()
+                finished.append(node)
+    reverse: list[list[int]] = [[] for _ in range(size)]
+    for node, targets in enumerate(edges):
+        for nxt in targets:
+            reverse[nxt].append(node)
+    comp = [-1] * size
+    for root in reversed(finished):
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            if comp[node] < 0:
+                comp[node] = root
+                todo += reverse[node]
+    del reverse  # the largest list here, freed before the relabelling allocates
     return _normalize(comp)
 
 
@@ -531,11 +525,12 @@ def green(m: FiniteMonoid) -> GreenClasses:
     """Green's R, L, J and H classes of a carrier closed under multiplication.
 
     R and L are the strongly connected components of the right and left
-    Cayley graphs; in a finite semigroup J = D = R ∨ L, and H = R ∧ L.
+    Cayley graphs, read from ``m.right`` and ``m.left`` as they are; in a
+    finite semigroup J = D = R ∨ L, and H = R ∧ L.
     """
     size = len(m)
-    r_of = _strongly_connected(size, [sorted(set(row)) for row in m.right])
-    l_of = _strongly_connected(size, [sorted(set(row)) for row in m.left])
+    r_of = _strongly_connected(size, m.right)
+    l_of = _strongly_connected(size, m.left)
     j_of = join(Equivalence(size, r_of), Equivalence(size, l_of)).labels
     return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
 
@@ -582,15 +577,16 @@ def band_type(m: FiniteMonoid) -> BandReport:
 def units_and_singular(m: FiniteMonoid) -> tuple[list[int], list[int]]:
     """Indices of the invertible elements and of everything else.
 
-    The units of a finite monoid are the H-class of its identity (Howie,
-    *Fundamentals of Semigroup Theory*, 1995, ch. 2), read off :func:`green`.
+    In a finite monoid an element with a right inverse is a unit, so the
+    units are the R-class of the identity (Howie, *Fundamentals of Semigroup
+    Theory*, 1995, ch. 2): its component in the right Cayley graph.
     """
     if m.identity_index is None:
         return [], list(range(len(m)))
-    h_of = green(m).h_class_of
-    unit_class = h_of[m.identity_index]
-    units = [x for x in range(len(m)) if h_of[x] == unit_class]
-    return units, [x for x in range(len(m)) if h_of[x] != unit_class]
+    r_of = _strongly_connected(len(m), m.right)
+    unit_class = r_of[m.identity_index]
+    units = [x for x in range(len(m)) if r_of[x] == unit_class]
+    return units, [x for x in range(len(m)) if r_of[x] != unit_class]
 
 
 # -- Cayley graph export ---------------------------------------------------

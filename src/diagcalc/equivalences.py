@@ -250,21 +250,14 @@ class Equivalence(_Canonical):
         return noncrossing(self.labels)
 
     def is_convex(self) -> bool:
-        """Every class an interval.
+        """Every class an interval: the restricted-growth row never falls.
 
         >>> Equivalence.from_text("[[1,2],[3],[4,5]]").is_convex()
         True
         >>> Equivalence.from_text("[[1,3],[2]]").is_convex()
         False
         """
-        first: dict[int, int] = {}
-        count: dict[int, int] = {}
-        for pos, label in enumerate(self.labels):
-            first.setdefault(label, pos)
-            count[label] = count.get(label, 0) + 1
-            if pos - first[label] + 1 != count[label]:
-                return False
-        return True
+        return list(self.labels) == sorted(self.labels)
 
 
 def diagonal(n: int) -> Equivalence:
@@ -399,20 +392,16 @@ def cap_word(eq: Equivalence) -> tuple[tuple[int, int], ...]:
     """Successor letters ``(x, successor(x))`` for the planar relation.
 
     One letter per point that is not the maximum of its class, in point
-    order.  Evaluating the letters as interval caps multiplies out to the
-    cap diagram of ``eq`` (see :func:`diagcalc.partitions.cap`).
+    order: the consecutive members of each class, sorted.  Evaluating the
+    letters as interval caps multiplies out to the cap diagram of ``eq``
+    (see :func:`diagcalc.partitions.cap`).
 
     >>> cap_word(Equivalence.from_text("[[1,5,6],[2,3],[4],[7,8]]"))
     ((1, 5), (2, 3), (5, 6), (7, 8))
     """
     if not eq.is_planar():
         raise ValueError("cap machinery needs a planar relation")
-    letters = []
-    for x in range(1, eq.n + 1):
-        k = successor(eq, x)
-        if k != x:
-            letters.append((x, k))
-    return tuple(letters)
+    return tuple(sorted(pair for block in eq.classes() for pair in zip(block, block[1:])))
 
 
 def bricks(eq: Equivalence) -> tuple[tuple[tuple[int, int], ...], ...]:

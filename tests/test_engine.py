@@ -288,6 +288,12 @@ def test_columns_are_table_reads_on_random_indices(name, n, seed):
     _columns_agree(m, rows, cols)
 
 
+def test_columns_take_one_shot_iterators():
+    m = carrier("tn", 2)
+    assert m.columns(range(4), iter([1])) == [[1, 0, 3, 2]]
+    assert m.columns(iter(range(4)), iter([1])) == [[1, 0, 3, 2]]
+
+
 def test_columns_of_nothing_and_of_escapes():
     m = carrier("pnfd", 3)
     size = len(m)

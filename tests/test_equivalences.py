@@ -124,6 +124,14 @@ def test_planar_and_convex_predicates():
             assert e.is_planar()
 
 
+def test_convex_means_every_class_is_an_interval():
+    # exhaustive against the definition, n = 0 .. 8 (5,296 relations)
+    for n in range(9):
+        for e in all_equivalences(n):
+            intervals = all(block == tuple(range(block[0], block[-1] + 1)) for block in e.classes())
+            assert e.is_convex() == intervals, e.text()
+
+
 def test_planar_equivalences_not_join_closed():
     # at n = 4 the planar equivalences stop being closed under joins;
     # find a witness automatically rather than hard-coding one
@@ -212,7 +220,7 @@ def test_cap_word_and_bricks():
 
 def test_cap_word_letters_follow_successors():
     # the word lists (x, suc(x)) for every non-maximal x, in x order
-    for n in range(1, 7):
+    for n in range(1, 9):
         for e in all_equivalences(n):
             if not e.is_planar():
                 continue

@@ -1,38 +1,96 @@
-"""Differential test: Green-derived J-classes and units against their oracles.
+"""Differential test: Green's relations and the units against their oracles.
 
-``green`` reads J as the join of R and L (J = D = R ∨ L in a finite
-semigroup), and ``units_and_singular`` reads the units as the identity's
-H-class.  ``ref_green`` below is the ``green`` they replaced, with its third
-strongly-connected-components pass over the union of both Cayley graphs,
-and ``ref_units_and_singular`` is the pairwise search for two-sided
-inverses.  Both are kept as the oracle.
+``green`` reads R and L as the strongly connected components of the Cayley
+graphs, found by Kosaraju's two passes over the tables as they are, and J
+as the join of R and L (J = D = R ∨ L in a finite semigroup);
+``units_and_singular`` reads the units as the identity's R-class.
+``ref_strongly_connected`` below is the iterative Tarjan they replaced, and
+``ref_green`` is the ``green`` before that, fed sorted, de-duplicated rows,
+with its third strongly-connected-components pass over the union of both
+Cayley graphs.  ``ref_units_and_singular`` is the pairwise search for
+two-sided inverses, and ``ref_band_type`` reads each band law pair by pair.
+All are kept as the oracle.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from diagcalc.engine import (
+    BandReport,
     GreenClasses,
     _strongly_connected,
+    band_type,
+    carrier,
     closure,
     from_elements,
     green,
     units_and_singular,
 )
 from diagcalc.equivalences import _normalize
-from diagcalc.partitions import family
+from diagcalc.partitions import FAMILY_NAMES, family
 from diagcalc.presentations import schema
+
+
+def ref_strongly_connected(size: int, edges) -> tuple[int, ...]:
+    """Component id per node (iterative Tarjan), ids relabelled by least node."""
+    indexes = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    comp = [-1] * size
+    stack: list[int] = []
+    counter = 0
+    ncomp = 0
+    for root in range(size):
+        if indexes[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, ptr = work.pop()
+            if ptr == 0:
+                indexes[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            targets = edges[node]
+            while ptr < len(targets):
+                nxt = targets[ptr]
+                ptr += 1
+                if indexes[nxt] == -1:
+                    work.append((node, ptr))
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], indexes[nxt])
+            if advanced:
+                continue
+            if low[node] == indexes[node]:
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    comp[member] = ncomp
+                    if member == node:
+                        break
+                ncomp += 1
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    # relabel components by their least member so the ids are canonical
+    return _normalize(comp)
 
 
 def ref_green(m) -> GreenClasses:
     size = len(m)
     right_edges = [sorted(set(row)) for row in m.right]
     left_edges = [sorted(set(row)) for row in m.left]
-    r_of = _strongly_connected(size, right_edges)
-    l_of = _strongly_connected(size, left_edges)
+    r_of = ref_strongly_connected(size, right_edges)
+    l_of = ref_strongly_connected(size, left_edges)
     both = [sorted(set(a) | set(b)) for a, b in zip(right_edges, left_edges)]
-    j_of = _strongly_connected(size, both)
+    j_of = ref_strongly_connected(size, both)
     return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
 
 
@@ -48,6 +106,24 @@ def ref_units_and_singular(m) -> tuple[list[int], list[int]]:
     unit_set = set(units)
     singular = [x for x in range(len(m)) if x not in unit_set]
     return units, singular
+
+
+def ref_band_type(m) -> BandReport:
+    size, mul = len(m), m.product
+    band = all(mul(x, x) == x for x in range(size))
+
+    def every(law) -> bool:
+        return band and all(law(x, y) for x in range(size) for y in range(size))
+
+    classes = ref_green(m)
+    return BandReport(
+        band=band,
+        left_regular=every(lambda x, y: mul(mul(x, y), x) == mul(x, y)),
+        right_regular=every(lambda x, y: mul(mul(x, y), x) == mul(y, x)),
+        semilattice=every(lambda x, y: mul(x, y) == mul(y, x)),
+        l_trivial=len(set(classes.l_class_of)) == size,
+        r_trivial=len(set(classes.r_class_of)) == size,
+    )
 
 
 def schema_closure(name: str, n: int):
@@ -83,4 +159,56 @@ def test_green_and_units_match_reference(build, name, n):
     m = build(name, n)
     assert green(m) == ref_green(m)
     assert units_and_singular(m) == ref_units_and_singular(m)
+    assert band_type(m) == ref_band_type(m)
 
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_both_raw_cayley_tables_of_every_family(name, n):
+    m = carrier(name, n)
+    size = len(m)
+    for table in (m.right, m.left):
+        # the raw rows repeat targets; the oracle gets them sorted and unique
+        assert _strongly_connected(size, table) == ref_strongly_connected(
+            size, [sorted(set(row)) for row in table]
+        )
+    ref = ref_green(m)
+    assert green(m) == ref
+    units, singular = units_and_singular(m)
+    if m.identity_index is None:
+        assert units == []
+    else:  # the identity's H-class, as the units were read before
+        unit_class = ref.h_class_of[m.identity_index]
+        assert units == [x for x in range(size) if ref.h_class_of[x] == unit_class]
+    assert sorted(units + singular) == list(range(size))
+    assert band_type(m) == ref_band_type(m)
+
+
+def random_digraph(rng: random.Random, size: int) -> list[list[int]]:
+    """Rows with self-loops and repeated targets, in no particular order;
+    short edges give many mid-sized components, long ones merge them."""
+    reach = rng.choice([3, 10, size or 1])
+    edges = []
+    for node in range(size):
+        row = [(node + rng.randint(-reach, reach)) % size for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+        if rng.random() < 0.1:
+            row.append(node)
+        if row and rng.random() < 0.3:
+            row.insert(rng.randrange(len(row) + 1), rng.choice(row))
+        edges.append(row)
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_strongly_connected_matches_tarjan_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    size = [0, 1, 2, 300][seed] if seed < 4 else rng.randrange(301)
+    edges = random_digraph(rng, size)
+    assert _strongly_connected(size, edges) == ref_strongly_connected(size, edges)
+
+
+def test_strongly_connected_is_not_recursive():
+    size = 20_000  # one cycle, far deeper than the recursion limit
+    edges = [[(node + 1) % size] for node in range(size)]
+    assert _strongly_connected(size, edges) == (0,) * size
+    assert _strongly_connected(size, edges[:-1] + [[]]) == tuple(range(size))
