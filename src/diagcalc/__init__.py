@@ -36,7 +36,7 @@ _EXPORTS = {
         "FAMILY_NAMES", "SCHEMA_NAMES", "Diagram", "Membership", "Structure",
         "all_diagrams", "cap", "cap_atom", "collapse", "domain_projection", "embed",
         "family", "floor_map", "from_transformation", "identity", "merge", "multiply",
-        "multiply_by", "range_cap", "range_projection", "transposition",
+        "multiply_by", "multiply_rows", "range_cap", "range_projection", "transposition",
     ),
     "presentations": (
         "Presentation", "check_soundness", "derived_word", "enumerate_presented",

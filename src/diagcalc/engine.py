@@ -5,9 +5,11 @@ diagrams with the Froidure-Pin loop :func:`_froidure_pin`, recording for
 every element its shortlex-minimal word over the generators, as the tree of
 each word's prefix and last letter, and both Cayley tables; a product is
 multiplied out only where the tables built so far cannot supply it, and
-then always by a generator, through that generator's map
-(:func:`diagcalc.partitions.multiply_by`), built once per closure.
-:class:`FiniteMonoid` is the one indexed carrier: the elements, both Cayley
+then always by a generator, through that generator's row map
+(:func:`diagcalc.partitions.multiply_rows`), built once per closure.  It
+runs on label rows (``Diagram.labels``), so a ``Diagram`` is built once per
+element, never per product.  :class:`FiniteMonoid` is the one indexed
+carrier: the elements, an index keyed by their label rows, both Cayley
 tables, and an ambient past the carrier where diagrams that products and
 unary operations reach outside it are interned, so the exhaustive law
 checkers run on integer indices and multiply every product at most once.
@@ -21,7 +23,8 @@ read of the right Cayley table past the product with the prefix of ``j``'s
 word (Froidure & Pin, 1997); :meth:`FiniteMonoid.columns` reads whole
 columns of such products the same way, without storing them.  Only
 products with a diagram interned past the carrier are multiplied, each by
-a one-off :func:`~diagcalc.partitions.multiply`.  :func:`carrier` is each
+the map :func:`~diagcalc.partitions.multiply_by` of its right factor,
+built once per right factor.  :func:`carrier` is each
 standard family as the closure of its generators, certified against its
 count and membership rule; :func:`from_elements` builds a carrier the way
 :func:`closure` does, from a generating set it picks inside an explicit
@@ -39,8 +42,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
 from .equivalences import Equivalence, _Memo, _normalize, _Record, join
-from .partitions import (FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, identity, multiply,
-                         multiply_by)
+from .partitions import (FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, Row, identity,
+                         multiply_by, multiply_rows)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -113,7 +116,7 @@ class _Row(dict):
                 k = right[k][a]
         else:
             m = self.monoid
-            k = m.intern(multiply(m.diagram(i), m.diagram(j)))
+            k = m.intern(m._by[j](m.diagram(i)))
         self[j] = k
         return k
 
@@ -121,8 +124,9 @@ class _Row(dict):
 class FiniteMonoid:
     """A finite diagram monoid (or semigroup) with interned elements.
 
-    ``elements`` is in discovery order; ``tree`` is the word tree ``(prefix,
-    last)`` of :func:`_froidure_pin`, read by :meth:`word_for`.
+    ``elements`` is in discovery order, ``index`` maps each one's label row
+    (not the diagram) to its position, and ``tree`` is the word tree
+    ``(prefix, last)`` of :func:`_froidure_pin`, read by :meth:`word_for`.
     ``identity_index`` is the index of the identity diagram, or ``None``
     for carriers without one (e.g. singular subsemigroups).  The carrier is
     closed under multiplication and generated by ``generators`` (and its
@@ -151,31 +155,32 @@ class FiniteMonoid:
         symbols: Sequence[str] | None = None,
         *,
         left: list[list[int]],
-        index: dict[Diagram, int] | None = None,
+        index: dict[Row, int] | None = None,
     ):
         self.n = n
         self.elements = elements
-        self.index = {d: k for k, d in enumerate(elements)} if index is None else index
+        self.index = {d.labels: k for k, d in enumerate(elements)} if index is None else index
         self.generators = generators
         self._tree = tree
         self.right = right
         self.left = left
-        self.identity_index = self.index.get(identity(n))
+        self.identity_index = self.index.get(tuple(range(n)) * 2)  # identity(n)'s row
         self.symbols = tuple(symbols) if symbols is not None else None
         self._canonical: list[int] | None = None
         self._escapes: list[Diagram] = []
-        self._escape_index: dict[Diagram, int] = {}
-        # the memo reaches its carrier through a weak proxy, so a carrier
+        self._escape_index: dict[Row, int] = {}
+        # the memos reach their carrier through a weak proxy, so a carrier
         # nobody holds is freed at once rather than by the cycle collector
         m = weakref.proxy(self)
         self.table = _Memo(lambda i: _Row(m, i))
+        self._by = _Memo(lambda j: multiply_by(m.diagram(j)))  # products that leave it
         self._images = _Memo(lambda op: _Memo(lambda i: m.intern(op(m.diagram(i)))))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, d: Diagram) -> bool:
-        return d in self.index
+        return d.labels in self.index
 
     def __iter__(self) -> Iterator[Diagram]:
         return iter(self.elements)
@@ -187,11 +192,11 @@ class FiniteMonoid:
 
     def intern(self, d: Diagram) -> int:
         """Ambient index of ``d``, appending it past the carrier on first sight."""
-        k = self.index.get(d)
+        k = self.index.get(d.labels)
         if k is None:
-            k = self._escape_index.get(d)
+            k = self._escape_index.get(d.labels)
             if k is None:
-                k = self._escape_index[d] = len(self.elements) + len(self._escapes)
+                k = self._escape_index[d.labels] = len(self.elements) + len(self._escapes)
                 self._escapes.append(d)
         return k
 
@@ -253,7 +258,7 @@ class FiniteMonoid:
 
     def word_for(self, d: Diagram) -> tuple[int, ...]:
         """Shortlex word over generator positions evaluating to ``d``."""
-        k = self.index.get(d)
+        k = self.index.get(d.labels)
         if k is None:
             raise KeyError(f"{d!r} is not in the monoid")
         prefix, last = self._tree
@@ -363,9 +368,10 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
 
     With ``monoid=True`` the identity is adjoined as the seed (empty word);
     otherwise only non-empty products are collected and the identity appears
-    just if some product equals it.  Each generator's map
-    :func:`~diagcalc.partitions.multiply_by` is built once, and every
-    product the loop computes goes through one of them.
+    just if some product equals it.  Each generator's row map
+    :func:`~diagcalc.partitions.multiply_rows` is built once, and every
+    product the loop computes goes through one of them, on label rows; the
+    carrier's ``index`` is the loop's own, keyed by those rows.
 
     >>> from .partitions import transposition
     >>> len(closure(3, [transposition(3, 1), transposition(3, 2)]))
@@ -373,10 +379,12 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
     """
     if any(g.n != n for g in generators):
         raise ValueError(f"every generator must have degree {n}")
-    one = identity(n)
-    times = [multiply_by(g) for g in generators]
-    elements, index, letter, tree, right, left = _froidure_pin(generators, times,
-                                                               one if monoid else None, budget)
+    times = [multiply_rows(g) for g in generators]
+    one = tuple(range(n)) * 2 if monoid else None  # identity(n)'s row
+    elements, index, letter, tree, right, left = _froidure_pin([g.labels for g in generators],
+                                                               times, one, budget)
+    for k, row in enumerate(elements):  # one Diagram per element, in place of its row
+        elements[k] = Diagram(n, row, True)
     return FiniteMonoid(n, elements, letter, tree, right, symbols, left=left, index=index)
 
 
@@ -419,9 +427,9 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
     A generating set inside the set is picked greedily, by descending rank
     and then canonical order, adding every element that the set so far does
     not generate, and each pick is closed by :func:`_froidure_pin` over
-    positions in the set.  Each picked generator has one memo, keyed by
-    position and filled through its map
-    :func:`~diagcalc.partitions.multiply_by`, so each product of two
+    positions in the set, which are keyed by label rows.  Each picked
+    generator has one memo, keyed by position and filled through its row
+    map :func:`~diagcalc.partitions.multiply_rows`, so each product of two
     positions is multiplied once across the restarts.  The carrier is then
     built as by :func:`closure`: elements in discovery order, that
     generating set, both Cayley tables and the word tree.  A set with an element of another
@@ -432,18 +440,18 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
         raise ValueError(f"every element must have degree {n}")
     elems = sorted(distinct, key=lambda d: (-d.rank(), d.labels))
     size = len(elems)
-    position = {d: k for k, d in enumerate(elems)}
-    seed = position.get(identity(n))
+    position = {d.labels: k for k, d in enumerate(elems)}
+    seed = position.get(identity(n).labels)
 
     def times_by(g: Diagram) -> Callable[[int], int]:
-        by = multiply_by(g)
+        by = multiply_rows(g)
 
         def position_of(x: int) -> int:
-            d = by(elems[x])
-            k = position.get(d, -1)
+            row = by(elems[x].labels)
+            k = position.get(row, -1)
             if k < 0:
-                raise ValueError(f"the set is not closed: "
-                                 f"{elems[x].text()} * {g.text()} = {d.text()}")
+                raise ValueError(f"the set is not closed: {elems[x].text()} * {g.text()}"
+                                 f" = {Diagram(n, row, True).text()}")
             return k
         return _Memo(position_of).__getitem__
 

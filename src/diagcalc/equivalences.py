@@ -180,7 +180,9 @@ class Equivalence(_Canonical):
     __slots__ = ()
 
     def __init__(self, n: int, labels: Sequence[int]):
-        if n < 0 or len(labels) != n:
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
+        if len(labels) != n:
             raise ValueError(f"an equivalence on {n} points needs {n} labels, got {len(labels)}")
         self.n = n
         self.labels = _normalize(labels)

@@ -273,6 +273,8 @@ def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
     ``side="right"`` tests ``R(a) b = b R(ab)``;
     ``side="left"`` tests ``a D(b) = D(ab) a``.
     """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     D, R = _projections(m)
     law, op = {"right": (_right_restriction, R), "left": (_left_restriction, D)}[side]
     return _scan(m, f"{side}-restriction", law, op)

@@ -75,6 +75,8 @@ class Diagram(_Canonical):
             self.n = n
             self.labels = labels
             return
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
         if len(labels) != 2 * n:
             raise ValueError(f"a degree-{n} diagram needs {2 * n} labels, got {len(labels)}")
         self.n = n
@@ -266,7 +268,27 @@ def multiply(a: Diagram, b: Diagram) -> Diagram:
 
 
 def multiply_by(g: Diagram) -> Callable[[Diagram], Diagram]:
-    """The map ``x -> x * g``, reading ``g`` once for many products.
+    """The map ``x -> x * g``: :func:`multiply_rows` on diagrams of ``g``'s degree.
+
+    >>> by_s = multiply_by(transposition(2, 1))
+    >>> by_s(collapse(2, 1, 2)).text()
+    '[[1,2,-2],[-1]]'
+    >>> by_s(by_s(identity(2))) == identity(2)
+    True
+    """
+    n, rows = g.n, multiply_rows(g)
+
+    def by(x: Diagram) -> Diagram:
+        if x.n != n:
+            raise ValueError(f"degrees must match, got {x.n} and {n}")
+        return Diagram(n, rows(x.labels), True)  # a ``_canonical=`` keyword costs a few %
+
+    return by
+
+
+def multiply_rows(g: Diagram) -> Callable[[Row], Row]:
+    """The map ``x.labels -> (x * g).labels`` on the label rows of degree
+    ``g.n`` diagrams, reading ``g`` once for many products.
 
     Stacking ``x`` on ``g`` joins two of ``x``'s blocks only through an
     upper block of ``g``: the block with upper points ``i < j < ...`` glues
@@ -280,11 +302,8 @@ def multiply_by(g: Diagram) -> Callable[[Diagram], Diagram]:
     permutation, say), nothing is unioned: ``x``'s upper row is already the
     product's, and only the ``n`` lower labels are numbered.
 
-    >>> by_s = multiply_by(transposition(2, 1))
-    >>> by_s(collapse(2, 1, 2)).text()
-    '[[1,2,-2],[-1]]'
-    >>> by_s(by_s(identity(2))) == identity(2)
-    True
+    >>> multiply_rows(transposition(2, 1))(collapse(2, 1, 2).labels)
+    (0, 0, 1, 0)
     """
     n = g.n
     # A product reads its nodes from ``x.labels + tail``: at ``n + i - 1``
@@ -307,10 +326,7 @@ def multiply_by(g: Diagram) -> Callable[[Diagram], Diagram]:
     # copied per product: copying a list is cheaper than building it
     roots, blank = list(range(nodes)), [-1] * nodes
 
-    def by(x: Diagram) -> Diagram:
-        if x.n != n:
-            raise ValueError(f"degrees must match, got {x.n} and {n}")
-        labels = x.labels
+    def by(labels: Row) -> Row:
         if pairs:
             parent = roots.copy()
             # each lookup steps to the parent inline and calls ``_find``
@@ -354,9 +370,7 @@ def multiply_by(g: Diagram) -> Callable[[Diagram], Diagram]:
                 c = code[v] = top
                 top += 1
             push(c)
-        # ``_canonical`` passed by position: the keyword costs a few percent
-        # here
-        return Diagram(n, tuple(out), True)
+        return tuple(out)
 
     return by
 
@@ -475,13 +489,15 @@ def floor_map(eq: Equivalence) -> Diagram:
 
 
 def domain_projection(d: Diagram) -> Diagram:
-    """``D(d)``: the projection with the same kernel as ``d``."""
-    return embed(d.ker())
+    """``D(d) = embed(d.ker())``; a canonical upper row is the kernel's."""
+    up = d.labels[: d.n]
+    return Diagram(d.n, up + up, True)
 
 
 def range_projection(d: Diagram) -> Diagram:
-    """``R(d)``: the projection with the same cokernel as ``d``."""
-    return embed(d.coker())
+    """``R(d) = embed(d.coker())``: the lower row, renumbered."""
+    lo = _normalize(d.labels[d.n :])
+    return Diagram(d.n, lo + lo, True)
 
 
 def range_cap(d: Diagram) -> Diagram:

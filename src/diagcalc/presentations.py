@@ -731,26 +731,26 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
     outcome = enumerate_presented(pres, budget=budget)
     if outcome.status == "completed":
         # Row y, first reached from the earlier row x by letter a, evaluates
-        # to value[x] * image(a), through the image's map.  The root row is
-        # the empty word: the rows it reaches are the images, and in a
-        # semigroup it is no element.
+        # to value[x] * image(a), through the image's map on label rows.  The
+        # root row is the empty word: the rows it reaches are the images, and
+        # in a semigroup it is no element.
         images = pres.images
-        times = [partitions.multiply_by(image) for image in images]
-        value: list = [identity(n)] + [None] * (len(outcome.table) - 1)
+        times = [partitions.multiply_rows(image) for image in images]
+        value: list = [identity(n).labels] + [None] * (len(outcome.table) - 1)
         for x, row in enumerate(outcome.table):
             for a, y in enumerate(row):
                 if value[y] is None:
-                    value[y] = times[a](value[x]) if x else images[a]
+                    value[y] = times[a](value[x]) if x else images[a].labels
         generated = set(value if monoid else value[1:])
     else:
-        try:
-            generated = engine.closure(n, pres.images, monoid=monoid, budget=budget).elements
+        try:  # the closure's index is keyed by the label rows
+            generated = engine.closure(n, pres.images, monoid=monoid, budget=budget).index
         except BudgetExceeded:
             return PresentationReport(
                 name, n, "exhausted", True, None, target_size, None, None, budget
             )
     closure_size = len(generated)
-    if closure_size != target_size or not all(d in target for d in generated):
+    if closure_size != target_size or not all(target.member(r[:n], r[n:]) for r in generated):
         return PresentationReport(
             name, n, "refuted", True, None, target_size, closure_size, None, 0
         )

@@ -14,11 +14,12 @@ import random
 import pytest
 
 import diagcalc.engine as engine
-from diagcalc.engine import closure, from_elements
+from diagcalc.engine import carrier, closure, from_elements
 from diagcalc.partitions import (
     FAMILY_NAMES,
     SCHEMA_NAMES,
     Diagram,
+    all_diagrams,
     family,
     identity,
     merge,
@@ -51,25 +52,24 @@ def assert_products(m, indices):
 
 def count_products(monkeypatch, calls, on=(True,)):
     """Count each product ``engine`` makes while ``on[0]`` into ``calls[0]``:
-    a one-off ``multiply``, or one application of a generator's
-    ``multiply_by`` map."""
-    real, real_by = engine.multiply, engine.multiply_by
+    one application of a generator's row map ``multiply_rows``, or of a
+    right factor's ``multiply_by`` map for a product that leaves the
+    carrier."""
 
-    def counted(a, b):
-        calls[0] += on[0]
-        return real(a, b)
+    def counting(kernel):
+        def build(g):
+            by = kernel(g)
 
-    def counted_by(g):
-        by = real_by(g)
+            def times(x):
+                calls[0] += on[0]
+                return by(x)
 
-        def times(x):
-            calls[0] += on[0]
-            return by(x)
+            return times
 
-        return times
+        return build
 
-    monkeypatch.setattr(engine, "multiply", counted)
-    monkeypatch.setattr(engine, "multiply_by", counted_by)
+    monkeypatch.setattr(engine, "multiply_rows", counting(engine.multiply_rows))
+    monkeypatch.setattr(engine, "multiply_by", counting(engine.multiply_by))
 
 
 @pytest.fixture
@@ -197,10 +197,10 @@ def test_each_product_is_multiplied_once_across_the_restarts(monkeypatch, name, 
     no product ``x * g`` is made twice."""
     listed = family(name, n)  # a closure itself: listed before the hook goes in
     made = []
-    real_by = engine.multiply_by
+    real_rows = engine.multiply_rows
 
-    def recording_by(g):
-        by = real_by(g)
+    def recording_rows(g):
+        by = real_rows(g)
 
         def times(x):
             made.append((x, g))
@@ -208,7 +208,7 @@ def test_each_product_is_multiplied_once_across_the_restarts(monkeypatch, name, 
 
         return times
 
-    monkeypatch.setattr(engine, "multiply_by", recording_by)
+    monkeypatch.setattr(engine, "multiply_rows", recording_rows)
     m = from_elements(n, listed)
     assert len(m.generators) > 1
     assert len(made) == len(set(made)) > 0
@@ -255,6 +255,28 @@ def test_right_table_read_before_and_after_the_switch(name, n):
     m = from_elements(n, family(name, n))
     trigger(m)
     assert m.right == right
+
+
+def test_seeded_escape_products_match_multiply(monkeypatch):
+    """A product that leaves the carrier goes through its right factor's
+    ``multiply_by`` map, built at most once per right factor."""
+    m = carrier("ppnfd", 4)
+    rng = random.Random(20261020)
+    outside = [m.intern(d) for d in rng.sample(list(all_diagrams(4)), 40)]
+    assert max(outside) >= len(m)
+    built = []
+    real_by = engine.multiply_by
+
+    def recording_by(g):
+        built.append(g)
+        return real_by(g)
+
+    monkeypatch.setattr(engine, "multiply_by", recording_by)
+    ambient = list(range(len(m))) + outside
+    for _ in range(3000):
+        i, j = rng.choice(ambient), rng.choice(ambient)
+        assert m.diagram(m.product(i, j)) == multiply(m.diagram(i), m.diagram(j)), (i, j)
+    assert 0 < len(built) == len(set(built))
 
 
 def test_products_mixed_with_escapes():

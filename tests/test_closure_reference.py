@@ -3,9 +3,10 @@
 ``bfs_closure`` below is the breadth-first closure that ``engine.closure``
 replaced, kept as the oracle: it multiplies every element by every
 generator.  The two must agree on every field of the result -- elements in
-the same order, representative words, generators, identity index, the right
-table -- and on the left table, which the oracle side builds by
-multiplying.
+the same order, representative words and word tree, generators, identity
+index, the right table -- and on the left table, which the oracle side
+builds by multiplying.  Every family's ``carrier``, a closure run on label
+rows, is checked the same way.
 The oracle keeps every word as a tuple, and ``word_for`` on both sides must
 return it for every element.
 """
@@ -16,8 +17,8 @@ import random
 
 import pytest
 
-from diagcalc.engine import BudgetExceeded, FiniteMonoid, closure
-from diagcalc.partitions import Diagram, all_diagrams, identity, multiply, multiply_by
+from diagcalc.engine import BudgetExceeded, FiniteMonoid, carrier, closure
+from diagcalc.partitions import FAMILY_NAMES, GENERATORS, Diagram, all_diagrams, identity, multiply
 from diagcalc.presentations import SCHEMA_NAMES, schema, standard_assignment
 
 
@@ -68,10 +69,12 @@ def bfs_closure(n, generators, *, monoid=True, budget=2_000_000):
     return bfs_words(n, generators, monoid=monoid, budget=budget)[0]
 
 
-def assert_same(n, generators, monoid=True):
-    fast = closure(n, generators, monoid=monoid)
+def assert_same(n, generators, monoid=True, fast=None):
+    fast = closure(n, generators, monoid=monoid) if fast is None else fast
     slow, words = bfs_words(n, generators, monoid=monoid)
     assert fast.elements == slow.elements
+    assert fast.index == slow.index
+    assert fast._tree == slow._tree
     assert [fast.word_for(d) for d in fast.elements] == words
     assert [slow.word_for(d) for d in slow.elements] == words
     assert fast.generators == slow.generators
@@ -92,6 +95,13 @@ def _generators(name, n):
 @pytest.mark.parametrize("name,n", SCHEMA_JOBS)
 def test_schema_closures_match(name, n):
     assert_same(n, _generators(name, n), monoid=schema(name, n).kind == "monoid")
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+@pytest.mark.parametrize("n", range(5))
+def test_every_carrier_matches(name, n):
+    monoid, pairs = GENERATORS[name](n)
+    assert_same(n, [image for _, image in pairs], monoid, fast=carrier(name, n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -139,22 +149,22 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
 
     calls = []
 
-    def counting(a, b):
-        calls.append(1)
-        return multiply(a, b)
+    # the closure multiplies through one row map per generator, and a
+    # product that leaves a carrier through its right factor's map
+    def counting(kernel):
+        def build(g):
+            by = kernel(g)
 
-    # the closure multiplies through one map per generator
-    def counting_by(g):
-        by = multiply_by(g)
+            def times(x):
+                calls.append(1)
+                return by(x)
 
-        def times(x):
-            calls.append(1)
-            return by(x)
+            return times
 
-        return times
+        return build
 
-    monkeypatch.setattr(engine, "multiply", counting)
-    monkeypatch.setattr(engine, "multiply_by", counting_by)
+    monkeypatch.setattr(engine, "multiply_rows", counting(engine.multiply_rows))
+    monkeypatch.setattr(engine, "multiply_by", counting(engine.multiply_by))
     m = closure(n, gens, monoid=monoid)
     assert len(calls) == expected
     # both Cayley graphs come with the closure: no further products needed

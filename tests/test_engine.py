@@ -160,7 +160,22 @@ def test_a_carrier_iterates_over_its_elements():
     # an ambient diagram interned past the carrier is not one of them
     m.intern(transposition(3, 1))
     assert list(m) == m.elements and len(list(m)) == len(m) == 10
-    assert sorted(m) == family("on", 3) and set(m) == set(m.index)
+    assert sorted(m) == family("on", 3) and {d.labels for d in m} == set(m.index)
+
+
+def test_a_closure_builds_one_diagram_per_element(monkeypatch):
+    # the closure runs on label rows: no product is wrapped in a Diagram
+    gens = [image for _, image in GENERATORS["pnfd"](4)[1]]
+    built = [0]
+    real = Diagram.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "__init__", counted)
+    m = closure(4, gens)
+    assert built[0] == len(m) == FAMILY_COUNTS["pnfd"](4)
 
 
 def test_from_elements_checks_degrees():
@@ -417,7 +432,7 @@ def test_every_family_is_its_certified_closure(name):
         m = carrier(name, n)
         assert len(m) == FAMILY_COUNTS[name](n), (name, n)
         assert m.symbols == tuple(symbol for symbol, _ in pairs), (name, n)
-        assert m.generators == [m.index[image] for _, image in pairs], (name, n)
+        assert m.generators == [m.index[image.labels] for _, image in pairs], (name, n)
         if monoid:
             assert m.elements[m.identity_index] == identity(n), (name, n)
         listed = family(name, n)

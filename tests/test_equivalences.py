@@ -34,6 +34,12 @@ def test_canonical_form():
     assert Equivalence.from_classes(3, [[3], [1, 2]]) == e
 
 
+@pytest.mark.parametrize("labels", [(), (0,)])
+def test_negative_degree_is_named(labels):
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+        Equivalence(-1, labels)
+
+
 def test_from_classes_errors():
     with pytest.raises(ValueError):
         Equivalence.from_classes(3, [[1, 2], [2, 3]])

@@ -204,6 +204,13 @@ def test_restriction_fails_on_p2_both_sides():
     assert multiply(range_projection(b), a) != multiply(a, range_projection(ba))
 
 
+@pytest.mark.parametrize("side", ["middle", "Left", ""])
+def test_restriction_rejects_an_unknown_side(side):
+    with pytest.raises(ValueError) as caught:
+        check_restriction(from_elements(2, family("pn", 2)), side)
+    assert str(caught.value) == f"side must be 'right' or 'left', got {side!r}"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_domain_carrier_is_right_restriction(n):
     m = from_elements(n, family("pnfd", n))
@@ -662,21 +669,18 @@ def test_theta_battery_refutes_with_the_first_witness(monkeypatch, patched, refu
 def test_pinned_multiply_counts(monkeypatch, job, multiplies):
     # every product goes through the carrier's memo, so the number of
     # diagram multiplications is deterministic; a change in it is a
-    # regression (or a gain) to account for.  A product is either a one-off
-    # ``multiply`` or one application of a generator's ``multiply_by`` map.
+    # regression (or a gain) to account for.  Every product, a one-off
+    # ``multiply`` and a ``multiply_by`` map's too, is one application of a
+    # row map of the one kernel ``multiply_rows``.
     import sys
 
     import diagcalc.partitions
 
-    real, real_by = diagcalc.partitions.multiply, diagcalc.partitions.multiply_by
+    real = diagcalc.partitions.multiply_rows
     calls = [0]
 
-    def counted(a, b):
-        calls[0] += 1
-        return real(a, b)
-
-    def counted_by(g):
-        by = real_by(g)
+    def counted(g):
+        by = real(g)
 
         def times(x):
             calls[0] += 1
@@ -684,17 +688,11 @@ def test_pinned_multiply_counts(monkeypatch, job, multiplies):
 
         return times
 
-    # submodules only: the package resolves ``multiply`` on each lookup, and
-    # patching it would leave a copy in its globals after the undo.
-    # ``partitions`` keeps its own ``multiply_by``, which its ``multiply``
-    # calls, so that a one-off product is counted once.
+    # submodules only: the package resolves names on each lookup, and
+    # patching it would leave a copy in its globals after the undo
     for name, module in list(sys.modules.items()):
-        if not name.startswith("diagcalc."):
-            continue
-        if getattr(module, "multiply", None) is real:
-            monkeypatch.setattr(module, "multiply", counted)
-        if name != "diagcalc.partitions" and getattr(module, "multiply_by", None) is real_by:
-            monkeypatch.setattr(module, "multiply_by", counted_by)
+        if name.startswith("diagcalc.") and getattr(module, "multiply_rows", None) is real:
+            monkeypatch.setattr(module, "multiply_rows", counted)
     job()
     assert calls[0] == multiplies
 

@@ -150,7 +150,7 @@ def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
     else:
         image = [domain_projection(d) for d in m.elements]
         name = "left-restriction"
-    proj_idx = [m.index.get(p) for p in image]
+    proj_idx = [m.index.get(p.labels) for p in image]
     if all(k is not None for k in proj_idx):
         # index arithmetic: much faster than diagram products pair by pair
         for i in order:

@@ -109,6 +109,12 @@ def test_parse_errors():
         Diagram.from_text("[[1,0,-1]]")
 
 
+@pytest.mark.parametrize("labels", [(), (0, 0)])
+def test_negative_degree_is_named(labels):
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+        Diagram(-1, labels)
+
+
 def test_format_round_trip():
     assert identity(2).text() == "[[1,-1],[2,-2]]"
     assert A6.text() == "[[1,4],[2,3,-4,-5],[5,6],[-1,-2,-6],[-3]]"

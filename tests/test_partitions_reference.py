@@ -13,7 +13,10 @@ constructor.  Both sides must agree on every diagram (or pair) at small
 degree and on seeded random ones above that.  ``ref_multiply`` is also the
 oracle of ``multiply_by``, whose map for one right factor is applied to
 many left factors: every pair at small degree, and every generator image
-of every family against seeded random diagrams above that.
+of every family against seeded random diagrams above that; the row map
+``multiply_rows`` behind it must give the same rows.  The projections,
+which build their label rows directly, have ``embed`` of the kernel and
+cokernel as their oracle.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ from diagcalc.partitions import (
     Membership,
     Structure,
     all_diagrams,
+    domain_projection,
     embed,
     family,
     from_transformation,
     identity,
     multiply,
     multiply_by,
+    multiply_rows,
+    range_projection,
 )
 from diagcalc.equivalences import (
     Equivalence,
@@ -299,11 +305,13 @@ def test_multiply_matches_reference_random(n):
 
 
 def assert_maps_match(g, xs) -> None:
-    """One ``multiply_by(g)`` applied to every ``x`` against ``ref_multiply``."""
-    by = multiply_by(g)
+    """One ``multiply_by(g)`` and one ``multiply_rows(g)`` applied to every
+    ``x`` against ``ref_multiply``."""
+    by, rows = multiply_by(g), multiply_rows(g)
     for x in xs:
         got = by(x)
         assert got == ref_multiply(x, g), (x, g)
+        assert rows(x.labels) == got.labels, (x, g)
         assert type(got.labels) is tuple, (x, g)
         assert got.labels == Diagram(got.n, got.labels).labels, (x, g)
 
@@ -377,6 +385,15 @@ def assert_kernels_match(diagrams) -> None:
         assert ker == checked and hash(ker) == hash(checked), d
         assert ker.labels == checked.labels and type(ker.labels) is tuple, d
         assert d.coker().labels == Equivalence(d.n, d.labels[d.n :]).labels, d
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_projections_match_embedded_kernels(n):
+    for d in all_diagrams(n):
+        for got, want in ((domain_projection(d), embed(d.ker())),
+                          (range_projection(d), embed(d.coker()))):
+            assert got == want and got.n == n, d
+            assert type(got.labels) is tuple, d
 
 
 @pytest.mark.parametrize("n", range(4))
