@@ -4,15 +4,17 @@
 diagrams with the Froidure-Pin loop :func:`_froidure_pin`, recording for
 every element its shortlex-minimal word over the generators, as the tree of
 each word's prefix and last letter, and both Cayley tables; a product is
-multiplied out only where the tables built so far cannot supply it, and
-then always by a generator, through that generator's row map
-(:func:`diagcalc.partitions.multiply_rows`), built once per closure.  It
-runs on label rows (``Diagram.labels``), so a ``Diagram`` is built once per
-element, never per product.  :class:`FiniteMonoid` is the one indexed
-carrier: the elements, an index keyed by their label rows, both Cayley
-tables, and an ambient past the carrier where diagrams that products and
-unary operations reach outside it are interned, so the exhaustive law
-checkers run on integer indices and multiply every product at most once.
+multiplied out only where the tables built so far cannot supply it (an
+entry ``u * a`` with ``u = b * s`` is ``left[s * a][b]`` whenever ``s * a``
+is shorter than ``u``), and then always by a generator, through that
+generator's row map (:func:`diagcalc.partitions.multiply_rows`), built
+once per closure.  It runs on label rows (``Diagram.labels``), so a
+``Diagram`` is built once per element, never per product.
+:class:`FiniteMonoid` is the one indexed carrier: the elements, an index
+keyed by their label rows, both Cayley tables, and an ambient past the
+carrier where diagrams that products and unary operations reach outside it
+are interned, so the exhaustive law checkers run on integer indices and
+multiply every product at most once.
 
 Products and images are read by subscript: ``m.table[i][j]`` is the
 ambient index of ``i * j`` and ``m.unary(op)[i]`` that of ``op(i)``; an
@@ -21,7 +23,9 @@ is closed under multiplication, so the product of two of its elements is
 looked up, not multiplied: ``i * j`` is ``(i * prefix(j)) * last(j)``, one
 read of the right Cayley table past the product with the prefix of ``j``'s
 word (Froidure & Pin, 1997); :meth:`FiniteMonoid.columns` reads whole
-columns of such products the same way, without storing them.  Only
+columns of such products the same way, without storing them.  A row of a
+generator, with letter ``a``, reads ``j`` off the left Cayley table
+instead, as ``left[j][a]``, and the identity's row reads ``j``.  Only
 products with a diagram interned past the carrier are multiplied, each by
 the map :func:`~diagcalc.partitions.multiply_by` of its right factor,
 built once per right factor.  :func:`carrier` is each
@@ -80,7 +84,9 @@ class CheckReport(_Record):
 
 
 class _Row(dict):
-    """``row[j]`` is the ambient index of ``i * j``."""
+    """``row[j]`` is the ambient index of ``i * j``, for a carrier ``j``
+    read by walking ``j``'s word.  The rows of the generators and of the
+    identity are :class:`_LetterRow` instead, one read of ``left`` each."""
 
     __slots__ = ("monoid", "i", "size", "prefix", "last", "right")
 
@@ -118,6 +124,26 @@ class _Row(dict):
             m = self.monoid
             k = m.intern(m._by[j](m.diagram(i)))
         self[j] = k
+        return k
+
+
+class _LetterRow(_Row):
+    """The row of a generator with letter ``a``, or of the identity
+    (``a = -1``): a carrier ``j`` is read as ``left[j][a]``, or is ``j``,
+    with no walk along ``j``'s word.  Only the entries read are stored.
+    Its own class, so that other rows carry no extra slots."""
+
+    __slots__ = ("left", "letter")
+
+    def __init__(self, monoid: "FiniteMonoid", i: int, letter: int):
+        super().__init__(monoid, i)
+        self.left, self.letter = monoid.left, letter
+
+    def __missing__(self, j: int) -> int:
+        if j >= self.size:  # a product that leaves the carrier
+            return _Row.__missing__(self, j)
+        a = self.letter
+        k = self[j] = self.left[j][a] if a >= 0 else j
         return k
 
 
@@ -172,7 +198,10 @@ class FiniteMonoid:
         # the memos reach their carrier through a weak proxy, so a carrier
         # nobody holds is freed at once rather than by the cycle collector
         m = weakref.proxy(self)
-        self.table = _Memo(lambda i: _Row(m, i))
+        letters = {g: a for a, g in enumerate(generators)}  # a generator's letter
+        if self.identity_index is not None:
+            letters.setdefault(self.identity_index, -1)
+        self.table = _Memo(lambda i: _LetterRow(m, i, letters[i]) if i in letters else _Row(m, i))
         self._by = _Memo(lambda j: multiply_by(m.diagram(j)))  # products that leave it
         self._images = _Memo(lambda op: _Memo(lambda i: m.intern(op(m.diagram(i)))))
 
@@ -288,9 +317,11 @@ def _froidure_pin(generators: Sequence[Hashable], times: Sequence[Callable],
     ``L - 1``, already known), and ``u * a`` is computed, as
     ``times[a](u)``, only when ``rep(s) a`` is itself a representative
     word.  Otherwise ``s * a = r`` has a shorter or lex-smaller word and
-    ``u * a = (b * prefix(r)) * last(r)`` is read from rows that are
-    already filled.  The left row of every element of length ``L`` is
-    filled once all rows of length ``L`` are known (Froidure & Pin, 1997).
+    ``u * a = b * r`` is read from rows that are already filled: as
+    ``left[r][b]`` when ``r`` is shorter than ``u`` (its left row is
+    filled), else as ``(b * prefix(r)) * last(r)``.  The left row of every
+    element of length ``L`` is filled once all rows of length ``L`` are
+    known (Froidure & Pin, 1997).
     """
     k = len(generators)
     elements: list = []
@@ -332,11 +363,12 @@ def _froidure_pin(generators: Sequence[Hashable], times: Sequence[Callable],
             b, s = first[u], suffix[u]
             x = elements[u]
             srow = letter if s < 0 else right[s]
-            lb = letter[b]
             row = [0] * k
             right.append(row)
             for a, r in enumerate(srow):
-                if prefix[r] == s and last[r] == a:
+                if r < lo:  # s * a is shorter than u: u * a = b * r
+                    row[a] = left[r][b]
+                elif prefix[r] == s and last[r] == a:
                     y = times[a](x)
                     v = index.setdefault(y, size)
                     if v == size:
@@ -349,11 +381,9 @@ def _froidure_pin(generators: Sequence[Hashable], times: Sequence[Callable],
                         prefix.append(u)
                         suffix.append(r)
                     row[a] = v
-                elif last[r] < 0:  # s * a is the seed
-                    row[a] = lb
                 else:
                     p = prefix[r]
-                    row[a] = right[lb if p < 0 else left[p][b]][last[r]]
+                    row[a] = right[letter[b] if p < 0 else left[p][b]][last[r]]
         for v in range(lo, hi):
             p, c = prefix[v], last[v]
             left.append([right[w][c] for w in (letter if p < 0 else left[p])])

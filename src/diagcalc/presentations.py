@@ -393,11 +393,21 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
 
     Each distinct prefix of a relation side is multiplied out once per call,
     as its longest proper prefix's value times the image of its last letter,
-    through that image's map (:func:`diagcalc.partitions.multiply_by`).
+    through that image's map on label rows
+    (:func:`diagcalc.partitions.multiply_rows`); diagrams are built only for
+    a mismatch's witness.
     """
-    times = {symbol: partitions.multiply_by(image) for symbol, image in assignment.items()}
-    value = _Memo(lambda word: times[word[-1]](value[word[:-1]]))
-    value[()] = identity(pres.n)
+    n = pres.n
+
+    def times(symbol: str) -> Callable[[Row], Row]:
+        image = assignment[symbol]
+        if image.n != n:
+            raise ValueError(f"degrees must match, got {n} and {image.n}")
+        return partitions.multiply_rows(image)
+
+    by = _Memo(times)
+    value = _Memo(lambda word: by[word[-1]](value[word[:-1]]))
+    value[()] = tuple(range(n)) * 2  # identity(n)'s row
 
     checked, witness = 0, None
     for lhs, rhs in pres.relations:
@@ -405,7 +415,8 @@ def check_soundness(pres: Presentation, assignment: dict[str, Diagram]) -> Check
         left = value[lhs]
         right = value[rhs]
         if left != right:
-            witness = (" ".join(lhs) or "1", " ".join(rhs) or "1", left.text(), right.text())
+            witness = (" ".join(lhs) or "1", " ".join(rhs) or "1",
+                       Diagram(n, left, True).text(), Diagram(n, right, True).text())
             break
     return CheckReport(
         name=f"soundness:{pres.name}:n={pres.n}",

@@ -269,6 +269,25 @@ def test_a_carrier_nobody_holds_is_freed_without_the_cycle_collector(build):
             gc.enable()
 
 
+# ``entries`` is what the law tables held after the check when every row
+# walked words, keeping the products with their prefixes too; a generator's
+# row now keeps only what is read, so a check that reads part of one (left
+# restriction reads one entry of the last generator's) stores less
+@pytest.mark.parametrize("name,check,entries", [
+    ("pnfd", laws.check_ehresmann, 14_446),
+    ("ppnfd", laws.check_grrac, 2_220),
+    ("pnfd", lambda m: laws.check_restriction(m, "left"), 4_324),
+], ids=["ehresmann-pnfd-4", "grrac-ppnfd-4", "left-restriction-pnfd-4"])
+def test_generator_rows_are_read_off_the_left_table(name, check, entries):
+    m = carrier(name, 4)
+    check(m)
+    assert sum(map(len, m.table.values())) <= entries
+    size = len(m)
+    for a, g in enumerate(m.generators):
+        assert all(m.table[g][j] == m.left[j][a] for j in range(size))
+    assert all(m.table[m.identity_index][j] == j for j in range(size))
+
+
 def _columns_agree(m, rows, cols):
     # read before ``table`` is, so a column that were memoised would show
     got = m.columns(rows, cols)

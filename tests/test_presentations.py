@@ -285,6 +285,14 @@ def test_soundness_prints_empty_side_as_one():
     assert rep.witness[:2] == ("a", "1")
 
 
+def test_soundness_refuses_an_image_of_another_degree():
+    pres = Presentation("adhoc", 2, "monoid", ("a", "b"), ((("a",), ("a", "a")),))
+    with pytest.raises(ValueError, match="degrees must match, got 2 and 3"):
+        check_soundness(pres, {"a": merge(3, 1, 2), "b": merge(2, 1, 2)})
+    # an image no relation uses is never multiplied
+    assert check_soundness(pres, {"a": merge(2, 1, 2), "b": merge(3, 1, 2)}).holds
+
+
 def ref_check_soundness(pres, assignment):
     """The soundness loop that prefix sharing replaced: every side of every
     relation multiplied out from the identity on its own."""
@@ -301,11 +309,12 @@ def ref_check_soundness(pres, assignment):
 
 @pytest.mark.parametrize("name,n", [("full-yq", 4), ("sing-xr", 3)])
 def test_soundness_multiplies_each_distinct_prefix_once(monkeypatch, name, n):
+    # counts applications of the images' row maps, on label rows
     applied = []
-    plain_by = partitions.multiply_by
+    plain_rows = partitions.multiply_rows
 
-    def counting_by(g):
-        by = plain_by(g)
+    def counting_rows(g):
+        by = plain_rows(g)
 
         def times(x):
             applied.append(1)
@@ -313,9 +322,17 @@ def test_soundness_multiplies_each_distinct_prefix_once(monkeypatch, name, n):
 
         return times
 
-    monkeypatch.setattr(partitions, "multiply_by", counting_by)
-    pres = schema(name, n)
-    rep = check_soundness(pres, standard_assignment(name, n))
+    monkeypatch.setattr(partitions, "multiply_rows", counting_rows)
+    pres, assignment = schema(name, n), standard_assignment(name, n)
+    built = []
+    plain_init = Diagram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    rep = check_soundness(pres, assignment)
     assert rep.holds
     sides = [side for relation in pres.relations for side in relation]
     prefixes = {side[:k] for side in sides for k in range(1, len(side) + 1)}
@@ -323,6 +340,8 @@ def test_soundness_multiplies_each_distinct_prefix_once(monkeypatch, name, n):
     # would apply more maps than there are distinct prefixes
     assert len(prefixes) < sum(map(len, sides))
     assert len(applied) == len(prefixes)
+    # a holding check builds no diagram
+    assert built == []
 
 
 @pytest.mark.parametrize("n", range(2, 5))
