@@ -546,53 +546,59 @@ def _prefix_table(
     return slots, list(closers)
 
 
+def _check_budget(budget: int) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+
+
 def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """Exactly enumerate the monoid or semigroup presented by ``pres``.
 
     Completes the right Cayley graph of the quotient in
     Hazelgrove–Leech–Trotter order (Coleman, Mitchell, Smith & Tsalakou,
     *The Todd–Coxeter algorithm for semigroups and monoids*, 2022): live
-    nodes are scanned in index order, starting from the empty-word node.  A
-    scanned node first gets all its letter edges.  Then every distinct
-    proper prefix of a relation side is traced from it once, through the
-    prefix table of :func:`_prefix_table`, allocating a node for each
-    missing edge.  Each relation ``u = v`` is then closed from its two
-    prefix endpoints by their last letters (scan and fill): if one last edge
-    is missing it is set to the other's end, if both are missing they get
-    one new node, and if they hold different node ids the two are queued to
-    merge (ids of one merged class make a pair that the merge skips).  The
-    queued merges are processed before the next node is scanned.
+    nodes are scanned in index order from the empty-word node.  A scanned
+    node first gets its missing letter edges; then every distinct proper
+    prefix of a relation side is traced from it once, through the prefix
+    table of :func:`_prefix_table`, allocating a node for each missing edge.
+    Each relation ``u = v`` is then closed by the last letters of its two
+    prefix ends (scan and fill): edges already equal, most of them, stay;
+    a missing edge is set to the other's end, two missing edges get one new
+    node, and different node ids are merged before the next node is scanned.
 
     Merging never separates nodes, so every equality established along the
-    way survives to the end; when the scan drains without exceeding
-    ``budget`` allocated nodes, the surviving table is exactly the presented
-    structure.  On budget exhaustion the result carries status
-    ``"exhausted"`` and no size — never a wrong one.
+    way survives to the end; when the scan drains within ``budget`` allocated
+    nodes, the surviving table is exactly the presented structure.  On budget
+    exhaustion the result carries status ``"exhausted"`` and no size — never
+    a wrong one.  An unknown ``kind``, a repeated alphabet symbol, a relation
+    symbol outside the alphabet and a budget below 1 raise ``ValueError``; a
+    budget that is not an ``int``, or is a ``bool``, raises ``TypeError``.
 
     >>> enumerate_presented(schema("dn", 3)).size
     5
     """
-    if pres.kind == "semigroup":
-        if not all(lhs and rhs for lhs, rhs in pres.relations):
-            raise ValueError("semigroup relations must have nonempty sides")
+    _check_budget(budget)
+    if pres.kind not in ("monoid", "semigroup"):
+        raise ValueError(f"kind must be 'monoid' or 'semigroup', got {pres.kind!r}")
+    if pres.kind == "semigroup" and not all(lhs and rhs for lhs, rhs in pres.relations):
+        raise ValueError("semigroup relations must have nonempty sides")
     index = {symbol: a for a, symbol in enumerate(pres.alphabet)}
-    slots, closers = _prefix_table(
-        (tuple(index[x] for x in lhs), tuple(index[x] for x in rhs))
-        for lhs, rhs in pres.relations
-    )
+    if len(index) < len(pres.alphabet):
+        raise ValueError("alphabet symbols must be distinct")
+    try:
+        relations = [tuple(tuple(index[x] for x in side) for side in rel) for rel in pres.relations]
+    except KeyError as missing:
+        raise ValueError(f"relation symbol {missing.args[0]!r} is not in the alphabet") from None
+    slots, closers = _prefix_table(relations)
     k = len(pres.alphabet)
 
+    fresh = iter(range(1, budget))  # node ids: running out is exhaustion
+    blank = [-1] * k
     parent = [0]
-    rows: list[list[int] | None] = [[-1] * k]
+    rows: list[list[int] | None] = [blank[:]]
     pending: list[tuple[int, int]] = []
-
-    def allocate() -> int:
-        if len(parent) >= budget:
-            raise BudgetExceeded(budget)
-        parent.append(len(parent))
-        rows.append([-1] * k)
-        return len(parent) - 1
-
     try:
         scan = 0
         while scan < len(parent):
@@ -600,9 +606,12 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
                 scan += 1
                 continue
             row = rows[scan]
-            for letter in range(k):
-                if row[letter] < 0:
-                    row[letter] = allocate()
+            if -1 in row:
+                for letter in range(k):
+                    if row[letter] < 0:
+                        row[letter] = x = next(fresh)
+                        parent.append(x)
+                        rows.append(blank[:])
 
             # Trace every shared prefix once.  Merges wait until every
             # relation is closed, so the rows in ``ends`` stay live.
@@ -611,7 +620,9 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
                 row = ends[slot]
                 y = row[letter]
                 if y < 0:
-                    y = row[letter] = allocate()
+                    row[letter] = y = next(fresh)
+                    parent.append(y)
+                    rows.append(blank[:])
                 elif parent[y] != y:
                     y = row[letter] = _find(parent, y)
                 ends.append(rows[y])
@@ -621,15 +632,17 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
             # drain finds the roots.  A missing edge gets the other's root.
             ends.append([scan])  # slot -1: u = 1 leads back to the scanned node
             for su, xu, sv, xv in closers:
-                row_u, row_v = ends[su], ends[sv]
-                y, z = row_u[xu], row_v[xv]
+                y, z = ends[su][xu], ends[sv][xv]
                 if y == z:
-                    if y < 0:
-                        row_u[xu] = row_v[xv] = allocate()
+                    if y >= 0:
+                        continue
+                    ends[su][xu] = ends[sv][xv] = x = next(fresh)
+                    parent.append(x)
+                    rows.append(blank[:])
                 elif y < 0:
-                    row_u[xu] = z if parent[z] == z else _find(parent, z)
+                    ends[su][xu] = z if parent[z] == z else _find(parent, z)
                 elif z < 0:
-                    row_v[xv] = y if parent[y] == y else _find(parent, y)
+                    ends[sv][xv] = y if parent[y] == y else _find(parent, y)
                 else:
                     pending.append((y, z))
 
@@ -648,7 +661,8 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
                 parent[b] = a
                 row_a, row_b = rows[a], rows[b]
                 rows[b] = None
-                for letter, y in enumerate(row_b):
+                for letter in range(k):
+                    y = row_b[letter]
                     if y >= 0:
                         z = row_a[letter]
                         if z < 0:
@@ -656,8 +670,8 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
                         elif z != y:
                             pending.append((z, y))
             scan += 1
-    except BudgetExceeded:
-        return EnumerationResult("exhausted", None, None, len(parent))
+    except StopIteration:
+        return EnumerationResult("exhausted", None, None, budget)
 
     # Number the live nodes in breadth-first order from the root.
     number = [-1] * len(parent)
@@ -671,7 +685,7 @@ def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
             if number[y] < 0:
                 number[y] = len(order)
                 order.append(y)
-    table = tuple(tuple(number[y] for y in rows[x]) for x in order)
+    table = tuple(tuple(map(number.__getitem__, rows[x])) for x in order)
     size = len(order) if pres.kind == "monoid" else len(order) - 1
     return EnumerationResult("completed", size, table, len(parent))
 
@@ -727,6 +741,7 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
     that is sound but does not generate the target is refuted only after
     the enumeration, whose cost ``budget`` bounds.
     """
+    _check_budget(budget)
     pres = schema(name, n)
     assignment = dict(zip(pres.alphabet, pres.images))
     target = target_elements(name, n)

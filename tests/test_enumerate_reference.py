@@ -1,14 +1,21 @@
-"""Differential test: ``enumerate_presented`` against plain HLT tracing.
+"""Differential tests: ``enumerate_presented`` against two oracles.
 
 ``reference_enumerate`` below is the coset enumeration that
-``enumerate_presented`` replaced, kept verbatim as the oracle: every scanned
-node gets all its letter edges, then both sides of every relation are traced
-letter by letter from it, and each clash is merged at once.  Its table is
-numbered by live-node index, so the comparison renumbers it breadth-first
-from the root in letter order, as ``enumerate_presented`` numbers its own.
-The two must agree on status, size and that table.  They allocate different
-numbers of nodes, so at one budget one side may run out and the other not;
-the side that ran out must then agree once it is given a larger budget.
+``enumerate_presented`` replaced first, kept verbatim as the oracle: every
+scanned node gets all its letter edges, then both sides of every relation
+are traced letter by letter from it, and each clash is merged at once.  Its
+table is numbered by live-node index, so the comparison renumbers it
+breadth-first from the root in letter order, as ``enumerate_presented``
+numbers its own.  The two must agree on status, size and that table.  They
+allocate different numbers of nodes, so at one budget one side may run out
+and the other not; the side that ran out must then agree once it is given a
+larger budget.
+
+``ref_hlt`` is the prefix-table HLT loop that the present one tightened,
+kept verbatim: a nested ``allocate()``, row locals bound at every closing,
+and ``enumerate`` over the merged row.  It allocates the same nodes in the
+same order, so the two must agree on ``node_budget_used`` too, at every
+budget.
 """
 
 from __future__ import annotations
@@ -18,10 +25,12 @@ import random
 import pytest
 
 from diagcalc.engine import DEFAULT_BUDGET, BudgetExceeded
+from diagcalc.equivalences import _find
 from diagcalc.presentations import (
     SCHEMA_NAMES,
     EnumerationResult,
     Presentation,
+    _prefix_table,
     enumerate_presented,
     schema,
 )
@@ -124,6 +133,122 @@ def reference_enumerate(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> 
     return EnumerationResult("completed", size, table, len(parent))
 
 
+def ref_hlt(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
+    if pres.kind == "semigroup":
+        if not all(lhs and rhs for lhs, rhs in pres.relations):
+            raise ValueError("semigroup relations must have nonempty sides")
+    index = {symbol: a for a, symbol in enumerate(pres.alphabet)}
+    slots, closers = _prefix_table(
+        (tuple(index[x] for x in lhs), tuple(index[x] for x in rhs))
+        for lhs, rhs in pres.relations
+    )
+    k = len(pres.alphabet)
+
+    parent = [0]
+    rows: list[list[int] | None] = [[-1] * k]
+    pending: list[tuple[int, int]] = []
+
+    def allocate() -> int:
+        if len(parent) >= budget:
+            raise BudgetExceeded(budget)
+        parent.append(len(parent))
+        rows.append([-1] * k)
+        return len(parent) - 1
+
+    try:
+        scan = 0
+        while scan < len(parent):
+            if parent[scan] != scan:
+                scan += 1
+                continue
+            row = rows[scan]
+            for letter in range(k):
+                if row[letter] < 0:
+                    row[letter] = allocate()
+
+            # Trace every shared prefix once.  Merges wait until every
+            # relation is closed, so the rows in ``ends`` stay live.
+            ends = [row]
+            for slot, letter in slots:
+                row = ends[slot]
+                y = row[letter]
+                if y < 0:
+                    y = row[letter] = allocate()
+                elif parent[y] != y:
+                    y = row[letter] = _find(parent, y)
+                ends.append(rows[y])
+
+            # Close every relation.  Raw edge ids are compared first: equal
+            # ids need no root, and a clash is queued raw, since the merge
+            # drain finds the roots.  A missing edge gets the other's root.
+            ends.append([scan])  # slot -1: u = 1 leads back to the scanned node
+            for su, xu, sv, xv in closers:
+                row_u, row_v = ends[su], ends[sv]
+                y, z = row_u[xu], row_v[xv]
+                if y == z:
+                    if y < 0:
+                        row_u[xu] = row_v[xv] = allocate()
+                elif y < 0:
+                    row_u[xu] = z if parent[z] == z else _find(parent, z)
+                elif z < 0:
+                    row_v[xv] = y if parent[y] == y else _find(parent, y)
+                else:
+                    pending.append((y, z))
+
+            # Fold the edge rows of merged nodes together; clashing edges
+            # queue further merges.  The smaller index survives as the root.
+            while pending:
+                a, b = pending.pop()
+                if parent[a] != a:
+                    a = _find(parent, a)
+                if parent[b] != b:
+                    b = _find(parent, b)
+                if a == b:
+                    continue
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+                row_a, row_b = rows[a], rows[b]
+                rows[b] = None
+                for letter, y in enumerate(row_b):
+                    if y >= 0:
+                        z = row_a[letter]
+                        if z < 0:
+                            row_a[letter] = y
+                        elif z != y:
+                            pending.append((z, y))
+            scan += 1
+    except BudgetExceeded:
+        return EnumerationResult("exhausted", None, None, len(parent))
+
+    # Number the live nodes in breadth-first order from the root.
+    number = [-1] * len(parent)
+    number[0] = 0
+    order = [0]
+    for x in order:
+        row = rows[x]
+        for letter, y in enumerate(row):
+            if parent[y] != y:
+                y = row[letter] = _find(parent, y)
+            if number[y] < 0:
+                number[y] = len(order)
+                order.append(y)
+    table = tuple(tuple(number[y] for y in rows[x]) for x in order)
+    size = len(order) if pres.kind == "monoid" else len(order) - 1
+    return EnumerationResult("completed", size, table, len(parent))
+
+
+def outcome(result: EnumerationResult) -> tuple:
+    return result.status, result.size, result.table, result.node_budget_used
+
+
+def assert_same_nodes(pres: Presentation, budget: int) -> EnumerationResult:
+    """Same outcome as ``ref_hlt`` at ``budget``, node count included."""
+    fast = enumerate_presented(pres, budget=budget)
+    assert outcome(fast) == outcome(ref_hlt(pres, budget=budget))
+    return fast
+
+
 def standardise(table):
     """Renumber ``table`` breadth-first from row 0, successors in letter order."""
     number = {0: 0}
@@ -198,7 +323,9 @@ def test_random_presentations_match(seed):
     rng = random.Random(seed)
     completed = 0
     for _ in range(25):
-        out = assert_same(random_presentation(rng), budget=3_000)
+        pres = random_presentation(rng)
+        out = assert_same(pres, budget=3_000)
+        assert_same_nodes(pres, 3_000)
         completed += out.status == "completed"
     assert completed >= 10
 
@@ -218,3 +345,27 @@ def test_budget_exhaustion(name, n):
         else:
             assert run.status == "exhausted" and run.node_budget_used == budget
             assert run.size is None and run.table is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_every_budget_matches_the_hlt_reference(name, n):
+    pres = schema(name, n)
+    used = enumerate_presented(pres).node_budget_used
+    for budget in range(1, used + 2):
+        out = assert_same_nodes(pres, budget)
+        assert out.status == ("completed" if budget >= used else "exhausted")
+        assert out.node_budget_used == min(budget, used)
+
+
+# the nine jobs of the benchmark's presentations workload
+PRESENTATION_JOBS = [("planar-zo", 4), ("dn", 7), ("tn", 5), ("sing-xr", 4), ("full-yq", 4),
+                     ("planar-intermediate", 4), ("sing-tn", 4), ("on", 6), ("en", 5)]
+
+
+@pytest.mark.parametrize("name,n", PRESENTATION_JOBS)
+def test_presentation_jobs_match_the_hlt_reference_around_their_node_count(name, n):
+    pres = schema(name, n)
+    used = assert_same_nodes(pres, DEFAULT_BUDGET).node_budget_used
+    for budget in sorted({1, used // 2, used - 1, used, used + 1}):
+        assert_same_nodes(pres, budget)

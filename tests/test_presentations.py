@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -565,6 +566,28 @@ def test_enumerate_closing_edge_cases(pres, size):
     assert_table_satisfies_relations(pres, out)
 
 
+@pytest.mark.parametrize("pres,message", [
+    (_adhoc("monoid", "a", ("ab", "a")), "relation symbol 'b' is not in the alphabet"),
+    (_adhoc("monoid", "aa", ("aa", "a")), "alphabet symbols must be distinct"),
+    (_adhoc("group", "a", ("aa", "")), "kind must be 'monoid' or 'semigroup', got 'group'"),
+], ids=["unknown-symbol", "repeated-symbol", "unknown-kind"])
+def test_enumerate_rejects_a_malformed_presentation(pres, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_presented(pres)
+
+
+@pytest.mark.parametrize("budget,error", [
+    (0, ValueError), (-1, ValueError), (True, TypeError), (False, TypeError),
+    (5.0, TypeError), ("5", TypeError), (None, TypeError),
+])
+def test_enumerate_and_verify_reject_a_bad_budget(budget, error):
+    message = "budget must be at least 1" if error is ValueError else "budget must be an int"
+    with pytest.raises(error, match=message):
+        enumerate_presented(schema("dn", 3), budget=budget)
+    with pytest.raises(error, match=message):
+        verify_presentation("dn", 3, budget=budget)
+
+
 # -- end-to-end verification -----------------------------------------------------------
 
 
@@ -591,7 +614,8 @@ def test_verify_presentation_full_yq3():
 
 @pytest.mark.parametrize("name,n,nodes", [
     ("sing-xr", 4, 11_785), ("tn", 5, 11_198), ("dn", 7, 986), ("full-yq", 4, 4_692),
-    ("planar-zo", 4, 147),
+    ("planar-zo", 4, 147), ("planar-intermediate", 4, 281), ("sing-tn", 4, 704), ("on", 6, 837),
+    ("en", 5, 99),
 ])
 def test_node_budget_used_is_pinned(name, n, nodes):
     # node_budget_used is part of the report bytes: the enumeration must
