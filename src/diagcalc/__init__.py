@@ -24,13 +24,12 @@ _EXPORTS = {
         "diagonal", "join", "successor",
     ),
     "engine": (
-        "BudgetExceeded", "CheckReport", "FiniteMonoid", "band_type", "carrier", "closure",
-        "from_elements", "green", "units_and_singular",
+        "BudgetExceeded", "CheckReport", "FiniteMonoid", "carrier", "closure", "from_elements",
     ),
     "laws": (
         "LeftCongruence", "check_action_pair", "check_ehresmann", "check_grrac",
         "check_restriction", "join_left_congruences", "left_congruence_closure",
-        "principal_pair_congruence", "projection_split", "theta", "theta_battery",
+        "principal_pair_congruence", "theta", "theta_battery",
     ),
     "partitions": (
         "FAMILY_NAMES", "SCHEMA_NAMES", "Diagram", "Membership", "Structure",

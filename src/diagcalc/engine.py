@@ -36,7 +36,9 @@ element set.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
-pass their own.
+pass their own, an ``int`` of at least 1 (anything else raises
+``TypeError`` or ``ValueError`` before anything is multiplied, as
+:func:`diagcalc.presentations.enumerate_presented` does).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import weakref
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
-from .equivalences import Equivalence, _Memo, _normalize, _Record, join
+from .equivalences import _Memo, _Record
 from .partitions import (FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, Row, identity,
                          multiply_by, multiply_rows)
 
@@ -58,6 +60,13 @@ class BudgetExceeded(Exception):
     def __init__(self, budget: int):
         super().__init__(f"budget of {budget} elements exceeded")
         self.budget = budget
+
+
+def _check_budget(budget: int) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
 
 
 # kept here, not in ``laws``, so that a presentation verdict, whose soundness
@@ -407,6 +416,7 @@ def closure(n: int, generators: Sequence[Diagram], *, monoid: bool = True,
     >>> len(closure(3, [transposition(3, 1), transposition(3, 2)]))
     6
     """
+    _check_budget(budget)
     if any(g.n != n for g in generators):
         raise ValueError(f"every generator must have degree {n}")
     times = [multiply_rows(g) for g in generators]
@@ -441,8 +451,11 @@ def carrier(name: str, n: int) -> FiniteMonoid:
     monoid, pairs = GENERATORS[name](n)
     symbols = [symbol for symbol, _ in pairs]
     rule = MEMBERS[name]
-    try:  # the closure stops as soon as it outgrows the count
-        m = closure(n, [image for _, image in pairs], monoid=monoid, budget=size, symbols=symbols)
+    # the closure stops as soon as it outgrows the count; a budget is at least
+    # 1, and an empty family (sing-tn at n <= 1) closes to no element
+    try:
+        m = closure(n, [image for _, image in pairs], monoid=monoid, budget=size or 1,
+                    symbols=symbols)
     except BudgetExceeded:
         m = None
     if m is None or len(m) != size or not all(rule(d.labels[:n], d.labels[n:]) for d in m.elements):
@@ -497,134 +510,6 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
             found = _froidure_pin(gens, times, seed, size)
     at, _, letter, tree, right, left = found
     return FiniteMonoid(n, [elems[a] for a in at], letter, tree, right, left=left)
-
-
-# -- Green's relations ----------------------------------------------------
-
-
-class GreenClasses(_Record):
-    """Partitions of the element indices under Green's relations."""
-
-    __slots__ = ("r_class_of", "l_class_of", "j_class_of", "h_class_of")
-
-    def counts(self) -> dict[str, int]:
-        return {
-            "R": len(set(self.r_class_of)),
-            "L": len(set(self.l_class_of)),
-            "J": len(set(self.j_class_of)),
-            "H": len(set(self.h_class_of)),
-        }
-
-
-def _strongly_connected(size: int, edges: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Component id per node of the digraph ``node -> edges[node]``, ids
-    relabelled by least node; a row may repeat targets, in any order.
-
-    Kosaraju: list the nodes as a depth-first search finishes them, then
-    search the reversed graph from each unplaced node, last finished first.
-
-    >>> _strongly_connected(5, [[1, 1], [0, 2], [3], [2, 2], [4]])
-    (0, 0, 1, 1, 2)
-    """
-    seen = [False] * size
-    finished: list[int] = []
-    for root in range(size):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(edges[root]))]
-        while stack:
-            node, targets = stack[-1]
-            for nxt in targets:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(edges[nxt])))
-                    break
-            else:
-                stack.pop()
-                finished.append(node)
-    reverse: list[list[int]] = [[] for _ in range(size)]
-    for node, targets in enumerate(edges):
-        for nxt in targets:
-            reverse[nxt].append(node)
-    comp = [-1] * size
-    for root in reversed(finished):
-        todo = [root]
-        while todo:
-            node = todo.pop()
-            if comp[node] < 0:
-                comp[node] = root
-                todo += reverse[node]
-    del reverse  # the largest list here, freed before the relabelling allocates
-    return _normalize(comp)
-
-
-def green(m: FiniteMonoid) -> GreenClasses:
-    """Green's R, L, J and H classes of a carrier closed under multiplication.
-
-    R and L are the strongly connected components of the right and left
-    Cayley graphs, read from ``m.right`` and ``m.left`` as they are; in a
-    finite semigroup J = D = R ∨ L, and H = R ∧ L.
-    """
-    size = len(m)
-    r_of = _strongly_connected(size, m.right)
-    l_of = _strongly_connected(size, m.left)
-    j_of = join(Equivalence(size, r_of), Equivalence(size, l_of)).labels
-    return GreenClasses(r_of, l_of, j_of, _normalize(zip(r_of, l_of)))
-
-
-class BandReport(_Record):
-    """Idempotency/commutation flags for a finite monoid.
-
-    ``left_regular`` is xyx = xy and ``right_regular`` is xyx = yx.
-    """
-
-    __slots__ = ("band", "left_regular", "right_regular", "semilattice", "l_trivial", "r_trivial")
-
-
-def band_type(m: FiniteMonoid) -> BandReport:
-    size, table = len(m), m.table
-    band = all(table[k][k] == k for k in range(size))
-    left_regular = right_regular = commutative = band
-    if band:
-        for x in range(size):
-            row = table[x]
-            for y in range(size):
-                xy = row[y]
-                yx = table[y][x]
-                xyx = table[xy][x]
-                if xyx != xy:
-                    left_regular = False
-                if xyx != yx:
-                    right_regular = False
-                if xy != yx:
-                    commutative = False
-            if not (left_regular or right_regular or commutative):
-                break
-    classes = green(m)
-    return BandReport(
-        band=band,
-        left_regular=left_regular,
-        right_regular=right_regular,
-        semilattice=band and commutative,
-        l_trivial=len(set(classes.l_class_of)) == size,
-        r_trivial=len(set(classes.r_class_of)) == size,
-    )
-
-
-def units_and_singular(m: FiniteMonoid) -> tuple[list[int], list[int]]:
-    """Indices of the invertible elements and of everything else.
-
-    In a finite monoid an element with a right inverse is a unit, so the
-    units are the R-class of the identity (Howie, *Fundamentals of Semigroup
-    Theory*, 1995, ch. 2): its component in the right Cayley graph.
-    """
-    if m.identity_index is None:
-        return [], list(range(len(m)))
-    r_of = _strongly_connected(len(m), m.right)
-    unit_class = r_of[m.identity_index]
-    units = [x for x in range(len(m)) if r_of[x] == unit_class]
-    return units, [x for x in range(len(m)) if r_of[x] != unit_class]
 
 
 # -- Cayley graph export ---------------------------------------------------

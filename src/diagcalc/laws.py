@@ -280,47 +280,6 @@ def check_restriction(m: FiniteMonoid, side: str) -> CheckReport:
     return _scan(m, f"{side}-restriction", law, op)
 
 
-def parts(m: FiniteMonoid) -> list[Diagram]:
-    """The projections of the carrier: ``p*p = p = D(p) = R(p)``."""
-    (D, R), T = _projections(m), m.table
-    return [m.elements[p] for p in m.canonical_order() if T[p][p] == p and D[p] == p == R[p]]
-
-
-def projection_split(m: FiniteMonoid) -> dict[str, list[Diagram]]:
-    """Split the carrier by triviality of its two projections.
-
-    * ``trivial_range``: elements with ``R(a) = 1`` -- a submonoid;
-    * ``proper_kernel``: elements with ``D(a) != 1`` -- a right ideal;
-    * ``overlap``: their intersection -- a subsemigroup.
-
-    The three closure claims are re-verified before returning (they are
-    theorems for Ehresmann carriers, so a failure here is a bug, raised as
-    a :class:`RuntimeError` that names the claim).
-    """
-    one = m.intern(identity(m.n))
-    (D, R), T = _projections(m), m.table
-    order = m.canonical_order()
-    trivial_range = [a for a in order if R[a] == one]
-    proper_kernel = [a for a in order if D[a] != one]
-    kernel_set = set(proper_kernel)
-    overlap = [a for a in trivial_range if a in kernel_set]
-
-    range_set, overlap_set = set(trivial_range), set(overlap)
-    if one not in range_set:
-        raise RuntimeError("trivial_range holds the identity")
-    if not all(T[a][b] in range_set for a in trivial_range for b in trivial_range):
-        raise RuntimeError("trivial_range is closed under products")
-    if not all(T[a][b] in kernel_set for a in proper_kernel for b in order):
-        raise RuntimeError("proper_kernel is a right ideal")
-    if not all(T[a][b] in overlap_set for a in overlap for b in overlap):
-        raise RuntimeError("overlap is closed under products")
-    return {
-        "trivial_range": [m.elements[a] for a in trivial_range],
-        "proper_kernel": [m.elements[a] for a in proper_kernel],
-        "overlap": [m.elements[a] for a in overlap],
-    }
-
-
 def check_grrac(m: FiniteMonoid) -> list[CheckReport]:
     """Axioms of the cap-valued range operation ``rho(a) = cap(coker(a))``.
 
@@ -485,15 +444,28 @@ def left_congruence_closure(
 ) -> LeftCongruence:
     """Smallest left congruence on the completion of ``S`` containing the pairs.
 
-    Saturation: whenever two classes merge, the products ``c*x`` and ``c*y``
-    are queued for every element ``c`` of the completion, which must be
-    closed under multiplication (it is whenever ``S`` is a semigroup).
+    Saturation: whenever two classes merge, the products ``g*x`` and ``g*y``
+    are queued for every generator ``g`` of ``S``.  An equivalence closed
+    under left multiplication by the generators is closed under every
+    element of ``S``, by induction on word length (the identity that the
+    completion may add acts trivially), and the completion must be closed
+    under multiplication (it is whenever ``S`` is a semigroup).  A pair
+    with a diagram outside the completion raises ``ValueError``.
     """
     carrier, order = _completed(s)
     position = {k: p for p, k in enumerate(order)}
+
+    def place(d: Diagram) -> int:
+        if d.n != s.n:
+            raise ValueError(f"{d.text()} has degree {d.n}, not the carrier's degree {s.n}")
+        p = position.get(s.intern(d))
+        if p is None:
+            raise ValueError(f"{d.text()} is not in the completion of the carrier")
+        return p
+
     parent = list(range(len(order)))
-    table = s.table
-    work = [(position[s.intern(a)], position[s.intern(b)]) for a, b in pairs]
+    rows = [s.table[g] for g in s.generators]
+    work = [(place(a), place(b)) for a, b in pairs]
     while work:
         x, y = work.pop()
         rx, ry = _find(parent, x), _find(parent, y)
@@ -501,8 +473,7 @@ def left_congruence_closure(
             continue
         parent[max(rx, ry)] = min(rx, ry)
         a, b = order[x], order[y]
-        for c in order:
-            row = table[c]
+        for row in rows:
             ca = position[row[a]]
             cb = position[row[b]]
             if _find(parent, ca) != _find(parent, cb):

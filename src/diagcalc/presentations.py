@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 # their module, so the wrappers are used whenever this module was imported
 from . import engine, partitions
 from .counting import FAMILY_COUNTS
-from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport
+from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport, _check_budget
 from .equivalences import _find, _Memo, _Record
 from .partitions import (
     GENERATORS,
@@ -544,13 +544,6 @@ def _prefix_table(
         closer = (*end(u), *end(v)) if v else (*end(u), -1, 0)
         closers.setdefault(closer, None)
     return slots, list(closers)
-
-
-def _check_budget(budget: int) -> None:
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
 
 
 def enumerate_presented(pres: Presentation, *, budget: int = DEFAULT_BUDGET) -> EnumerationResult:

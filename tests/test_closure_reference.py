@@ -125,7 +125,9 @@ def test_random_generator_lists_match(n, monoid):
 def test_budget_exhaustion_at_the_same_budget(monoid):
     gens = _generators("tn", 3)
     size = len(bfs_closure(3, gens, monoid=monoid))
-    for budget in (0, 1, 2, size - 1, size):
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        closure(3, gens, monoid=monoid, budget=0)  # a budget counts elements; 0 is none
+    for budget in (1, 2, size - 1, size):
         outcomes = []
         for run in (closure, bfs_closure):
             try:
@@ -168,6 +170,6 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
     m = closure(n, gens, monoid=monoid)
     assert len(calls) == expected
     # both Cayley graphs come with the closure: no further products needed
-    engine.green(m)
+    engine.cayley_json(m, "right")
     engine.cayley_json(m, side="left")
     assert len(calls) == expected

@@ -10,14 +10,11 @@ from diagcalc.cli import main
 from diagcalc.counting import FAMILY_COUNTS
 from diagcalc.engine import (
     BudgetExceeded,
-    band_type,
     carrier,
     cayley_dot,
     cayley_json,
     closure,
     from_elements,
-    green,
-    units_and_singular,
 )
 from diagcalc.partitions import (
     FAMILY_NAMES,
@@ -36,6 +33,9 @@ from diagcalc.partitions import (
     transposition,
 )
 from diagcalc.presentations import standard_assignment
+from test_green_reference import ref_band_type as band_type
+from test_green_reference import ref_green as green
+from test_green_reference import ref_units_and_singular as units_and_singular
 
 
 def s3():
@@ -92,6 +92,20 @@ def test_closure_size_independent_of_generator_order():
 def test_closure_budget():
     with pytest.raises(BudgetExceeded):
         closure(3, [transposition(3, 1), transposition(3, 2)], budget=3)
+
+
+@pytest.mark.parametrize("budget,error", [
+    (0, ValueError), (-1, ValueError), (True, TypeError), (False, TypeError),
+    (2.5, TypeError), ("5", TypeError), (None, TypeError),
+])
+def test_closure_and_action_pair_reject_a_bad_budget(budget, error):
+    # the checks and messages of ``presentations.enumerate_presented``
+    message = "budget must be at least 1" if error is ValueError else "budget must be an int"
+    with pytest.raises(error, match=message):
+        closure(3, [merge(3, 1, 2)], budget=budget)
+    u, s = laws.action_pair_elements("dn-on", 3)
+    with pytest.raises(error, match=message):
+        laws.check_action_pair(u, s, "dn-on", budget=budget)
 
 
 def test_rep_words_evaluate():
@@ -354,7 +368,7 @@ def test_word_for():
     assert value == swap13
 
 
-# -- Green's relations ---------------------------------------------------------
+# -- Green's relations, by the references in test_green_reference -------------
 
 
 def test_green_group_is_single_class():

@@ -1,15 +1,19 @@
-"""Differential test: Green's relations and the units against their oracles.
+"""Green's relations, the units and the band type, computed by their definitions.
 
-``green`` reads R and L as the strongly connected components of the Cayley
-graphs, found by Kosaraju's two passes over the tables as they are, and J
-as the join of R and L (J = D = R ∨ L in a finite semigroup);
-``units_and_singular`` reads the units as the identity's R-class.
-``ref_strongly_connected`` below is the iterative Tarjan they replaced, and
-``ref_green`` is the ``green`` before that, fed sorted, de-duplicated rows,
-with its third strongly-connected-components pass over the union of both
-Cayley graphs.  ``ref_units_and_singular`` is the pairwise search for
-two-sided inverses, and ``ref_band_type`` reads each band law pair by pair.
-All are kept as the oracle.
+These readings have no verdict of their own, so they live here and not in
+``diagcalc``: ``ref_strongly_connected`` is an iterative Tarjan, and
+``ref_green`` reads R and L as the strongly connected components of the
+two Cayley graphs and J as those of their union.  ``ref_units_and_singular``
+searches pairwise for two-sided inverses, and ``ref_band_type`` reads each
+band law pair by pair.  The tests hold them to the definitions and to the
+theorems a faster reading would rest on (Howie, *Fundamentals of Semigroup
+Theory*, 1995, ch. 2): J = D = R ∨ L in a finite semigroup, the units of a
+finite monoid are the identity's R-class, and a band is left (right)
+regular exactly when it is R-trivial (L-trivial).
+
+``GreenClasses`` and ``BandReport`` are records over ``equivalences._Record``,
+as the report types of ``diagcalc`` are, so ``test_records_reference``
+checks them against frozen dataclasses too.
 """
 
 from __future__ import annotations
@@ -18,20 +22,33 @@ import random
 
 import pytest
 
-from diagcalc.engine import (
-    BandReport,
-    GreenClasses,
-    _strongly_connected,
-    band_type,
-    carrier,
-    closure,
-    from_elements,
-    green,
-    units_and_singular,
-)
-from diagcalc.equivalences import _normalize
+from diagcalc.engine import carrier, closure, from_elements
+from diagcalc.equivalences import Equivalence, _normalize, _Record, join
 from diagcalc.partitions import FAMILY_NAMES, family
 from diagcalc.presentations import schema
+
+
+class GreenClasses(_Record):
+    """Partitions of the element indices under Green's relations."""
+
+    __slots__ = ("r_class_of", "l_class_of", "j_class_of", "h_class_of")
+
+    def counts(self) -> dict[str, int]:
+        return {
+            "R": len(set(self.r_class_of)),
+            "L": len(set(self.l_class_of)),
+            "J": len(set(self.j_class_of)),
+            "H": len(set(self.h_class_of)),
+        }
+
+
+class BandReport(_Record):
+    """Idempotency/commutation flags for a finite monoid.
+
+    ``left_regular`` is xyx = xy and ``right_regular`` is xyx = yx.
+    """
+
+    __slots__ = ("band", "left_regular", "right_regular", "semilattice", "l_trivial", "r_trivial")
 
 
 def ref_strongly_connected(size: int, edges) -> tuple[int, ...]:
@@ -152,14 +169,35 @@ CARRIERS = [
 ]
 
 
+def identity_r_class(m, r_of) -> list[int]:
+    """The units as a faster reading finds them: the identity's R-class."""
+    if m.identity_index is None:
+        return []
+    return [x for x in range(len(m)) if r_of[x] == r_of[m.identity_index]]
+
+
+def assert_theorems(m, classes: GreenClasses, band: BandReport) -> None:
+    size = len(m)
+    r_of, l_of = Equivalence(size, classes.r_class_of), Equivalence(size, classes.l_class_of)
+    assert classes.j_class_of == join(r_of, l_of).labels  # J = D = R v L
+    if band.band:
+        assert band.left_regular == band.r_trivial
+        assert band.right_regular == band.l_trivial
+        assert band.semilattice == (band.left_regular and band.right_regular)
+    else:
+        assert not (band.left_regular or band.right_regular or band.semilattice)
+
+
 @pytest.mark.parametrize(
     "build,name,n", CARRIERS, ids=[f"{b.__name__}-{name}-{n}" for b, name, n in CARRIERS]
 )
 def test_green_and_units_match_reference(build, name, n):
     m = build(name, n)
-    assert green(m) == ref_green(m)
-    assert units_and_singular(m) == ref_units_and_singular(m)
-    assert band_type(m) == ref_band_type(m)
+    classes = ref_green(m)
+    assert_theorems(m, classes, ref_band_type(m))
+    units, singular = ref_units_and_singular(m)
+    assert units == identity_r_class(m, classes.r_class_of)
+    assert sorted(units + singular) == list(range(len(m)))
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -168,20 +206,16 @@ def test_both_raw_cayley_tables_of_every_family(name, n):
     m = carrier(name, n)
     size = len(m)
     for table in (m.right, m.left):
-        # the raw rows repeat targets; the oracle gets them sorted and unique
-        assert _strongly_connected(size, table) == ref_strongly_connected(
+        # the raw rows repeat targets, in any order
+        assert ref_strongly_connected(size, table) == ref_strongly_connected(
             size, [sorted(set(row)) for row in table]
         )
-    ref = ref_green(m)
-    assert green(m) == ref
-    units, singular = units_and_singular(m)
-    if m.identity_index is None:
-        assert units == []
-    else:  # the identity's H-class, as the units were read before
-        unit_class = ref.h_class_of[m.identity_index]
-        assert units == [x for x in range(size) if ref.h_class_of[x] == unit_class]
-    assert sorted(units + singular) == list(range(size))
-    assert band_type(m) == ref_band_type(m)
+    classes = ref_green(m)
+    assert_theorems(m, classes, ref_band_type(m))
+    units = identity_r_class(m, classes.r_class_of)
+    if m.identity_index is not None:  # the identity's R-class is its H-class
+        unit_class = classes.h_class_of[m.identity_index]
+        assert units == [x for x in range(size) if classes.h_class_of[x] == unit_class]
 
 
 def random_digraph(rng: random.Random, size: int) -> list[list[int]]:
@@ -199,16 +233,33 @@ def random_digraph(rng: random.Random, size: int) -> list[list[int]]:
     return edges
 
 
+def mutually_reachable(size: int, edges) -> tuple[int, ...]:
+    """Component id per node by the definition: ``u`` and ``v`` share a
+    component when each reaches the other."""
+    reach = []
+    for root in range(size):
+        seen, todo = {root}, [root]
+        while todo:
+            for nxt in edges[todo.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        reach.append(seen)
+    return _normalize(
+        next(u for u in sorted(reach[v]) if v in reach[u]) for v in range(size)
+    )
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_strongly_connected_matches_tarjan_on_random_digraphs(seed):
     rng = random.Random(seed)
     size = [0, 1, 2, 300][seed] if seed < 4 else rng.randrange(301)
     edges = random_digraph(rng, size)
-    assert _strongly_connected(size, edges) == ref_strongly_connected(size, edges)
+    assert ref_strongly_connected(size, edges) == mutually_reachable(size, edges)
 
 
 def test_strongly_connected_is_not_recursive():
     size = 20_000  # one cycle, far deeper than the recursion limit
     edges = [[(node + 1) % size] for node in range(size)]
-    assert _strongly_connected(size, edges) == (0,) * size
-    assert _strongly_connected(size, edges[:-1] + [[]]) == tuple(range(size))
+    assert ref_strongly_connected(size, edges) == (0,) * size
+    assert ref_strongly_connected(size, edges[:-1] + [[]]) == tuple(range(size))

@@ -6,12 +6,15 @@ product, ``check_restriction`` switches to ambient products when the
 projections leave the carrier, and the left congruences and action pairs
 work on Diagram-keyed dicts.  Both must give the same reports, byte for
 byte, including the first witness in canonical order and the counts, and
-the same congruences.
+the same congruences.  ``saturated_over_every_element`` is the
+left-congruence closure as it was before it saturated over the generators
+only.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Callable, Iterable, Sequence
 
 import pytest
@@ -347,6 +350,28 @@ def principal_pair_congruence(s: FiniteMonoid, a: Diagram, b: Diagram) -> LeftCo
     return left_congruence_closure(completion(s), [(a, b)])
 
 
+def saturated_over_every_element(s: FiniteMonoid, pairs) -> LeftCongruence:
+    """``laws.left_congruence_closure`` before it saturated over the
+    generators: each merge queues ``c*x`` and ``c*y`` for every element
+    ``c`` of the completion, read from the carrier's table."""
+    carrier, order = laws._completed(s)
+    position = {k: p for p, k in enumerate(order)}
+    parent, find = _uf(len(order))
+    work = [(position[s.intern(a)], position[s.intern(b)]) for a, b in pairs]
+    while work:
+        x, y = work.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        a, b = order[x], order[y]
+        for c in order:
+            ca, cb = position[s.table[c][a]], position[s.table[c][b]]
+            if find(ca) != find(cb):
+                work.append((ca, cb))
+    return LeftCongruence(carrier, [find(k) for k in range(len(order))])
+
+
 def check_action_pair(
     u_elements: Sequence[Diagram], s_elements: Sequence[Diagram], name: str = "action-pair"
 ) -> CheckReport:
@@ -477,6 +502,17 @@ def test_theta_join_and_closure_match_reference(name, n, us):
     assert laws.left_congruence_closure(s, pairs) == left_congruence_closure(
         completion(s), pairs
     )
+    if n <= 3:  # every principal pair of the completion
+        for a, b in itertools.combinations(completion(s), 2):
+            assert laws.principal_pair_congruence(s, a, b) == principal_pair_congruence(s, a, b)
+
+
+@pytest.mark.parametrize("name,n", [("tn", 4), ("on", 5)])
+def test_principal_pairs_match_the_saturation_over_every_element(name, n):
+    s = carrier(name, n)
+    pairs = list(itertools.combinations(completion(s), 2))
+    for a, b in random.Random(f"{name} {n}").sample(pairs, 200):
+        assert laws.principal_pair_congruence(s, a, b) == saturated_over_every_element(s, [(a, b)])
 
 
 ACTION_PAIR_CASES = [

@@ -1,8 +1,10 @@
 """Differential test: the slotted report records against frozen dataclasses.
 
-The eight report types are ``__slots__`` classes over
+The six report types are ``__slots__`` classes over
 ``equivalences._Record`` so that no ``diagcalc`` module imports
-:mod:`dataclasses`.  The frozen dataclasses they replaced are kept below,
+:mod:`dataclasses`, and so are the two records of the Green's-relations
+references in ``test_green_reference``.  The frozen dataclasses they
+replaced are kept below,
 field for field, as the oracle: for instances the library really builds,
 and for variants that differ in one field, both sides must agree on
 ``==``, ``hash``, ``repr``, ``to_dict`` and construction, both must
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 import pytest
 
 from diagcalc import engine, laws, partitions, presentations
-from diagcalc.engine import band_type, closure, from_elements, green
+import test_green_reference as green_reference
+from diagcalc.engine import closure, from_elements
 from diagcalc.equivalences import _Record
 from diagcalc.laws import check_grrac
 from diagcalc.partitions import Diagram, family
@@ -139,8 +142,8 @@ class PresentationReport:
 
 ORACLES = {
     engine.CheckReport: CheckReport,
-    engine.GreenClasses: GreenClasses,
-    engine.BandReport: BandReport,
+    green_reference.GreenClasses: GreenClasses,
+    green_reference.BandReport: BandReport,
     partitions.Structure: Structure,
     partitions.Membership: Membership,
     presentations.Presentation: Presentation,
@@ -153,6 +156,7 @@ def samples() -> list:
     """Records as the library builds them, a few of each type."""
     p2 = from_elements(2, family("pnfd", 2))
     out = [*check_grrac(from_elements(2, family("ppnfd", 2)))]
+    green, band_type = green_reference.ref_green, green_reference.ref_band_type
     out += [green(p2), green(closure(3, [partitions.merge(3, 1, 2)])), band_type(p2)]
     out += [band_type(from_elements(2, family("en", 2)))]
     for text in ("[[1,2,-1],[3,-2],[-3]]", "[[1,-1],[2,-2]]", "[[1],[2,-1,-2]]"):
@@ -310,8 +314,9 @@ def record_classes() -> list[type]:
 
 def test_defaults_name_their_own_fields():
     classes = record_classes()
-    assert set(ORACLES) | {laws.LeftCongruence} == set(classes)
-    for cls in classes:
+    references = {green_reference.GreenClasses, green_reference.BandReport}
+    assert set(ORACLES) | {laws.LeftCongruence} == set(classes) | references
+    for cls in classes + sorted(references, key=lambda cls: cls.__name__):
         # a misspelt key would leave its field required
         assert set(cls._defaults) <= set(cls.__slots__), cls.__name__
         assert ("__init__" in vars(cls)) == (cls is laws.LeftCongruence), cls.__name__
