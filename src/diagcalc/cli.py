@@ -11,7 +11,8 @@ Four subcommands:
                  right factor, with a generator word that replays it;
 * ``render``     draw a diagram as deterministic SVG.
 
-Usage errors exit 3.  A family in ``enumerate`` or ``factorize`` counted
+Usage errors exit 3, among them an ``--output`` path that cannot be
+written.  A family in ``enumerate`` or ``factorize`` counted
 past the default budget exits 2 (inconclusive), and any other uncaught
 exception exits 4 (internal error), among them a closure that disagrees
 with its count; both print a one-line message on stderr.  All reports are
@@ -126,9 +127,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: str, output: str | None) -> None:
+def _emit(payload: str, output: str | None, parser: _Parser) -> None:
     if output:
-        Path(output).write_text(payload, encoding="utf-8")
+        try:
+            Path(output).write_text(payload, encoding="utf-8")
+        except OSError as exc:  # a path the user gave, not a fault of ours
+            parser.exit(EXIT_USAGE, f"{parser.prog}: error: cannot write --output {output}: "
+                                    f"{exc.strerror or exc}\n")
     else:
         sys.stdout.write(payload)
 
@@ -211,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
     report["status"] = status
     payload = _json(report) if args.format == "json" else text_body
-    _emit(payload, args.output)
+    _emit(payload, args.output, parser)
     if status == "exhausted":
         return EXIT_INCONCLUSIVE
     verified = status == "verified"
@@ -261,7 +266,9 @@ def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | di
 def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
     # the carrier is certified against the count, and raises otherwise
     if args.format == "dot":
-        _emit(cayley_dot(carrier(args.monoid, args.n)), args.output)
+        if args.elements:
+            parser.error("--elements does not apply to --format dot")
+        _emit(cayley_dot(carrier(args.monoid, args.n)), args.output, parser)
         return EXIT_VERIFIED
 
     elements = family(args.monoid, args.n)
@@ -282,7 +289,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
         if args.elements:
             lines += [d.text() for d in elements]
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
+    _emit(payload, args.output, parser)
     return EXIT_VERIFIED
 
 
@@ -363,7 +370,7 @@ def _cmd_factorize(args: argparse.Namespace, parser: _Parser) -> int:
         if args.check is not None:
             lines.append(f"check: {'match' if report['check_matches'] else 'MISMATCH'}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
+    _emit(payload, args.output, parser)
     return status
 
 
@@ -375,7 +382,7 @@ def _cmd_render(args: argparse.Namespace, parser: _Parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = d.text() + "\n" if args.format == "text" else render_svg(d)
-    _emit(payload, args.output)
+    _emit(payload, args.output, parser)
     return EXIT_VERIFIED
 
 

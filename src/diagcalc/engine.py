@@ -515,37 +515,17 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
 # -- Cayley graph export ---------------------------------------------------
 
 
-def cayley_json(m: FiniteMonoid, side: str = "right") -> dict:
-    """Right or left Cayley graph as a plain JSON-ready dict."""
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    table = m.right if side == "right" else m.left
-    symbols = list(m.symbols) if m.symbols else [f"g{k}" for k in range(len(m.generators))]
+def cayley_dot(m: FiniteMonoid) -> str:
+    """The right Cayley graph ``m.right`` in DOT syntax: one node per element
+    in canonical order, then each one's edges in generator order."""
+    symbols = m.symbols or [f"g{g}" for g in range(len(m.generators))]
     order = m.canonical_order()
-    position = {k: p for p, k in enumerate(order)}
-    return {
-        "degree": m.n,
-        "side": side,
-        "size": len(m),
-        "generators": symbols,
-        "elements": [m.elements[k].text() for k in order],
-        "edges": [
-            {"from": position[k], "generator": symbols[g], "to": position[table[k][g]]}
-            for k in order
-            for g in range(len(m.generators))
-        ],
-    }
-
-
-def cayley_dot(m: FiniteMonoid, side: str = "right") -> str:
-    """The same graph in DOT syntax, deterministically ordered."""
-    data = cayley_json(m, side)
-    lines = [f"digraph {side}_cayley {{"]
-    for k, text in enumerate(data["elements"]):
-        lines.append(f'  n{k} [label="{text}"];')
-    for edge in data["edges"]:
-        lines.append(
-            f'  n{edge["from"]} -> n{edge["to"]} [label="{edge["generator"]}"];'
-        )
+    position = [0] * len(order)
+    for p, k in enumerate(order):
+        position[k] = p
+    lines = ["digraph right_cayley {"]
+    lines += [f'  n{p} [label="{m.elements[k].text()}"];' for p, k in enumerate(order)]
+    lines += [f'  n{p} -> n{position[q]} [label="{symbol}"];'
+              for p, k in enumerate(order) for symbol, q in zip(symbols, m.right[k])]
     lines.append("}")
     return "\n".join(lines) + "\n"

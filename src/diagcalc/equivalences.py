@@ -194,6 +194,8 @@ class Equivalence(_Canonical):
         labels = [-1] * n
         for block_id, block in enumerate(classes):
             for point in block:
+                if type(point) is not int:  # ``True`` would pass as point 1
+                    raise ValueError(f"point {point!r} is not an int")
                 if not 1 <= point <= n:
                     raise ValueError(f"point {point} out of range 1..{n}")
                 if labels[point - 1] != -1:

@@ -89,6 +89,8 @@ class Diagram(_Canonical):
         labels: list[int] = [-1] * (2 * n)
         for block_id, block in enumerate(blocks):
             for vertex in block:
+                if type(vertex) is not int:  # ``True`` would pass as vertex 1
+                    raise ValueError(f"vertex {vertex!r} is not an int")
                 if vertex == 0 or not -n <= vertex <= n:
                     raise ValueError(f"vertex {vertex} out of range for degree {n}")
                 pos = vertex - 1 if vertex > 0 else n - vertex - 1

@@ -381,8 +381,9 @@ def eval_word(assignment: dict[str, Diagram], word: Iterable[str]) -> Diagram:
     >>> eval_word(asg, ["h_1", "g_2"]).text()
     '[[1,2,3,-1,-3],[-2]]'
     """
-    degree = next(iter(assignment.values())).n
-    out = identity(degree)
+    if not assignment:
+        raise ValueError("eval_word needs a nonempty assignment to read the degree from")
+    out = identity(next(iter(assignment.values())).n)
     for symbol in word:
         out = partitions.multiply(out, assignment[symbol])
     return out

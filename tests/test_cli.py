@@ -526,6 +526,14 @@ def test_enumerate_usage_errors():
     usage_error("enumerate", "--monoid", "pn", "--n", "2", "--format", "svg")
 
 
+def test_enumerate_dot_takes_no_element_list(capsys):
+    # the graph's nodes are the elements already; the flag would be ignored
+    usage_error("enumerate", "--monoid", "dn", "--n", "3", "--format", "dot", "--elements")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: --elements does not apply to --format dot\n")
+
+
 @pytest.mark.parametrize("n, argv", [
     (1, ("enumerate", "--monoid", "tn", "--n", "1", "--format", "dot")),
     (0, ("enumerate", "--monoid", "dn", "--n", "0", "--format", "dot")),
@@ -718,6 +726,19 @@ def test_output_writes_file(capsys, tmp_path):
     code, out = run(capsys, "render", "[[1,-1]]", "--output", str(svg))
     assert code == 0 and out == ""
     assert svg.read_text(encoding="utf-8") == render_svg(identity(1))
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "[[1,-1]]"),
+    ("verify", "--target", "dn", "--n", "3"),
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "report"
+    usage_error(*argv, "--output", str(target))
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.parent.exists()
+    assert captured.err == f"diagcalc: error: cannot write --output {target}: " \
+                           "No such file or directory\n"
 
 
 # -- module entry point ---------------------------------------------------------------

@@ -170,6 +170,8 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
     m = closure(n, gens, monoid=monoid)
     assert len(calls) == expected
     # both Cayley graphs come with the closure: no further products needed
-    engine.cayley_json(m, "right")
-    engine.cayley_json(m, side="left")
+    for table in (m.right, m.left):
+        assert [len(row) for row in table] == [len(gens)] * len(m)
+        assert all(0 <= k < len(m) for row in table for k in row)
+    engine.cayley_dot(m)
     assert len(calls) == expected

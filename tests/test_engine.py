@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -12,7 +14,6 @@ from diagcalc.engine import (
     BudgetExceeded,
     carrier,
     cayley_dot,
-    cayley_json,
     closure,
     from_elements,
 )
@@ -429,19 +430,67 @@ def test_band_type():
 # -- graph export ----------------------------------------------------------------
 
 
-def test_cayley_json_shape():
-    m = closure(2, [collapse(2, 1, 2), collapse(2, 2, 1)], symbols=["f_1", "g_1"])
-    doc = cayley_json(m)
-    assert doc["degree"] == 2 and doc["side"] == "right"
-    assert doc["size"] == len(doc["elements"]) == len(m)
-    assert doc["generators"] == ["f_1", "g_1"]
-    assert len(doc["edges"]) == len(m) * 2
-    index = {text: k for k, text in enumerate(doc["elements"])}
-    for edge in doc["edges"]:
-        # edges point at element positions and respect the actual products
-        source = Diagram.from_text(doc["elements"][edge["from"]])
-        gen = collapse(2, 1, 2) if edge["generator"] == "f_1" else collapse(2, 2, 1)
-        assert edge["to"] == index[multiply(source, gen).text()]
+# sha256 of ``cayley_dot(carrier(name, n))`` for n = 0..3 joined, as the
+# per-edge-dict export wrote them
+CAYLEY_DOT_SHA256 = {
+    "pn": "b51c16e8eba1bfa9336f3756dee008bd78346d1f8360ecef943237fc2f4c0273",
+    "pnfd": "1de1a5e33679940f1f3dc6318387837c2fc61e7ab1e355f47d3543b06e5f83a3",
+    "ppn": "158bff063fe9a6b746d185d5dfef9112f04922f8cc59776fe4b3d9d1ea22221c",
+    "ppnfd": "e1c1cc02fdbaf2279b830fa5d227f46ea468c9183862ac69d1652bdc94d91979",
+    "tn": "24b5b74d29b812fe2202eab987c431e5e4b1d915f1036ca6e0f201e7d2067508",
+    "sing-tn": "6d1dfa901df182deaeaaca7e0409a6ac5c141124d030bb01d8b3221327c50f3e",
+    "ptn": "4363ffb3afd8f813894f9ff825f198b6fb000de1bacca34ddb785a54562ad1c5",
+    "on": "4363ffb3afd8f813894f9ff825f198b6fb000de1bacca34ddb785a54562ad1c5",
+    "sn": "77450e5d94fe18b82983475cd3c4ab405cd147cf584770d9043c6e8401da7202",
+    "en": "498376d92f30a7b660c2856c2d41b0dddb71c16718d24835e03ba5eb703c42b2",
+    "fn": "c03264d2c1a8942e9ea5602162564671459e01e1bae02c16658d30c5b9e06b73",
+    "in": "9a0f731750c396a7a941889ca8d364b45d8cc5199736b99eb5e94c1032c9ee8f",
+    "jn": "bf6fc04c77756bab1d4d6a187ec13eedf26fc6b2e370a1b22b30669cf5246d36",
+    "dn": "5e48630597563138c6771acb5c3eb296d9f1299211e00aefe7609216b1fb1311",
+    "pen": "7f39a6f48b09481af2d609a2d553ddf102bb831197f193c15b9b245a1df9a947",
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_cayley_dot_bytes_are_pinned(name):
+    dot = "".join(cayley_dot(carrier(name, n)) for n in range(4))
+    assert hashlib.sha256(dot.encode()).hexdigest() == CAYLEY_DOT_SHA256[name]
+
+
+def test_cayley_dot_names_unnamed_generators_by_position():
+    m = closure(3, [collapse(3, 1, 2), transposition(3, 1)], monoid=False)
+    assert cayley_dot(m) == (
+        "digraph right_cayley {\n"
+        '  n0 [label="[[1,2,-1],[3,-3],[-2]]"];\n'
+        '  n1 [label="[[1,2,-2],[3,-3],[-1]]"];\n'
+        '  n2 [label="[[1,-1],[2,-2],[3,-3]]"];\n'
+        '  n3 [label="[[1,-2],[2,-1],[3,-3]]"];\n'
+        '  n0 -> n0 [label="g0"];\n'
+        '  n0 -> n1 [label="g1"];\n'
+        '  n1 -> n0 [label="g0"];\n'
+        '  n1 -> n0 [label="g1"];\n'
+        '  n2 -> n0 [label="g0"];\n'
+        '  n2 -> n3 [label="g1"];\n'
+        '  n3 -> n0 [label="g0"];\n'
+        '  n3 -> n2 [label="g1"];\n'
+        "}\n"
+    )
+
+
+def test_cayley_dot_edges_are_right_products():
+    images = {"f_1": collapse(2, 1, 2), "g_1": collapse(2, 2, 1)}
+    m = closure(2, list(images.values()), symbols=list(images))
+    lines = cayley_dot(m).splitlines()
+    nodes = [re.fullmatch(r'  n(\d+) \[label="(.*)"\];', line) for line in lines]
+    edges = [re.fullmatch(r'  n(\d+) -> n(\d+) \[label="(.*)"\];', line) for line in lines]
+    elements = [Diagram.from_text(node[2]) for node in nodes if node]
+    assert [int(node[1]) for node in nodes if node] == list(range(len(m)))
+    assert sorted(elements, key=lambda d: d.labels) == sorted(m.elements, key=lambda d: d.labels)
+    edges = [edge for edge in edges if edge]
+    assert len(edges) == len(m) * 2 == len(lines) - len(m) - 2
+    for edge in edges:
+        p, q, symbol = int(edge[1]), int(edge[2]), edge[3]
+        assert multiply(elements[p], images[symbol]) == elements[q]
 
 
 def test_cayley_dot_deterministic():

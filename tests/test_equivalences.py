@@ -49,6 +49,13 @@ def test_from_classes_errors():
         Equivalence.from_classes(3, [[0, 1], [2, 3]])
 
 
+@pytest.mark.parametrize("point", [True, False, 1.0, "1", None])
+def test_from_classes_rejects_a_point_that_is_not_an_int(point):
+    # ``True == 1`` and ``1.0 == 1``, so only the type tells them apart
+    with pytest.raises(ValueError, match="is not an int"):
+        Equivalence.from_classes(2, [[point], [2]])
+
+
 def test_text_round_trip():
     assert ETA8.text() == "[[1,5,6],[2,3],[4],[7,8]]"
     rng = random.Random(4)

@@ -238,6 +238,12 @@ def test_eval_word_basics():
         eval_word(asg, ["h_9"])
 
 
+@pytest.mark.parametrize("word", [[], ["a"]])
+def test_eval_word_names_an_empty_assignment(word):
+    with pytest.raises(ValueError, match="nonempty assignment"):
+        eval_word({}, word)
+
+
 def test_eval_word_goes_left_to_right():
     asg = standard_assignment("on", 3)
     expected = multiply(asg["f_1"], asg["g_2"])
