@@ -12,13 +12,13 @@ Four subcommands:
 * ``render``     draw a diagram as deterministic SVG.
 
 Usage errors exit 3, among them an ``--output`` path that cannot be
-written.  A family in ``enumerate`` or ``factorize`` counted
-past the default budget exits 2 (inconclusive), and any other uncaught
-exception exits 4 (internal error), among them a closure that disagrees
-with its count; both print a one-line message on stderr.  All reports are
-deterministic for a fixed input and library version: JSON is emitted with
-sorted keys and no timestamps, so two identical runs produce identical
-bytes.
+written, found before any work starts.  A family in ``enumerate`` or
+``factorize`` counted past the default budget exits 2 (inconclusive), and
+any other uncaught exception exits 4 (internal error), among them a
+closure that disagrees with its count; both print a one-line message on
+stderr.  All reports are deterministic for a fixed input and library
+version: JSON is emitted with sorted keys and no timestamps, so two
+identical runs produce identical bytes.
 
 The ``verify`` budget defaults to the ``DIAGCALC_BUDGET`` environment
 variable when set, and ``--budget`` overrides both.  It bounds the coset
@@ -41,8 +41,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .counting import FAMILY_COUNTS
 from .engine import DEFAULT_BUDGET, BudgetExceeded, CheckReport, carrier, cayley_dot
@@ -127,15 +126,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: str, output: str | None, parser: _Parser) -> None:
-    if output:
-        try:
-            Path(output).write_text(payload, encoding="utf-8")
-        except OSError as exc:  # a path the user gave, not a fault of ours
-            parser.exit(EXIT_USAGE, f"{parser.prog}: error: cannot write --output {output}: "
-                                    f"{exc.strerror or exc}\n")
+def _emit(lines: Iterable[str], output: str | None) -> None:
+    if output:  # ``main`` has checked that it opens for writing
+        with open(output, "w", encoding="utf-8") as out:
+            out.writelines(lines)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(lines)
 
 
 def _json(report: dict) -> str:
@@ -216,7 +212,7 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
     report["status"] = status
     payload = _json(report) if args.format == "json" else text_body
-    _emit(payload, args.output, parser)
+    _emit((payload,), args.output)
     if status == "exhausted":
         return EXIT_INCONCLUSIVE
     verified = status == "verified"
@@ -268,7 +264,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
     if args.format == "dot":
         if args.elements:
             parser.error("--elements does not apply to --format dot")
-        _emit(cayley_dot(carrier(args.monoid, args.n)), args.output, parser)
+        _emit(cayley_dot(carrier(args.monoid, args.n)), args.output)
         return EXIT_VERIFIED
 
     elements = family(args.monoid, args.n)
@@ -289,7 +285,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
         if args.elements:
             lines += [d.text() for d in elements]
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output, parser)
+    _emit((payload,), args.output)
     return EXIT_VERIFIED
 
 
@@ -301,15 +297,13 @@ def _transformation_word(n: int, left: Diagram, mode: str) -> tuple[str, ...]:
 
 def _right_factor_word(n: int, right: Diagram, mode: str) -> tuple[str, ...]:
     """A generator word for the canonical right factor."""
-    from .presentations import cap_lift, derived_word, sym_cap
+    from .presentations import derived_word
 
+    word: list[str] = []
     if mode == "on-dn":
-        lift = cap_lift(n)
-        word: list[str] = []
         for i, j in cap_word(right.coker()):
-            word.extend(lift[sym_cap(i, j)])
+            word.extend(derived_word("alpha", i, j, n))
         return tuple(word)
-    word = []
     for block in right.coker().classes():
         for a, b in zip(block, block[1:]):
             word.extend(derived_word("epsilon", a, b, n))
@@ -370,7 +364,7 @@ def _cmd_factorize(args: argparse.Namespace, parser: _Parser) -> int:
         if args.check is not None:
             lines.append(f"check: {'match' if report['check_matches'] else 'MISMATCH'}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output, parser)
+    _emit((payload,), args.output)
     return status
 
 
@@ -382,7 +376,7 @@ def _cmd_render(args: argparse.Namespace, parser: _Parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = d.text() + "\n" if args.format == "text" else render_svg(d)
-    _emit(payload, args.output, parser)
+    _emit((payload,), args.output)
     return EXIT_VERIFIED
 
 
@@ -395,6 +389,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "factorize": _cmd_factorize,
         "render": _cmd_render,
     }[args.command]
+    if args.output:  # before the work: append mode leaves an existing file as it is
+        try:
+            open(args.output, "a", encoding="utf-8").close()
+        except OSError as exc:  # a path the user gave, not a fault of ours
+            parser.exit(EXIT_USAGE, f"{parser.prog}: error: cannot write --output "
+                                    f"{args.output}: {exc.strerror or exc}\n")
     try:
         return command(args, parser)
     except BudgetExceeded as exc:  # inconclusive, whatever --expect-fail says

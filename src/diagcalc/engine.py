@@ -27,12 +27,13 @@ columns of such products the same way, without storing them.  A row of a
 generator, with letter ``a``, reads ``j`` off the left Cayley table
 instead, as ``left[j][a]``, and the identity's row reads ``j``.  Only
 products with a diagram interned past the carrier are multiplied, each by
-the map :func:`~diagcalc.partitions.multiply_by` of its right factor,
-built once per right factor.  :func:`carrier` is each
-standard family as the closure of its generators, certified against its
-count and membership rule; :func:`from_elements` builds a carrier the way
-:func:`closure` does, from a generating set it picks inside an explicit
-element set.
+the row map :func:`~diagcalc.partitions.multiply_rows` of its right factor,
+built once per right factor; :meth:`FiniteMonoid.intern` rejects a diagram
+of another degree, so every ambient index has the carrier's degree.
+:func:`carrier` is each standard family as the closure of its generators,
+certified against its count and membership rule; :func:`from_elements`
+builds a carrier the way :func:`closure` does, from a generating set it
+picks inside an explicit element set.
 
 Budgets: closures stop with :class:`BudgetExceeded` rather than silently
 truncating.  The default budget is generous; callers with tighter limits
@@ -48,8 +49,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .counting import FAMILY_COUNTS
 from .equivalences import _Memo, _Record
-from .partitions import (FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, Row, identity,
-                         multiply_by, multiply_rows)
+from .partitions import FAMILY_NAMES, GENERATORS, MEMBERS, Diagram, Row, identity, multiply_rows
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -131,7 +131,7 @@ class _Row(dict):
                 k = right[k][a]
         else:
             m = self.monoid
-            k = m.intern(m._by[j](m.diagram(i)))
+            k = m.intern(Diagram(m.n, m._by[j](m.diagram(i).labels), True))
         self[j] = k
         return k
 
@@ -211,7 +211,7 @@ class FiniteMonoid:
         if self.identity_index is not None:
             letters.setdefault(self.identity_index, -1)
         self.table = _Memo(lambda i: _LetterRow(m, i, letters[i]) if i in letters else _Row(m, i))
-        self._by = _Memo(lambda j: multiply_by(m.diagram(j)))  # products that leave it
+        self._by = _Memo(lambda j: multiply_rows(m.diagram(j)))  # products that leave it
         self._images = _Memo(lambda op: _Memo(lambda i: m.intern(op(m.diagram(i)))))
 
     def __len__(self) -> int:
@@ -229,7 +229,10 @@ class FiniteMonoid:
         return self.elements[k] if k < size else self._escapes[k - size]
 
     def intern(self, d: Diagram) -> int:
-        """Ambient index of ``d``, appending it past the carrier on first sight."""
+        """Ambient index of ``d``, appending it past the carrier on first
+        sight; a diagram of another degree raises ``ValueError``."""
+        if d.n != self.n:
+            raise ValueError(f"{d.text()} has degree {d.n}, not the carrier's degree {self.n}")
         k = self.index.get(d.labels)
         if k is None:
             k = self._escape_index.get(d.labels)
@@ -515,17 +518,19 @@ def from_elements(n: int, elements: Iterable[Diagram]) -> FiniteMonoid:
 # -- Cayley graph export ---------------------------------------------------
 
 
-def cayley_dot(m: FiniteMonoid) -> str:
-    """The right Cayley graph ``m.right`` in DOT syntax: one node per element
-    in canonical order, then each one's edges in generator order."""
+def cayley_dot(m: FiniteMonoid) -> Iterator[str]:
+    """The right Cayley graph ``m.right`` in DOT syntax, yielded a piece at
+    a time: one node line per element in canonical order, then each one's
+    edge lines in generator order, joined per element."""
     symbols = m.symbols or [f"g{g}" for g in range(len(m.generators))]
     order = m.canonical_order()
     position = [0] * len(order)
     for p, k in enumerate(order):
         position[k] = p
-    lines = ["digraph right_cayley {"]
-    lines += [f'  n{p} [label="{m.elements[k].text()}"];' for p, k in enumerate(order)]
-    lines += [f'  n{p} -> n{position[q]} [label="{symbol}"];'
-              for p, k in enumerate(order) for symbol, q in zip(symbols, m.right[k])]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph right_cayley {\n"
+    for p, k in enumerate(order):
+        yield f'  n{p} [label="{m.elements[k].text()}"];\n'
+    for p, k in enumerate(order):
+        yield "".join([f'  n{p} -> n{position[q]} [label="{symbol}"];\n'
+                       for symbol, q in zip(symbols, m.right[k])])
+    yield "}\n"

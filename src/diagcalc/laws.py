@@ -456,9 +456,7 @@ def left_congruence_closure(
     position = {k: p for p, k in enumerate(order)}
 
     def place(d: Diagram) -> int:
-        if d.n != s.n:
-            raise ValueError(f"{d.text()} has degree {d.n}, not the carrier's degree {s.n}")
-        p = position.get(s.intern(d))
+        p = position.get(s.intern(d))  # ``intern`` rejects another degree
         if p is None:
             raise ValueError(f"{d.text()} is not in the completion of the carrier")
         return p

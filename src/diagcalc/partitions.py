@@ -4,7 +4,9 @@ A diagram of degree ``n`` is a set partition of the ``2n`` points
 ``1, ..., n`` (the upper row) and ``1', ..., n'`` (the lower row).  Diagrams
 multiply by stacking: the lower row of the left factor is glued to the upper
 row of the right factor, connected components are computed, and the middle
-row is discarded.
+row is discarded.  :func:`multiply_rows` is the one product kernel, a map on
+label rows built once per right factor; :func:`multiply` checks that the
+degrees match and applies it to one left factor.
 
 Canonical encoding
 ------------------
@@ -258,34 +260,17 @@ _MEMBERSHIP_FAMILIES = ("sn", "tn", "on", "in", "jn", "fn", "en", "pnfd", "ppn",
 
 
 def multiply(a: Diagram, b: Diagram) -> Diagram:
-    """Stack ``a`` on top of ``b`` and contract the middle row: the map
-    :func:`multiply_by` of ``b``, built for this one product.
+    """Stack ``a`` on top of ``b`` and contract the middle row: the row map
+    :func:`multiply_rows` of ``b``, built for this one product.
 
     >>> t = collapse(2, 1, 2)   # 2 -> 1
     >>> s = transposition(2, 1)
     >>> multiply(t, s).text()
     '[[1,2,-2],[-1]]'
     """
-    return multiply_by(b)(a)
-
-
-def multiply_by(g: Diagram) -> Callable[[Diagram], Diagram]:
-    """The map ``x -> x * g``: :func:`multiply_rows` on diagrams of ``g``'s degree.
-
-    >>> by_s = multiply_by(transposition(2, 1))
-    >>> by_s(collapse(2, 1, 2)).text()
-    '[[1,2,-2],[-1]]'
-    >>> by_s(by_s(identity(2))) == identity(2)
-    True
-    """
-    n, rows = g.n, multiply_rows(g)
-
-    def by(x: Diagram) -> Diagram:
-        if x.n != n:
-            raise ValueError(f"degrees must match, got {x.n} and {n}")
-        return Diagram(n, rows(x.labels), True)  # a ``_canonical=`` keyword costs a few %
-
-    return by
+    if a.n != b.n:
+        raise ValueError(f"degrees must match, got {a.n} and {b.n}")
+    return Diagram(a.n, multiply_rows(b)(a.labels), True)  # a ``_canonical=`` keyword costs a few %
 
 
 def multiply_rows(g: Diagram) -> Callable[[Row], Row]:
@@ -542,24 +527,27 @@ def sym_h(i: int) -> str:
     return f"h_{i}"
 
 
+def _pair(i: int, j: int) -> str:
+    # an index of two or more digits is set off, so t(1, 11) and t(11, 1) differ
+    return f"{i}{j}" if i < 10 and j < 10 else f"{i}_{j}"
+
+
 def sym_e(i: int, j: int) -> str:
     """Join symbol; the pair is unordered, so the name uses (min, max).
 
-    >>> sym_e(3, 1)
-    'e_13'
+    >>> sym_e(3, 1), sym_e(12, 1)
+    ('e_13', 'e_1_12')
     """
-    if i > j:
-        i, j = j, i
-    return f"e_{i}{j}"
+    return f"e_{_pair(min(i, j), max(i, j))}"
 
 
 def sym_t(i: int, j: int) -> str:
     """Collapse symbol sending j onto i; the pair is ordered.
 
-    >>> sym_t(3, 1)
-    't_31'
+    >>> sym_t(3, 1), sym_t(1, 11), sym_t(11, 1)
+    ('t_31', 't_1_11', 't_11_1')
     """
-    return f"t_{i}{j}"
+    return f"t_{_pair(i, j)}"
 
 
 def sym_cap(i: int, j: int) -> str:

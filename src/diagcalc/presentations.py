@@ -446,8 +446,9 @@ class Target:
     """A concrete model of degree ``n`` given by its size and a membership
     test.
 
-    ``len()`` is the size, read from :data:`diagcalc.counting.FAMILY_COUNTS`
-    without building a diagram, and ``in`` reads only a diagram's labels.
+    ``size`` (``len()`` too, up to ``sys.maxsize``) is read from
+    :data:`diagcalc.counting.FAMILY_COUNTS` without building a diagram, and
+    ``in`` reads only a diagram's labels.
     """
 
     __slots__ = ("n", "size", "member")
@@ -739,7 +740,7 @@ def verify_presentation(name: str, n: int, *, budget: int = DEFAULT_BUDGET) -> P
     pres = schema(name, n)
     assignment = dict(zip(pres.alphabet, pres.images))
     target = target_elements(name, n)
-    target_size = len(target)
+    target_size = target.size  # ``len()`` stops at ``sys.maxsize``, n**n does not
 
     soundness = check_soundness(pres, assignment)
     if not soundness.holds:
@@ -830,14 +831,6 @@ def derived_word(kind: str, i: int, j: int, n: int) -> Word:
     if kind == "beta":
         return (sym_h(j - 1),) + tuple(sym_f(x) for x in range(j - 2, i - 1, -1))
     raise ValueError(f"unknown derived word kind {kind!r}")
-
-
-def cap_lift(n: int) -> dict[str, Word]:
-    """Rewrites each interval-cap symbol as a word over the planar alphabet."""
-    return {
-        sym_cap(a, b): derived_word("alpha", a, b, n)
-        for a, b in itertools.combinations(range(1, n + 1), 2)
-    }
 
 
 # ---------------------------------------------------------------------------

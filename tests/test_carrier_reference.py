@@ -52,9 +52,8 @@ def assert_products(m, indices):
 
 def count_products(monkeypatch, calls, on=(True,)):
     """Count each product ``engine`` makes while ``on[0]`` into ``calls[0]``:
-    one application of a generator's row map ``multiply_rows``, or of a
-    right factor's ``multiply_by`` map for a product that leaves the
-    carrier."""
+    one application of a row map ``multiply_rows``, a generator's or, for a
+    product that leaves the carrier, its right factor's."""
 
     def counting(kernel):
         def build(g):
@@ -69,7 +68,6 @@ def count_products(monkeypatch, calls, on=(True,)):
         return build
 
     monkeypatch.setattr(engine, "multiply_rows", counting(engine.multiply_rows))
-    monkeypatch.setattr(engine, "multiply_by", counting(engine.multiply_by))
 
 
 @pytest.fixture
@@ -259,19 +257,19 @@ def test_right_table_read_before_and_after_the_switch(name, n):
 
 def test_seeded_escape_products_match_multiply(monkeypatch):
     """A product that leaves the carrier goes through its right factor's
-    ``multiply_by`` map, built at most once per right factor."""
+    ``multiply_rows`` map, built at most once per right factor."""
     m = carrier("ppnfd", 4)
     rng = random.Random(20261020)
     outside = [m.intern(d) for d in rng.sample(list(all_diagrams(4)), 40)]
     assert max(outside) >= len(m)
-    built = []
-    real_by = engine.multiply_by
+    built = []  # the maps built after the closure
+    real_rows = engine.multiply_rows
 
-    def recording_by(g):
+    def recording_rows(g):
         built.append(g)
-        return real_by(g)
+        return real_rows(g)
 
-    monkeypatch.setattr(engine, "multiply_by", recording_by)
+    monkeypatch.setattr(engine, "multiply_rows", recording_rows)
     ambient = list(range(len(m))) + outside
     for _ in range(3000):
         i, j = rng.choice(ambient), rng.choice(ambient)

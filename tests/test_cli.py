@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from diagcalc.cli import main
 from diagcalc.counting import FAMILY_COUNTS
-from diagcalc.engine import CheckReport, cayley_dot, closure
+from diagcalc.engine import CheckReport, carrier, cayley_dot, closure
 from diagcalc.equivalences import Equivalence
 from diagcalc.partitions import (
     FAMILY_NAMES,
@@ -488,7 +489,7 @@ def test_enumerate_dot_exports_the_table_generators(capsys, monoid):
     else:
         pres = schema(GRAPH_GENERATORS[monoid], 3)
         symbols, images, kind = pres.alphabet, pres.images, pres.kind
-    expected = cayley_dot(closure(3, images, monoid=kind == "monoid", symbols=symbols))
+    expected = "".join(cayley_dot(closure(3, images, monoid=kind == "monoid", symbols=symbols)))
     assert run(capsys, "enumerate", "--monoid", monoid, "--n", "3", "--format", "dot") == (
         0, expected)
 
@@ -739,6 +740,41 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
     assert captured.out == "" and not target.parent.exists()
     assert captured.err == f"diagcalc: error: cannot write --output {target}: " \
                            "No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv,module,verdict", [
+    (("verify", "--target", "sing-xr", "--n", "5"), "presentations", "verify_presentation"),
+    (("verify", "--target", "grrac", "--n", "3"), "laws", "check_grrac"),
+    (("enumerate", "--monoid", "pnfd", "--n", "3", "--format", "dot"), "cli", "carrier"),
+])
+def test_unwritable_output_stops_before_the_work(monkeypatch, capsys, tmp_path, argv, module,
+                                                 verdict):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{verdict} ran before --output was checked")
+
+    monkeypatch.setattr(importlib.import_module(f"diagcalc.{module}"), verdict, never)
+    for target in (tmp_path / "missing" / "report", tmp_path):
+        usage_error(*argv, "--output", str(target))
+        assert capsys.readouterr().err.startswith(f"diagcalc: error: cannot write --output {target}: ")
+
+
+def test_output_check_keeps_an_existing_file(capsys, tmp_path):
+    # the check opens for appending, so a command that then fails leaves the file as it was
+    target = tmp_path / "report"
+    target.write_text("kept\n", encoding="utf-8")
+    usage_error("verify", "--target", "dn", "--n", "3", "--monoid", "pn", "--output", str(target))
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    code, out = run(capsys, "enumerate", "--monoid", "dn", "--n", "3", "--format", "dot",
+                    "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text(encoding="utf-8") == "".join(cayley_dot(carrier("dn", 3)))
+
+
+def test_a_target_past_sys_maxsize_is_exhausted(capsys):
+    # |T_30| = 30**30 does not fit ``len()``: this exited 4 with an OverflowError
+    code, report = run_json(capsys, "verify", "--target", "tn", "--n", "30", "--budget", "1000")
+    assert code == 2
+    assert report["presentation"]["target_size"] == 30**30
 
 
 # -- module entry point ---------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
     calls = []
 
     # the closure multiplies through one row map per generator, and a
-    # product that leaves a carrier through its right factor's map
+    # product that leaves a carrier through its right factor's row map
     def counting(kernel):
         def build(g):
             by = kernel(g)
@@ -166,12 +166,11 @@ def test_multiplies_only_where_the_tables_cannot_supply(monkeypatch, name, n, ex
         return build
 
     monkeypatch.setattr(engine, "multiply_rows", counting(engine.multiply_rows))
-    monkeypatch.setattr(engine, "multiply_by", counting(engine.multiply_by))
     m = closure(n, gens, monoid=monoid)
     assert len(calls) == expected
     # both Cayley graphs come with the closure: no further products needed
     for table in (m.right, m.left):
         assert [len(row) for row in table] == [len(gens)] * len(m)
         assert all(0 <= k < len(m) for row in table for k in row)
-    engine.cayley_dot(m)
+    "".join(engine.cayley_dot(m))
     assert len(calls) == expected

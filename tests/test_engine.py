@@ -355,6 +355,18 @@ def test_columns_of_nothing_and_of_escapes():
     assert len(m.table) == 0
 
 
+def test_intern_rejects_another_degree():
+    # the one degree check on the ambient, before any product or image reads it
+    m = carrier("tn", 2)
+    for d in (identity(3), identity(1), identity(0)):
+        with pytest.raises(ValueError) as caught:
+            m.intern(d)
+        assert str(caught.value) == f"{d.text()} has degree {d.n}, not the carrier's degree 2"
+    assert m._escapes == []
+    with pytest.raises(ValueError, match="has degree 3"):
+        m.unary(lambda d: identity(3))[0]
+
+
 def test_word_for():
     m = s3()
     assert m.word_for(identity(3)) == ()
@@ -453,13 +465,13 @@ CAYLEY_DOT_SHA256 = {
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_cayley_dot_bytes_are_pinned(name):
-    dot = "".join(cayley_dot(carrier(name, n)) for n in range(4))
+    dot = "".join(line for n in range(4) for line in cayley_dot(carrier(name, n)))
     assert hashlib.sha256(dot.encode()).hexdigest() == CAYLEY_DOT_SHA256[name]
 
 
 def test_cayley_dot_names_unnamed_generators_by_position():
     m = closure(3, [collapse(3, 1, 2), transposition(3, 1)], monoid=False)
-    assert cayley_dot(m) == (
+    assert "".join(cayley_dot(m)) == (
         "digraph right_cayley {\n"
         '  n0 [label="[[1,2,-1],[3,-3],[-2]]"];\n'
         '  n1 [label="[[1,2,-2],[3,-3],[-1]]"];\n'
@@ -480,7 +492,7 @@ def test_cayley_dot_names_unnamed_generators_by_position():
 def test_cayley_dot_edges_are_right_products():
     images = {"f_1": collapse(2, 1, 2), "g_1": collapse(2, 2, 1)}
     m = closure(2, list(images.values()), symbols=list(images))
-    lines = cayley_dot(m).splitlines()
+    lines = "".join(cayley_dot(m)).splitlines()
     nodes = [re.fullmatch(r'  n(\d+) \[label="(.*)"\];', line) for line in lines]
     edges = [re.fullmatch(r'  n(\d+) -> n(\d+) \[label="(.*)"\];', line) for line in lines]
     elements = [Diagram.from_text(node[2]) for node in nodes if node]
@@ -496,8 +508,8 @@ def test_cayley_dot_edges_are_right_products():
 def test_cayley_dot_deterministic():
     m = closure(3, list(standard_assignment("dn", 3).values()),
                 symbols=list(standard_assignment("dn", 3)))
-    first = cayley_dot(m)
-    second = cayley_dot(m)
+    first = "".join(cayley_dot(m))
+    second = "".join(cayley_dot(m))
     assert first == second
     assert first.startswith("digraph right_cayley {")
     assert first.rstrip().endswith("}")
@@ -562,7 +574,8 @@ def test_a_wrong_generator_table_is_an_internal_error(monkeypatch, capsys, tmp_p
         family(name, 3)
     report = tmp_path / "report"
     assert main([*argv, "--output", str(report)]) == 4
-    assert not report.exists()
+    # the --output check creates the file before the work; no report is written to it
+    assert report.read_text(encoding="utf-8") == ""
     assert "internal error: RuntimeError" in capsys.readouterr().err
 
 

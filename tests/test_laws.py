@@ -698,8 +698,8 @@ def test_pinned_multiply_counts(monkeypatch, job, multiplies):
     # every product goes through the carrier's memo, so the number of
     # diagram multiplications is deterministic; a change in it is a
     # regression (or a gain) to account for.  Every product, a one-off
-    # ``multiply`` and a ``multiply_by`` map's too, is one application of a
-    # row map of the one kernel ``multiply_rows``.
+    # ``multiply`` too, is one application of a row map of the one kernel
+    # ``multiply_rows``.
     import sys
 
     import diagcalc.partitions

@@ -11,10 +11,10 @@ product that ``multiply``'s block-level union-find replaced: a union-find over
 all ``3n`` points whose output goes through ``Diagram``'s normalising
 constructor.  Both sides must agree on every diagram (or pair) at small
 degree and on seeded random ones above that.  ``ref_multiply`` is also the
-oracle of ``multiply_by``, whose map for one right factor is applied to
-many left factors: every pair at small degree, and every generator image
-of every family against seeded random diagrams above that; the row map
-``multiply_rows`` behind it must give the same rows.  The projections,
+oracle of the row map ``multiply_rows``, built once for one right factor
+and applied to many left factors: every pair at small degree, and every
+generator image of every family against seeded random diagrams above that;
+``multiply``, which builds that map for one product, must agree too.  The projections,
 which build their label rows directly, have ``embed`` of the kernel and
 cokernel as their oracle.
 """
@@ -41,7 +41,6 @@ from diagcalc.partitions import (
     from_transformation,
     identity,
     multiply,
-    multiply_by,
     multiply_rows,
     range_projection,
 )
@@ -305,15 +304,14 @@ def test_multiply_matches_reference_random(n):
 
 
 def assert_maps_match(g, xs) -> None:
-    """One ``multiply_by(g)`` and one ``multiply_rows(g)`` applied to every
-    ``x`` against ``ref_multiply``."""
-    by, rows = multiply_by(g), multiply_rows(g)
+    """One ``multiply_rows(g)`` applied to every ``x``, and ``multiply(x, g)``,
+    against ``ref_multiply``."""
+    rows = multiply_rows(g)
     for x in xs:
-        got = by(x)
-        assert got == ref_multiply(x, g), (x, g)
-        assert rows(x.labels) == got.labels, (x, g)
-        assert type(got.labels) is tuple, (x, g)
-        assert got.labels == Diagram(got.n, got.labels).labels, (x, g)
+        got = rows(x.labels)
+        assert type(got) is tuple, (x, g)
+        assert got == Diagram(g.n, got).labels == ref_multiply(x, g).labels, (x, g)
+        assert multiply(x, g) == ref_multiply(x, g), (x, g)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -338,28 +336,27 @@ def test_multiply_by_matches_reference_on_every_generator(n):
                                Diagram.from_text("[[1,2,-1],[3,-2,-3]]")],
                          ids=lambda g: g.text())
 def test_multiply_by_rejects_another_degree(g):
-    # both kinds of map: one that joins no middle points and one that does
-    by = multiply_by(g)
+    # both kinds of right factor: one that joins no middle points and one that does
     for n in {0, 1, 2, 4} - {g.n}:
         x = identity(n)
         with pytest.raises(ValueError) as caught:
-            by(x)
-        assert str(caught.value) == f"degrees must match, got {n} and {g.n}"
-        with pytest.raises(ValueError) as caught_multiply:
             multiply(x, g)
-        assert str(caught_multiply.value) == str(caught.value)
+        assert str(caught.value) == f"degrees must match, got {n} and {g.n}"
+        with pytest.raises(ValueError) as caught_reversed:
+            multiply(g, x)
+        assert str(caught_reversed.value) == f"degrees must match, got {g.n} and {n}"
 
 
 def test_multiply_by_at_degrees_zero_and_one():
     empty = identity(0)
-    assert multiply_by(empty)(empty) == empty == multiply(empty, empty)
+    assert multiply_rows(empty)(empty.labels) == () and multiply(empty, empty) == empty
     singles = list(all_diagrams(1))
     assert [d.text() for d in singles] == ["[[1,-1]]", "[[1],[-1]]"]
     strand, apart = singles
     for g in singles:
-        by = multiply_by(g)
-        assert by(strand) == g
-        assert by(apart) == apart
+        rows = multiply_rows(g)
+        assert rows(strand.labels) == g.labels and multiply(strand, g) == g
+        assert rows(apart.labels) == apart.labels and multiply(apart, g) == apart
 
 
 @pytest.mark.parametrize("n", range(4))

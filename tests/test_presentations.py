@@ -26,7 +26,6 @@ from diagcalc.presentations import (
     SCHEMA_NAMES,
     Presentation,
     Word,
-    cap_lift,
     check_soundness,
     derived_word,
     enumerate_presented,
@@ -52,6 +51,25 @@ def test_symbol_spellings():
     assert sym_cap(2, 5) == "h_2_5"
     with pytest.raises(ValueError):
         sym_cap(5, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_symbols_are_distinct_past_one_digit(n):
+    # an index of two digits is set off: t(1, 11) and t(11, 1) once both
+    # printed as t_111, and the assignment kept one image for the two
+    assert (sym_t(1, 11), sym_t(11, 1), sym_e(12, 1)) == ("t_1_11", "t_11_1", "e_1_12")
+    for name in SCHEMA_NAMES:
+        alphabet = schema(name, n).alphabet
+        assert len(set(alphabet)) == len(alphabet), name
+    for name in partitions.FAMILY_NAMES:
+        symbols = [symbol for symbol, _ in partitions.GENERATORS[name](n)[1]]
+        assert len(set(symbols)) == len(symbols), name
+
+
+def test_sing_tn_at_eleven_is_not_refuted():
+    # with t_111 read for two letters, soundness failed: t_111 t_211 = t_111
+    rep = verify_presentation("sing-tn", 11, budget=1000)
+    assert rep.status == "exhausted" and rep.sound and rep.witness is None
 
 
 def test_schema_alphabets():
@@ -731,16 +749,18 @@ def test_hat_morphism_random_words():
 
 
 def test_cap_lift_replays_cap_words():
+    # each interval cap lifts to its ``alpha`` word over the planar alphabet
     for n in range(2, 6):
-        lift = cap_lift(n)
         dn = standard_assignment("dn", n)
         zo = standard_assignment("planar-zo", n)
         for eq in all_equivalences(n):
             if not eq.is_planar():
                 continue
-            word = tuple(sym_cap(i, j) for i, j in cap_word(eq))
+            spans = cap_word(eq)
+            word = tuple(sym_cap(i, j) for i, j in spans)
+            lifted = tuple(x for i, j in spans for x in derived_word("alpha", i, j, n))
             assert eval_word(dn, word) == cap(eq)
-            assert eval_word(zo, apply_morphism(word, lift)) == cap(eq)
+            assert eval_word(zo, lifted) == cap(eq)
 
 
 # -- interval caps against adjacent collapses -----------------------------------------
