@@ -16,23 +16,22 @@ written, found before any work starts.  A family in ``enumerate`` or
 ``factorize`` counted past the default budget exits 2 (inconclusive), and
 any other uncaught exception exits 4 (internal error), among them a
 closure that disagrees with its count; both print a one-line message on
-stderr.  All reports are deterministic for a fixed input and library
-version: JSON is emitted with sorted keys and no timestamps, so two
-identical runs produce identical bytes.
+stderr and leave no ``--output`` file.  All reports are deterministic for a
+fixed input and library version: JSON is emitted with sorted keys and no
+timestamps, so two identical runs produce identical bytes.
 
-The ``verify`` budget defaults to the ``DIAGCALC_BUDGET`` environment
-variable when set, and ``--budget`` overrides both.  It bounds the coset
-nodes of presentation enumeration and the pairs of the ``ehresmann``,
-``restriction`` and ``grrac`` law scans: a carrier of ``k`` elements whose
-``k**2`` pairs exceed it is reported as exhausted before any axiom is
-scanned.  ``action-pair`` is bounded the same way by its ``|U| * |S|``
-pairs, and then by the elements of the closure of U and S together, which
-is reported as exhausted when it outgrows the budget.  ``theta-laws`` is
-bounded by its ``Bell(n)**2 * n**n`` theta-join pairs (each pair of the
-``Bell(n)`` projections compares congruences on the ``n**n``
-transformations).  Every size is read from
-:data:`diagcalc.counting.FAMILY_COUNTS`, so an over-budget scan builds no
-carrier.
+The ``verify`` budget is ``--budget``, :data:`diagcalc.engine.DEFAULT_BUDGET`
+by default.  It bounds the coset nodes of presentation enumeration and the
+pairs of a law target, each priced once before anything is built: ``k**2``
+for the ``ehresmann``, ``restriction`` and ``grrac`` scans of a carrier of
+``k`` elements, ``|U| * |S|`` for ``action-pair``, and
+``Bell(n)**2 * n**n`` for ``theta-laws`` (each pair of the ``Bell(n)``
+projections compares congruences on the ``n**n`` transformations).  Every
+size is read from :data:`diagcalc.counting.FAMILY_COUNTS`, so a target
+priced over the budget builds no carrier.  A target within it is reported
+as exhausted too when a carrier is counted past the fixed closure cap of
+``DEFAULT_BUDGET`` elements, or when action-pair's joint closure of U and
+S outgrows the budget.
 """
 
 from __future__ import annotations
@@ -96,7 +95,8 @@ def _build_parser() -> _Parser:
     )
     verify.add_argument("--side", choices=("left", "right"),
                         help="which restriction law to test (default right)")
-    verify.add_argument("--budget", type=int, help="node budget for enumeration")
+    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="node budget for enumeration")
     verify.add_argument("--seed", type=int, help="echoed into the report")
     verify.add_argument("--expect-fail", action="store_true",
                         help="swap the verified/refuted exit codes")
@@ -138,22 +138,6 @@ def _json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_budget(args: argparse.Namespace, parser: _Parser) -> int:
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
-    else:
-        raw = os.environ.get("DIAGCALC_BUDGET")
-        if raw is None:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError:
-            parser.error(f"DIAGCALC_BUDGET must be an integer, got {raw!r}")
-    if budget < 1:
-        parser.error("budget must be at least 1")
-    return budget
-
-
 def _check_lines(checks: Sequence[CheckReport]) -> str:
     lines = []
     for rep in checks:
@@ -168,7 +152,9 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error(f"--monoid does not apply to --target {args.target}")
     if args.side is not None and args.target != "restriction":
         parser.error(f"--side applies only to --target restriction, not {args.target}")
-    budget = _resolve_budget(args, parser)
+    budget = args.budget
+    if budget < 1:
+        parser.error("budget must be at least 1")
     report: dict = {
         "command": "verify",
         "target": args.target,
@@ -222,41 +208,41 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _law_checks(args: argparse.Namespace, budget: int) -> list[CheckReport] | dict[str, int]:
-    """The target's check reports, or the sizes and the ``pairs`` of a scan
-    whose pairs exceed the budget."""
+    """The target's check reports, or its sizes and ``pairs`` when those pairs
+    exceed the budget or a carrier or closure outgrows its own."""
     from . import laws
 
-    n = args.n
-    if args.target in _PAIR_SCANS:
-        name = args.monoid or _PAIR_SCANS[args.target]
-        # an unknown name gets ``carrier``'s error message
-        counted = FAMILY_COUNTS.get(name)
-        if counted and (size := counted(n)) ** 2 > budget:
-            return {"carrier_size": size, "pairs": size**2}
+    n, target = args.n, args.target
+
+    def size(name: str) -> int:  # an unknown name is priced at 0; building it raises its message
+        return FAMILY_COUNTS[name](n) if name in FAMILY_COUNTS else 0
+
+    if target in _PAIR_SCANS:
+        name = args.monoid or _PAIR_SCANS[target]
+        s_size = size(name)
+        sizes = {"carrier_size": s_size, "pairs": s_size**2}
+    else:  # theta-laws reads the projections and transformations of en-tn
+        name = args.monoid or "en-tn"
+        u_size, s_size = map(size, laws.ACTION_PAIRS.get(name, ("", "")))
+        # each theta-join pair of projections compares congruences on S
+        pairs = u_size * s_size * (u_size if target == "theta-laws" else 1)
+        sizes = {"carrier_size": s_size, "u_size": u_size, "pairs": pairs}
+    if sizes["pairs"] > budget:
+        return sizes
+    try:
+        if target == "theta-laws":
+            return laws.theta_battery(n)
+        if target == "action-pair":
+            u, s = laws.action_pair_elements(name, n)
+            return [laws.check_action_pair(u, s, name, budget=budget)]
         monoid = carrier(name, n)
-        if args.target == "ehresmann":
+        if target == "ehresmann":
             return laws.check_ehresmann(monoid)
-        if args.target == "restriction":
+        if target == "restriction":
             return [laws.check_restriction(monoid, args.side or "right")]
         return laws.check_grrac(monoid)
-    if args.target == "action-pair":
-        pair = args.monoid or "en-tn"
-        if pair in laws.ACTION_PAIRS:
-            u_name, s_name = laws.ACTION_PAIRS[pair]
-            u_size, s_size = FAMILY_COUNTS[u_name](n), FAMILY_COUNTS[s_name](n)
-            exhausted = {"carrier_size": s_size, "u_size": u_size, "pairs": u_size * s_size}
-            if u_size * s_size > budget:
-                return exhausted
-        # an unknown pair gets ``action_pair_elements``' error message
-        u, s = laws.action_pair_elements(pair, n)
-        try:  # the closure of U and S together is bounded by the budget too
-            return [laws.check_action_pair(u, s, pair, budget=budget)]
-        except BudgetExceeded:
-            return exhausted
-    u_size, s_size = FAMILY_COUNTS["en"](n), FAMILY_COUNTS["tn"](n)
-    if (pairs := u_size**2 * s_size) > budget:
-        return {"carrier_size": s_size, "u_size": u_size, "pairs": pairs}
-    return laws.theta_battery(n)
+    except BudgetExceeded:  # a carrier past its count's cap, or the joint closure
+        return sizes
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: _Parser) -> int:
@@ -390,11 +376,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "render": _cmd_render,
     }[args.command]
     if args.output:  # before the work: append mode leaves an existing file as it is
+        existed = os.path.lexists(args.output)
         try:
             open(args.output, "a", encoding="utf-8").close()
         except OSError as exc:  # a path the user gave, not a fault of ours
             parser.exit(EXIT_USAGE, f"{parser.prog}: error: cannot write --output "
                                     f"{args.output}: {exc.strerror or exc}\n")
+        if not existed:  # so that a run without a report leaves no empty file
+            os.unlink(args.output)
     try:
         return command(args, parser)
     except BudgetExceeded as exc:  # inconclusive, whatever --expect-fail says

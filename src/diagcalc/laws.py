@@ -535,13 +535,13 @@ def theta_battery(n: int) -> list[CheckReport]:
     tn = engine.carrier("tn", n)
     for label in ("tn", "sing-tn"):
         s = tn if label == "tn" else engine.carrier(label, n)
-        en = [s.intern(u) for u in en_elements]
-        thetas = [theta(u, s) for u in en_elements]
+        # uv is a projection too, so its theta is read off the same table
+        thetas = {s.intern(u): theta(u, s) for u in en_elements}
         holds, witness = True, None
         checked = 0
-        for (u, th_u), (v, th_v) in itertools.product(zip(en, thetas), repeat=2):
+        for u, v in itertools.product(thetas, repeat=2):
             checked += 1
-            if theta(s.diagram(s.table[u][v]), s) != join_left_congruences(th_u, th_v):
+            if thetas[s.table[u][v]] != join_left_congruences(thetas[u], thetas[v]):
                 holds, witness = False, _texts(s, u, v)
                 break
         reports.append(

@@ -72,7 +72,6 @@ def test_traced_counts_do_not_depend_on_import_order(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    env.pop("DIAGCALC_BUDGET", None)
     runs = {}
     for order in ("cli", "all"):
         proc = subprocess.run(

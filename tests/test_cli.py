@@ -26,11 +26,6 @@ from diagcalc.presentations import eval_word, schema, standard_assignment
 from diagcalc.render import render_svg
 
 
-@pytest.fixture(autouse=True)
-def clean_budget_env(monkeypatch):
-    monkeypatch.delenv("DIAGCALC_BUDGET", raising=False)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -182,6 +177,14 @@ def test_closure_budget_exhaustion_exits_2(capsys, monkeypatch):
         assert captured.err == "diagcalc: inconclusive: budget of 2000000 elements exceeded\n"
 
 
+def test_no_output_file_is_left_after_exit_2(capsys, tmp_path):
+    # the --output check creates the file, and removes it again before the work
+    target = tmp_path / "report"
+    assert main(["enumerate", "--monoid", "pn", "--n", "6", "--output", str(target)]) == 2
+    assert capsys.readouterr().err == "diagcalc: inconclusive: budget of 2000000 elements exceeded\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("expect_fail", [[], ["--expect-fail"]])
 def test_budget_exhaustion_is_never_swapped(capsys, monkeypatch, expect_fail):
     import diagcalc.presentations as presentations
@@ -225,9 +228,6 @@ def test_law_scans_over_budget_exhaust_before_scanning(capsys, monkeypatch):
                     "--budget", "100", "--format", "text")
     assert code == 2
     assert out == "target=restriction n=3 status=exhausted carrier_size=52 pairs=2704\n"
-    monkeypatch.setenv("DIAGCALC_BUDGET", "399")
-    code, report = run_json(capsys, "verify", "--target", "grrac", "--n", "3")
-    assert code == 2 and report["carrier_size"] == 20
 
 
 def test_counted_carriers_exhaust_before_they_are_built(capsys, monkeypatch):
@@ -345,25 +345,66 @@ def test_law_scan_budget_bound_is_inclusive(capsys):
     assert code == 0 and report["status"] == "verified"
 
 
-def test_budget_env_and_override(capsys, monkeypatch):
-    monkeypatch.setenv("DIAGCALC_BUDGET", "20")
-    code, report = run_json(capsys, "verify", "--target", "full-yq", "--n", "3")
-    assert code == 2 and report["budget"] == 20
-
+def test_budget_env_and_override(capsys):
     code, report = run_json(
         capsys, "verify", "--target", "full-yq", "--n", "3", "--budget", "100000"
     )
     assert code == 0 and report["budget"] == 100000
 
 
-def test_verify_usage_errors(monkeypatch):
+def test_the_budget_environment_variable_is_ignored(capsys, monkeypatch):
+    # the budget comes from --budget alone, whatever the environment holds
+    monkeypatch.setenv("DIAGCALC_BUDGET", "20")
+    code, report = run_json(capsys, "verify", "--target", "full-yq", "--n", "3")
+    assert code == 0 and report["budget"] == 2_000_000
+    monkeypatch.setenv("DIAGCALC_BUDGET", "sometimes")
+    code, report = run_json(capsys, "verify", "--target", "full-yq", "--n", "3")
+    assert code == 0 and report["budget"] == 2_000_000
+
+
+@pytest.mark.parametrize("argv, sizes, pairs", [
+    # P6 is Bell(12) = 4,213,597 diagrams, past the fixed closure cap
+    (("ehresmann", "--monoid", "pn", "--n", "6", "--budget", str(10**14)),
+     {"carrier_size": 4213597}, 4213597**2),
+    # T8 is 8**8 = 16,777,216 transformations
+    (("action-pair", "--monoid", "en-tn", "--n", "8", "--budget", str(10**14)),
+     {"carrier_size": 8**8, "u_size": 4140}, 4140 * 8**8),
+    (("theta-laws", "--n", "8", "--budget", str(10**15)),
+     {"carrier_size": 8**8, "u_size": 4140}, 4140**2 * 8**8),
+])
+def test_a_carrier_past_the_cap_writes_an_exhausted_report(capsys, tmp_path, argv, sizes, pairs):
+    report_path = tmp_path / "report.json"
+    code, out = run(capsys, "verify", "--target", *argv, "--output", str(report_path))
+    assert code == 2 and out == ""
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["status"] == "exhausted" and "checks" not in report
+    assert {key: report[key] for key in sizes} == sizes
+    assert set(report) - set(sizes) == {
+        "command", "target", "n", "budget", "seed", "expect_fail", "status"}
+    code, out = run(capsys, "verify", "--target", *argv, "--format", "text")
+    assert code == 2
+    assert out == (f"target={argv[0]} n={report['n']} status=exhausted "
+                   + "".join(f"{key}={value} " for key, value in sizes.items())
+                   + f"pairs={pairs}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ehresmann", "--monoid", "bogus"), "unknown family 'bogus'; expected one of pn, "),
+    (("action-pair", "--monoid", "tn-en"), "unknown action pair 'tn-en'; expected one of "),
+    # a family name is not a pair name, whatever its count
+    (("action-pair", "--monoid", "pn", "--budget", "1"), "unknown action pair 'pn'; "),
+])
+def test_unknown_law_carriers_keep_their_messages(capsys, argv, message):
+    usage_error("verify", "--target", *argv, "--n", "6")
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"diagcalc: error: {message}")
+
+
+def test_verify_usage_errors():
     usage_error("verify", "--target", "nonsense", "--n", "3")
     usage_error("verify", "--target", "dn")
     usage_error("verify", "--target", "ehresmann", "--monoid", "bogus", "--n", "3")
     usage_error("verify", "--target", "action-pair", "--monoid", "tn-en", "--n", "3")
     usage_error("verify", "--target", "dn", "--n", "3", "--budget", "0")
-    monkeypatch.setenv("DIAGCALC_BUDGET", "sometimes")
-    usage_error("verify", "--target", "dn", "--n", "3")
 
 
 @pytest.mark.parametrize("argv, message", [
